@@ -6,6 +6,7 @@ divergence/positivity failure, 4 IO or scenario parse error.
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -58,6 +59,8 @@ def cmd_equilibria(args):
 
 
 def cmd_simulate(args):
+    if args.dense is not None and not (math.isfinite(args.dense) and args.dense > 0.0):
+        raise ScenarioError(f"--dense must be a positive finite time step, got {args.dense!r}")
     sc, p, hist = _load(args)
     traj = dde.integrate(p, hist, sc.run.T, sc.run.K)
     path = _outpath(sc, args, "trajectory.csv")
@@ -86,8 +89,10 @@ def cmd_simulate(args):
 
 
 def cmd_simulate_sde(args):
+    if args.paths is not None and args.paths < 1:
+        raise ScenarioError(f"--paths must be at least 1, got {args.paths}")
     sc, p, hist = _load(args)
-    n = args.paths or sc.run.n
+    n = sc.run.n if args.paths is None else args.paths
     cfg = sde.PathConfig(seed=sc.run.seed, T=sc.run.T, K=sc.run.K, scheme=sc.run.scheme)
     if n == 1:
         traj = sde.sample_path(p, hist, cfg)

@@ -1,10 +1,11 @@
 """CSV emission: full-precision, header always present, LF line endings."""
 
 import csv
+import math
 
 import numpy as np
 
-from .errors import PhagesimError
+from .errors import DomainError, PhagesimError
 
 
 def _fmt(value):
@@ -28,15 +29,23 @@ def write_csv(header, rows, path):
 
 
 def trajectory_rows(traj, dense_dt=None):
-    """(t, S, I, Q) rows at node resolution, optionally resampled at dense_dt."""
+    """(t, S, I, Q) rows at node resolution, optionally resampled at dense_dt.
+
+    The dense grid is t0 + k*dense_dt, so it does not drift and a grid
+    point that lands on the end is exactly t_end.
+    """
     if dense_dt is None:
         for t, y in zip(traj.times, traj.states):
             yield (t, *y)
-    else:
-        t = traj.t0
-        while t <= traj.t_end + 1e-12:
-            yield (min(t, traj.t_end), *traj.eval(min(t, traj.t_end)))
-            t += dense_dt
+        return
+    if not (math.isfinite(dense_dt) and dense_dt > 0.0):
+        raise DomainError(f"dense step must be positive and finite, got {dense_dt!r}")
+    k = 0
+    t = traj.t0
+    while t <= traj.t_end + 1e-12:
+        yield (min(t, traj.t_end), *traj.eval(min(t, traj.t_end)))
+        k += 1
+        t = traj.t0 + k * dense_dt
 
 
 def write_trajectory(traj, path, dense_dt=None):

@@ -111,9 +111,8 @@ class SigmaFn:
         x = np.asarray(x, dtype=float)
         if np.any(x < 0.0):
             raise DomainError("sigma is only defined for x >= 0")
-        u = np.clip(x - m, 0.0, 1.0)
-        bridge = m + u * (a1 + u * u * (a3 + u * (a4 + a5 * u)))
-        return np.where(x <= m, x, np.where(x >= m + 1.0, m + 1.0, bridge))
+        out = self._values(x)
+        return x.copy() if out is x else out
 
     def prime(self, x):
         m = self.m_threshold
@@ -130,6 +129,27 @@ class SigmaFn:
         x = np.asarray(x, dtype=float)
         if np.any(x < 0.0):
             raise DomainError("sigma' is only defined for x >= 0")
+        return self._slopes(x)
+
+    # Unchecked array kernels for x >= 0. Both skip the bridge when no entry
+    # exceeds M; _values then returns x itself, so callers must not mutate
+    # the result. The plateau keeps its own where: u = clip(x - M) reaches 1
+    # only when M + 1 is exact in floating point.
+
+    def _values(self, x):
+        m = self.m_threshold
+        if x.size and x.max() <= m:
+            return x
+        a1, a3, a4, a5 = self.bridge
+        u = np.clip(x - m, 0.0, 1.0)
+        bridge = m + u * (a1 + u * u * (a3 + u * (a4 + a5 * u)))
+        return np.where(x <= m, x, np.where(x >= m + 1.0, m + 1.0, bridge))
+
+    def _slopes(self, x):
+        m = self.m_threshold
+        if x.size and x.max() <= m:
+            return np.ones_like(x)
+        a1, a3, a4, a5 = self.bridge
         u = np.clip(x - m, 0.0, 1.0)
         slope = a1 + u * u * (3.0 * a3 + u * (4.0 * a4 + 5.0 * a5 * u))
         return np.where(x <= m, 1.0, np.where(x >= m + 1.0, 0.0, slope))
@@ -148,18 +168,26 @@ def eval_sigma_prime(x, sigma):
 def _sigma_clipped(sigma, x):
     # The stochastic engine may probe slightly negative predictor states;
     # sigma extends by 0 there (matching sigma(0)=0 continuously).
-    return sigma(np.maximum(x, 0.0))
+    return sigma._values(np.maximum(x, 0.0))
 
 
-def _drift_terms(s, i, q, s_tau, q_tau, p, sigma):
-    """Elementwise right-hand side of the coinfection system; returns (dS, dI, dQ)."""
-    sq = sigma(q)
-    lysis_influx = p.k1 * p.attenuation * sigma(q_tau) * s_tau
+def _influx(s_tau, sq_tau, p):
+    """Infected cells ending their latency: k1 e^{-mu tau} sigma(Q(t-tau)) S(t-tau)."""
+    return p.k1 * p.attenuation * sq_tau * s_tau
+
+
+def _rates(s, i, q, sq, lysis_influx, p):
+    """(dS, dI, dQ) from the state, sq = sigma(Q) and the lysis influx."""
     adsorbed = p.k1 * sq * s
     ds = (p.alpha - p.k1 * sq) * s
     di = adsorbed - p.mu * i - lysis_influx
     dq = p.d - p.m * q - adsorbed - p.k2 * sq * i + p.b * lysis_influx
     return ds, di, dq
+
+
+def _drift_terms(s, i, q, s_tau, q_tau, p, sigma):
+    """Elementwise right-hand side of the coinfection system; returns (dS, dI, dQ)."""
+    return _rates(s, i, q, sigma(q), _influx(s_tau, sigma(q_tau), p), p)
 
 
 def _drift_terms_sq(s, q, s_tau, q_tau, p, sigma):

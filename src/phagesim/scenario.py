@@ -176,6 +176,10 @@ def from_dict(doc):
             or not win[0] < win[1]
         ):
             raise ScenarioError("run.window must be [t_a, t_b] with t_a < t_b")
+        if win[0] < 0.0 or win[1] > run.T:
+            raise ScenarioError(
+                f"run.window [{win[0]:g}, {win[1]:g}] must lie inside [0, T] = [0, {run.T:g}]"
+            )
         run.window = [float(win[0]), float(win[1])]
 
     scenario = Scenario(parameters=parameters, history_spec=dict(hist), run=run)

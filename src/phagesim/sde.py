@@ -20,7 +20,7 @@ from .errors import (
     DomainError,
     PositivityError,
 )
-from .model import SigmaFn, _drift_terms, _sigma_clipped
+from .model import SigmaFn, _influx, _rates, _sigma_clipped
 
 SCHEME_HEUN = "stratonovich-heun"
 SCHEME_EULER = "ito-euler-corrected"
@@ -89,11 +89,13 @@ class _EnsembleGuard:
         self.warn_count = 0
 
     def apply(self, y, t):
-        bad = ~np.isfinite(y) | (np.abs(y) > dde.BLOWUP_LIMIT)
-        if np.any(bad):
+        low, high = y.min(), y.max()
+        # a NaN fails both comparisons
+        if not (-dde.BLOWUP_LIMIT <= low and high <= dde.BLOWUP_LIMIT):
+            bad = ~np.isfinite(y) | (np.abs(y) > dde.BLOWUP_LIMIT)
             which = int(self.path_indices[np.nonzero(np.any(bad, axis=0))[0][0]])
             raise DivergenceError(f"path {which} blew up at t={t:g}", t=t)
-        low = float(y.min())
+        low = float(low)
         if low < 0.0:
             self.min_component = min(self.min_component, low)
             if low < dde.HARD_NEG:
@@ -109,6 +111,56 @@ class _EnsembleGuard:
         return y
 
 
+class _Stage:
+    """Drift, noise amplitude and Ito correction at a (3, n) state.
+
+    All three need sigma of the S and Q rows clipped at 0. It is evaluated
+    once per state (the last state seen, by identity) and shared, so a step
+    pays for one sigma per stage. Results go to two preallocated sets of
+    buffers that alternate from state to state, so the current state's
+    values survive while the predictor's are computed; results for a third
+    state overwrite those of the first.
+    """
+
+    def __init__(self, p, sigma, n_paths):
+        self.p = p
+        self.sigma = sigma
+        self.half_eps2 = 0.5 * p.eps * p.eps
+        self.y = None
+        self.k = 1
+        self.f = np.empty((2, 3, n_paths))
+        self.g_out = np.zeros((2, 3, n_paths))  # I carries no noise
+        self.c_out = np.zeros((2, 3, n_paths))
+
+    def sigma_sq(self, y):
+        """sigma(max(y[::2], 0)): rows sigma(S), sigma(Q)."""
+        if y is not self.y:
+            self.y = y
+            self.k ^= 1
+            self.clipped = np.maximum(y[::2], 0.0)
+            self.sig = self.sigma._values(self.clipped)
+        return self.sig
+
+    def drift(self, y, lysis_influx):
+        sq = self.sigma_sq(y)[1]
+        f = self.f[self.k]
+        f[0], f[1], f[2] = _rates(y[0], y[1], y[2], sq, lysis_influx, self.p)
+        return f
+
+    def g(self, y):
+        sig = self.sigma_sq(y)
+        out = self.g_out[self.k]
+        np.multiply(self.p.eps, sig, out=out[::2])
+        return out
+
+    def correction(self, y):
+        """Drift added when the Stratonovich system is rewritten in Ito form."""
+        sig = self.sigma_sq(y)
+        out = self.c_out[self.k]
+        np.multiply(self.half_eps2 * sig, self.sigma._slopes(self.clipped), out=out[::2])
+        return out
+
+
 def _simulate_paths(p, hist, cfg, path_indices, sigma=None):
     """Advance the given paths together; returns (times, nodes (n_nodes, 3, n), guard)."""
     if sigma is None:
@@ -116,61 +168,40 @@ def _simulate_paths(p, hist, cfg, path_indices, sigma=None):
     h = p.tau / cfg.K
     n_steps = max(1, math.ceil(cfg.T / h - 1e-9))
     n_paths = len(path_indices)
-    sqrt_h = math.sqrt(h)
-
-    dw = np.stack(
-        [path_normals(cfg.seed, idx, n_steps) for idx in path_indices]
-    )  # (n, n_steps, 2)
-    dw = np.transpose(dw, (1, 2, 0)) * sqrt_h  # (n_steps, 2, n)
-
-    def g(y):
-        gs = p.eps * _sigma_clipped(sigma, y[0])
-        gq = p.eps * _sigma_clipped(sigma, y[2])
-        return np.stack([gs, np.zeros_like(gs), gq])
-
-    def strat_corr(y):
-        half = 0.5 * p.eps * p.eps
-        yc = np.maximum(y, 0.0)
-        cs = half * sigma(yc[0]) * sigma.prime(yc[0])
-        cq = half * sigma(yc[2]) * sigma.prime(yc[2])
-        return np.stack([cs, np.zeros_like(cs), cq])
-
-    def sigma_ext(x):
-        return sigma(np.maximum(x, 0.0))
-
-    def drift_at(y, delayed_sq):
-        ds, di, dq = _drift_terms(
-            y[0], y[1], y[2], delayed_sq[0], delayed_sq[1], p, sigma_ext
-        )
-        return np.stack([ds, di, dq])
-
-    guard = _EnsembleGuard(path_indices)
-    nodes = np.empty((n_steps + 1, 3, n_paths))
-    ones = np.ones(n_paths)
-    nodes[0, 0] = hist.s(0.0) * ones
-    nodes[0, 1] = hist.i0 * ones
-    nodes[0, 2] = hist.q(0.0) * ones
-
-    def delayed_sq(node_index):
-        if node_index <= 0:
-            td = node_index * h
-            return hist.s(td) * ones, hist.q(td) * ones
-        return nodes[node_index, 0], nodes[node_index, 2]
-
     K = cfg.K
+
+    dw = np.empty((n_steps, 2, n_paths))
+    for j, idx in enumerate(path_indices):
+        dw[:, :, j] = path_normals(cfg.seed, idx, n_steps)
+    dw *= math.sqrt(h)
+
+    nodes = np.empty((n_steps + 1, 3, n_paths))
+    nodes[0] = np.array([hist.s(0.0), hist.i0, hist.q(0.0)])[:, None]
+
+    # Lysis influx of node j, in row j % (K + 1): written when node j is the
+    # current state, read K - 1 and K steps later as the delayed term.
+    ring = K + 1
+    influx = np.empty((ring, n_paths))
+    t_hist = h * np.arange(-K, 0)
+    influx[1:] = _influx(hist.s(t_hist), _sigma_clipped(sigma, hist.q(t_hist)), p)[:, None]
+
+    stage = _Stage(p, sigma, n_paths)
+    guard = _EnsembleGuard(path_indices)
+    inc = np.zeros((3, n_paths))  # I carries no noise
+    heun = cfg.scheme == SCHEME_HEUN
     for n in range(n_steps):
         t = n * h
         y = nodes[n]
-        d_now = delayed_sq(n - K)
-        f_now = drift_at(y, d_now)
-        inc = np.stack([dw[n, 0], np.zeros(n_paths), dw[n, 1]])
-        if cfg.scheme == SCHEME_HEUN:
-            d_next = delayed_sq(n + 1 - K)
+        influx[n % ring] = _influx(y[0], stage.sigma_sq(y)[1], p)
+        f_now = stage.drift(y, influx[(n - K) % ring])
+        inc[::2] = dw[n]
+        if heun:
+            d_next = influx[(n + 1 - K) % ring]
             y_next, _ = heun_step(
-                y, inc, h, f_now, lambda pred: drift_at(pred, d_next), g
+                y, inc, h, f_now, lambda pred: stage.drift(pred, d_next), stage.g
             )
         else:
-            y_next = ito_euler_step(y, inc, h, f_now + strat_corr(y), g)
+            y_next = ito_euler_step(y, inc, h, f_now + stage.correction(y), stage.g)
         nodes[n + 1] = guard.apply(y_next, t + h)
 
     times = h * np.arange(n_steps + 1)
@@ -183,19 +214,17 @@ def sample_path(p, hist, cfg, path_index=0, sigma=None):
         sigma = SigmaFn(p.M)
     _, nodes, guard = _simulate_paths(p, hist, cfg, [path_index], sigma)
     states = nodes[:, :, 0]
-    # node drift values give the Hermite dense output its slopes
-    h = p.tau / cfg.K
-    derivs = np.empty_like(states)
-    for n in range(len(states)):
-        td = (n - cfg.K) * h
-        if td <= 0.0:
-            d_sq = (hist.s(td), hist.q(td))
-        else:
-            d_sq = (states[n - cfg.K, 0], states[n - cfg.K, 2])
-        derivs[n] = _drift_terms(
-            states[n, 0], states[n, 1], states[n, 2], d_sq[0], d_sq[1], p,
-            lambda x: sigma(np.maximum(x, 0.0)),
-        )
+    # node drift values give the Hermite dense output its slopes; node n is
+    # delayed onto the history up to n = K and onto node n - K after it
+    K, n_nodes = cfg.K, len(states)
+    h = p.tau / K
+    t_hist = h * np.arange(-K, min(n_nodes, K + 1) - K)
+    past = states[1:max(n_nodes - K, 1)]
+    s_tau = np.concatenate([hist.s(t_hist), past[:, 0]])
+    q_tau = np.concatenate([hist.q(t_hist), past[:, 2]])
+    s, i, q = states.T
+    lysis_influx = _influx(s_tau, _sigma_clipped(sigma, q_tau), p)
+    derivs = np.column_stack(_rates(s, i, q, _sigma_clipped(sigma, q), lysis_influx, p))
     return dde.Trajectory(
         t0=0.0,
         h=h,
@@ -220,6 +249,8 @@ class EnsembleStats:
     threshold: Optional[float] = None
     exceed_count: Optional[int] = None
     min_component: float = 0.0
+    clamp_count: int = 0  # components clamped from float dust to 0
+    warn_count: int = 0  # components left negative within the tolerance
 
 
 def _reference_nodes(reference, times):
@@ -256,6 +287,8 @@ def ensemble(p, hist, cfg, n, reference, window, threshold=None, sigma=None):
         window=(float(t_a), float(t_b)),
         sup_devs=sup_devs,
         min_component=guard.min_component,
+        clamp_count=guard.clamp_count,
+        warn_count=guard.warn_count,
     )
     if threshold is not None:
         stats.threshold = float(threshold)
@@ -301,13 +334,15 @@ class ConcentrationTable:
     eta: float = float("nan")
 
     def log_prob_slope(self):
-        """Slope of ln(p_hat) against 1/eps^2 over rows with nonzero counts.
+        """Slope of ln(p_hat) against 1/eps^2 over rows with 0 < exceed < n.
 
+        A row where every path exceeds has ln(p_hat) = 0 whatever the tail,
+        and a row where none does has no logarithm, so both are left out.
         Returns None when fewer than two usable rows exist.
         """
         xs, ys = [], []
         for r in self.rows:
-            if r.eps > 0.0 and r.exceed > 0:
+            if r.eps > 0.0 and 0 < r.exceed < r.n:
                 xs.append(1.0 / (r.eps * r.eps))
                 ys.append(math.log(r.p_hat))
         if len(xs) < 2:

@@ -5,7 +5,7 @@ import pytest
 
 from phagesim import cli, csvio
 from phagesim.dde import integrate
-from phagesim.errors import ScenarioError
+from phagesim.errors import DomainError, ScenarioError
 from phagesim.scenario import from_dict, parse_scenario
 
 from conftest import CONCENTRATION_SCENARIO, REFERENCE_SCENARIO
@@ -87,6 +87,13 @@ class TestScenarioParsing:
     def test_bad_window_rejected(self):
         doc = load_reference_doc()
         doc["run"]["window"] = [30.0, 10.0]
+        with pytest.raises(ScenarioError, match="window"):
+            from_dict(doc)
+
+    @pytest.mark.parametrize("window", [[-1.0, 10.0], [10.0, 80.0]])
+    def test_window_outside_horizon_rejected(self, window):
+        doc = load_reference_doc()  # T = 50
+        doc["run"]["window"] = window
         with pytest.raises(ScenarioError, match="window"):
             from_dict(doc)
 
@@ -184,6 +191,20 @@ class TestCsv:
             assert row[1:] == pytest.approx(traj.eval(row[0]), rel=1e-15)
 
 
+    @pytest.mark.parametrize("dt", [0.0, -0.5, float("nan"), float("inf")])
+    def test_trajectory_rows_rejects_bad_step(self, p_star, hist_standard, dt):
+        traj = integrate(p_star, hist_standard, T=1.0, K=16)
+        with pytest.raises(DomainError, match="dense"):
+            next(csvio.trajectory_rows(traj, dense_dt=dt))
+
+    def test_dense_grid_ends_exactly_at_t_end(self, p_star, hist_standard):
+        traj = integrate(p_star, hist_standard, T=1.0, K=16)
+        times = [row[0] for row in csvio.trajectory_rows(traj, dense_dt=0.1)]
+        assert len(times) == 11
+        assert times[-1] == traj.t_end == 1.0
+        assert times == [k * 0.1 for k in range(11)]
+
+
 class TestCli:
     def test_validate_reference_passes(self, capsys):
         assert cli.main(["validate", REFERENCE_SCENARIO]) == cli.EXIT_OK
@@ -228,6 +249,35 @@ class TestCli:
         assert code == cli.EXIT_OK
         _, arr = csvio.read_csv(tmp_path / "trajectory.csv")
         assert len(arr) == 51
+
+    @pytest.mark.parametrize("dense", ["0", "-1", "nan", "inf"])
+    def test_simulate_bad_dense_step(self, tmp_path, capsys, dense):
+        code = cli.main(
+            ["simulate", REFERENCE_SCENARIO, "--outdir", str(tmp_path), "--dense", dense]
+        )
+        assert code == cli.EXIT_IO
+        assert "error:parse: --dense" in capsys.readouterr().err
+        assert not (tmp_path / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize("paths", ["0", "-3"])
+    def test_simulate_sde_bad_path_count(self, tmp_path, capsys, paths):
+        code = cli.main(
+            ["simulate-sde", REFERENCE_SCENARIO, "--outdir", str(tmp_path), "--paths", paths]
+        )
+        assert code == cli.EXIT_IO
+        captured = capsys.readouterr()
+        assert "error:parse: --paths" in captured.err
+        assert "ensemble" not in captured.out
+        assert list(tmp_path.iterdir()) == []
+
+    def test_window_outside_horizon_exit_code(self, tmp_path, capsys):
+        doc = load_reference_doc()
+        doc["run"]["window"] = [10.0, 80.0]
+        path = write_doc(tmp_path, doc)
+        code = cli.main(["simulate", path, "--outdir", str(tmp_path / "out")])
+        assert code == cli.EXIT_IO
+        assert "error:parse" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_simulate_sde_single_path(self, tmp_path, capsys):
         code = cli.main(

@@ -1,17 +1,23 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from phagesim import dde, equilibria
+from phagesim import History, Parameters, SigmaFn, dde, equilibria
 from phagesim.errors import ConfigurationError, DomainError
+from phagesim.model import _drift_terms, diffusion, drift, stratonovich_correction
 from phagesim.sde import (
     SCHEME_EULER,
     SCHEME_HEUN,
+    ConcentrationRow,
+    ConcentrationTable,
     PathConfig,
     _simulate_paths,
     concentration_experiment,
     ensemble,
+    heun_step,
+    ito_euler_step,
     path_normals,
     sample_path,
     simulate_linear,
@@ -87,6 +93,74 @@ class TestReproducibility:
         assert not np.array_equal(a.states, b.states)
         # ... but they share the driving noise, so stay pathwise close
         assert float(np.max(np.abs(a.states - b.states))) < 0.05
+
+
+def _per_path_loop(p, hist, cfg, path_indices):
+    """Each path stepped alone from the model's public right-hand sides."""
+    sigma = SigmaFn(p.M)
+    clipped = lambda x: sigma(np.maximum(x, 0.0))
+    g = lambda x: diffusion(np.maximum(x, 0.0), p, sigma)
+    h = p.tau / cfg.K
+    n_steps = max(1, math.ceil(cfg.T / h - 1e-9))
+    out = np.empty((n_steps + 1, 3, len(path_indices)))
+    for col, idx in enumerate(path_indices):
+        dw = path_normals(cfg.seed, idx, n_steps) * math.sqrt(h)
+        ys = [hist.state(0.0)]
+
+        def delayed(j):
+            return hist.state(j * h) if j <= 0 else ys[j]
+
+        for n in range(n_steps):
+            y = ys[n]
+            inc = np.array([dw[n, 0], 0.0, dw[n, 1]])
+            f_now = drift(y, delayed(n - cfg.K), p, clipped)
+            if cfg.scheme == SCHEME_HEUN:
+                f_at = lambda x: drift(x, delayed(n + 1 - cfg.K), p, clipped)
+                y_next, _ = heun_step(y, inc, h, f_now, f_at, g)
+            else:
+                corr = stratonovich_correction(np.maximum(y, 0.0), p, sigma)
+                y_next = ito_euler_step(y, inc, h, f_now + corr, g)
+            dust = (y_next < 0.0) & (y_next >= -dde.CLAMP_TOL)
+            ys.append(np.where(dust, 0.0, y_next))
+        out[:, :, col] = ys
+    return out
+
+
+class TestFusedStepper:
+    """The ensemble stepper shares sigma and delayed terms across stages and
+    paths; every node must still equal a path stepped on its own."""
+
+    @pytest.mark.parametrize("scheme", [SCHEME_HEUN, SCHEME_EULER])
+    @pytest.mark.parametrize("M", [100.0, 12.0])
+    def test_nodes_equal_per_path_loop(self, p_star, hist_standard, scheme, M):
+        p = dataclasses.replace(p_star, M=M, eps=0.05)
+        cfg = PathConfig(seed=17, T=5.0, K=16, scheme=scheme)
+        paths = [0, 3, 7]
+        _, nodes, _ = _simulate_paths(p, hist_standard, cfg, paths)
+        q = nodes[:, 2]
+        if M == 12.0:  # Q runs through the bridge onto the plateau
+            assert np.any((q > M) & (q < M + 1.0)) and np.any(q >= M + 1.0)
+        else:
+            assert q.max() < M
+        assert np.array_equal(nodes, _per_path_loop(p, hist_standard, cfg, paths))
+
+    @pytest.mark.parametrize("T", [3.0, 0.5])  # 0.5 < tau: every delay is history
+    def test_sample_path_slopes_are_node_drifts(self, p_star, hist_standard, T):
+        p = p_star.with_eps(0.05)
+        cfg = PathConfig(seed=11, T=T, K=16)
+        path = sample_path(p, hist_standard, cfg, path_index=2)
+        sigma = SigmaFn(p.M)
+        clipped = lambda x: sigma(np.maximum(x, 0.0))
+        h = p.tau / cfg.K
+        states = path.states
+        for n, y in enumerate(states):
+            td = (n - cfg.K) * h
+            if td <= 0.0:
+                d_s, d_q = hist_standard.s(td), hist_standard.q(td)
+            else:
+                d_s, d_q = states[n - cfg.K, 0], states[n - cfg.K, 2]
+            expected = _drift_terms(y[0], y[1], y[2], d_s, d_q, p, clipped)
+            assert np.array_equal(path.derivs[n], expected)
 
 
 class TestGeometricNoiseOracle:
@@ -182,6 +256,20 @@ class TestEnsemble:
         assert stats.exceed_count == 50  # every sup-deviation beats a zero threshold
         assert stats.min_component >= -1e-6
 
+    def test_guard_counters_reach_stats(self):
+        # S starts at 1e-13 and strong noise on the Euler scheme overshoots
+        # it: small undershoots are clamped, larger ones are counted
+        p = Parameters(alpha=0.5, k1=0.1, k2=0.05, d=20.0, m=1.0, b=10.0,
+                       mu=0.2, tau=1.0, M=0.5, eps=3.0)
+        hist = History.constant(p.tau, 1e-13, 10.0, 1.0)
+        cfg = PathConfig(seed=5, T=2.0, K=16, scheme=SCHEME_EULER)
+        _, _, guard = _simulate_paths(p, hist, cfg, list(range(20)))
+        stats = ensemble(p, hist, cfg, 20, np.zeros(3), (0.0, 2.0))
+        assert guard.clamp_count > 0 and guard.warn_count > 0
+        assert stats.clamp_count == guard.clamp_count
+        assert stats.warn_count == guard.warn_count
+        assert stats.min_component == guard.min_component
+
     def test_empty_window_rejected(self, p_star, hist_standard):
         cfg = PathConfig(seed=5, T=5.0, K=32)
         with pytest.raises(ConfigurationError):
@@ -256,4 +344,24 @@ class TestConcentrationExperiment:
             p_conc, hist_conc, [0.01], rho=0.05, kappa1=1.2, kappa2=2.0,
             n=20, seed=2024,
         )
+        assert table.log_prob_slope() is None
+
+
+def _row(eps, exceed, n=400):
+    return ConcentrationRow(eps=eps, rho=0.05, t_lo=1.0, t_hi=2.0, n=n, exceed=exceed,
+                            p_hat=exceed / n, ci_lo=0.0, ci_hi=1.0)
+
+
+class TestLogProbSlope:
+    def test_fits_only_rows_strictly_inside(self):
+        table = ConcentrationTable(
+            rows=[_row(0.05, 400), _row(0.03, 200), _row(0.02, 50), _row(0.01, 0)]
+        )
+        expected = (math.log(50 / 400) - math.log(200 / 400)) / (
+            1.0 / 0.02**2 - 1.0 / 0.03**2
+        )
+        assert table.log_prob_slope() == pytest.approx(expected, rel=1e-12)
+
+    def test_saturated_rows_give_no_slope(self):
+        table = ConcentrationTable(rows=[_row(0.05, 400), _row(0.02, 400), _row(0.01, 3)])
         assert table.log_prob_slope() is None
