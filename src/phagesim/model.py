@@ -191,15 +191,14 @@ def _drift_terms(s, i, q, s_tau, q_tau, p, sigma):
 
 
 def _drift_terms_sq(s, q, s_tau, q_tau, p, sigma):
-    """Elementwise right-hand side of the two-component (no coinfection) system."""
+    """Elementwise right-hand side of the two-component (no coinfection) system.
+
+    Same arithmetic order as `_rates`, so at I = 0 it equals the full
+    system's (dS, dQ) to the bit rather than to a few ulps.
+    """
     sq = sigma(q)
     ds = (p.alpha - p.k1 * sq) * s
-    dq = (
-        p.d
-        - p.m * q
-        - p.k1 * sq * s
-        + p.k1 * p.effective_burst * sigma(q_tau) * s_tau
-    )
+    dq = p.d - p.m * q - p.k1 * sq * s + p.b * _influx(s_tau, sigma(q_tau), p)
     return ds, dq
 
 
