@@ -16,9 +16,6 @@ from .model import (
     SigmaFn,
     diffusion,
     drift,
-    drift_no_coinfection,
-    eval_sigma,
-    eval_sigma_prime,
     stratonovich_correction,
 )
 from .scenario import Scenario, parse_scenario

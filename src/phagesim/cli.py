@@ -5,6 +5,7 @@ divergence/positivity failure, 4 IO or scenario parse error.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -139,8 +140,6 @@ def cmd_min_dose(args):
     d_min = hypotheses.minimal_dose(p)
     print(f"minimal dose d_min = {d_min:.10g} (current d = {p.d:g})")
     for factor, label in ((1.0 + 1e-6, "d_min*(1+1e-6)"), (1.0 - 1e-6, "d_min*(1-1e-6)")):
-        import dataclasses
-
         probe = dataclasses.replace(p, d=d_min * factor)
         entry = next(e for e in hypotheses.check_dose(probe) if e.id == "dose-threshold")
         print(f"  {label}: margin {entry.margin:+.3e} -> {'pass' if entry.passed else 'fail'}")
@@ -157,7 +156,7 @@ def cmd_compare_coinfection(args):
     fit = dde.fit_decay(traj, e0, dde.auto_window(traj, e0), st.eta)
 
     p0 = p.with_k2(0.0)
-    traj2 = dde.integrate_no_coinfection(p0, hist, T, K)
+    traj2 = dde.integrate(p0, hist, T, K).sq()
     eta2 = min(st.gamma, p.m)
     fit2 = dde.fit_decay(traj2, e0[[0, 2]], dde.auto_window(traj2, e0[[0, 2]]), eta2)
 

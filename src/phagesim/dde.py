@@ -7,13 +7,12 @@ node derivatives.
 """
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DivergenceError, DomainError, PositivityError, WindowError
-from .model import SigmaFn, _drift_terms, _drift_terms_sq
+from .model import SigmaFn, _drift_terms
 
 BLOWUP_LIMIT = 1e12
 CLAMP_TOL = 1e-12  # undershoot treated as floating-point dust
@@ -47,6 +46,10 @@ class Trajectory:
 
     def __len__(self):
         return len(self.states)
+
+    def sq(self):
+        """The (S, Q) columns. Of a k2 = 0 run, this is the system without coinfection."""
+        return replace(self, states=self.states[:, ::2], derivs=self.derivs[:, ::2])
 
     def _history_state(self, t):
         if self.history is None:
@@ -84,11 +87,6 @@ def _hermite(y0, f0, y1, f1, theta, h):
     )
 
 
-def dense_eval(traj, t):
-    """Module-level alias for Trajectory.eval."""
-    return traj.eval(t)
-
-
 class _PositivityGuard:
     def __init__(self):
         self.clamp_count = 0
@@ -117,7 +115,7 @@ class _PositivityGuard:
         return tuple(out)
 
 
-def _make_delayed_lookup(states, derivs, hist_sq, h, tau):
+def _make_delayed_lookup(states, derivs, hist_sq, h):
     """Delayed (S, Q) lookup. `states`/`derivs` are the growing node lists."""
 
     def delayed(td):
@@ -139,20 +137,30 @@ def _make_delayed_lookup(states, derivs, hist_sq, h, tau):
     return delayed
 
 
-def _integrate_core(rhs, y_init, hist_sq, tau, T, K):
+def integrate(p, hist, T, K, sigma=None):
+    """Integrate the coinfection system from a history; returns a dense Trajectory."""
     if T <= 0.0:
         raise DomainError("horizon T must be positive")
     if K < 8:
         raise DomainError("need at least 8 steps per delay interval")
+    if sigma is None:
+        sigma = SigmaFn(p.M)
+
+    def rhs(y, delayed_sq):
+        return _drift_terms(y[0], y[1], y[2], delayed_sq[0], delayed_sq[1], p, sigma)
+
+    def hist_sq(td):
+        return hist.s(td), hist.q(td)
+
+    tau = p.tau
     h = tau / K
     n_steps = max(1, math.ceil(T / h - 1e-9))
     guard = _PositivityGuard()
 
-    states = [tuple(y_init)]
-    delayed = _make_delayed_lookup(states, None, hist_sq, h, tau)
+    states = [(hist.s(0.0), hist.i0, hist.q(0.0))]
     # node derivatives, needed for the Hermite lookups at midpoints
-    derivs = [rhs(states[0], delayed(-tau))]
-    delayed = _make_delayed_lookup(states, derivs, hist_sq, h, tau)
+    derivs = [rhs(states[0], hist_sq(-tau))]
+    delayed = _make_delayed_lookup(states, derivs, hist_sq, h)
 
     for n in range(n_steps):
         t = n * h
@@ -179,44 +187,11 @@ def _integrate_core(rhs, y_init, hist_sq, tau, T, K):
         h=h,
         states=np.array(states),
         derivs=np.array(derivs),
+        history=hist,
         clamp_count=guard.clamp_count,
         warn_count=guard.warn_count,
         min_component=guard.min_component,
     )
-
-
-def integrate(p, hist, T, K, sigma=None):
-    """Integrate the coinfection system from a history; returns a dense Trajectory."""
-    if sigma is None:
-        sigma = SigmaFn(p.M)
-
-    def rhs(y, delayed_sq):
-        return _drift_terms(y[0], y[1], y[2], delayed_sq[0], delayed_sq[1], p, sigma)
-
-    def hist_sq(td):
-        return hist.s(td), hist.q(td)
-
-    y0 = (hist.s(0.0), hist.i0, hist.q(0.0))
-    traj = _integrate_core(rhs, y0, hist_sq, p.tau, T, K)
-    traj.history = hist
-    return traj
-
-
-def integrate_no_coinfection(p, hist, T, K, sigma=None):
-    """Integrate the standalone two-component system (S, Q)."""
-    if sigma is None:
-        sigma = SigmaFn(p.M)
-
-    def rhs(y, delayed_sq):
-        return _drift_terms_sq(y[0], y[1], delayed_sq[0], delayed_sq[1], p, sigma)
-
-    def hist_sq(td):
-        return hist.s(td), hist.q(td)
-
-    y0 = (hist.s(0.0), hist.q(0.0))
-    traj = _integrate_core(rhs, y0, hist_sq, p.tau, T, K)
-    traj.history = hist
-    return traj
 
 
 @dataclass(frozen=True)

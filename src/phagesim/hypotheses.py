@@ -145,22 +145,26 @@ def invariant_region(p):
 
 
 def check_sigma(sigma):
-    """Dense-grid verification of the truncation-function invariants."""
+    """Lattice verification of the truncation-function invariants.
+
+    The lattice is i * _SCAN_STEP on [max(0, M-1), M+2], the points of a
+    scan of [0, M+2] that hold the bridge with a unit of each side. Below it
+    sigma returns x and past it M+1 by construction, so a longer scan adds
+    no coverage, only memory that grows with M.
+    """
     m = sigma.m_threshold
-    xs = np.arange(0.0, m + 2.0 + _SCAN_STEP, _SCAN_STEP)
+    n_end = math.ceil((m + 2.0 + _SCAN_STEP) / _SCAN_STEP)  # len(np.arange(0, m+2+step, step))
+    xs = np.arange(int(max(0.0, m - 1.0) / _SCAN_STEP), n_end) * _SCAN_STEP
     vals = sigma(xs)
     primes = sigma.prime(xs)
 
-    ident = xs[xs <= m]
-    identity_err = float(np.max(np.abs(sigma(ident) - ident))) if len(ident) else 0.0
-    plateau = xs[xs >= m + 1.0]
-    plateau_err = (
-        float(np.max(np.abs(sigma(plateau) - (m + 1.0)))) if len(plateau) else 0.0
-    )
+    ident = xs <= m
+    identity_err = float(np.max(np.abs(vals[ident] - xs[ident])))
+    plateau_err = float(np.max(np.abs(vals[xs >= m + 1.0] - (m + 1.0))))
     mono_margin = float(np.min(np.diff(vals)))
     prime_min = float(np.min(primes))
     prime_max = float(np.max(primes))
-    centered = (sigma(xs[2:]) - sigma(xs[:-2])) / (2.0 * _SCAN_STEP)
+    centered = (vals[2:] - vals[:-2]) / (2.0 * _SCAN_STEP)
     fd_err = float(np.max(np.abs(centered - primes[1:-1]) / np.maximum(1.0, np.abs(primes[1:-1]))))
 
     entries = [

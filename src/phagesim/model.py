@@ -96,9 +96,16 @@ class SigmaFn:
         self.m_threshold = float(m_threshold)
         self.bridge = tuple(float(c) for c in bridge)
 
+    def _bridge(self, u):
+        a1, a3, a4, a5 = self.bridge
+        return self.m_threshold + u * (a1 + u * u * (a3 + u * (a4 + a5 * u)))
+
+    def _bridge_slope(self, u):
+        a1, a3, a4, a5 = self.bridge
+        return a1 + u * u * (3.0 * a3 + u * (4.0 * a4 + 5.0 * a5 * u))
+
     def __call__(self, x):
         m = self.m_threshold
-        a1, a3, a4, a5 = self.bridge
         if np.isscalar(x):
             if x < 0.0:
                 raise DomainError(f"sigma is only defined for x >= 0, got {x!r}")
@@ -106,8 +113,7 @@ class SigmaFn:
                 return x
             if x >= m + 1.0:
                 return m + 1.0
-            u = x - m
-            return m + u * (a1 + u * u * (a3 + u * (a4 + a5 * u)))
+            return self._bridge(x - m)
         x = np.asarray(x, dtype=float)
         if np.any(x < 0.0):
             raise DomainError("sigma is only defined for x >= 0")
@@ -116,7 +122,6 @@ class SigmaFn:
 
     def prime(self, x):
         m = self.m_threshold
-        a1, a3, a4, a5 = self.bridge
         if np.isscalar(x):
             if x < 0.0:
                 raise DomainError(f"sigma' is only defined for x >= 0, got {x!r}")
@@ -124,8 +129,7 @@ class SigmaFn:
                 return 1.0
             if x >= m + 1.0:
                 return 0.0
-            u = x - m
-            return a1 + u * u * (3.0 * a3 + u * (4.0 * a4 + 5.0 * a5 * u))
+            return self._bridge_slope(x - m)
         x = np.asarray(x, dtype=float)
         if np.any(x < 0.0):
             raise DomainError("sigma' is only defined for x >= 0")
@@ -140,29 +144,15 @@ class SigmaFn:
         m = self.m_threshold
         if x.size and x.max() <= m:
             return x
-        a1, a3, a4, a5 = self.bridge
-        u = np.clip(x - m, 0.0, 1.0)
-        bridge = m + u * (a1 + u * u * (a3 + u * (a4 + a5 * u)))
+        bridge = self._bridge(np.clip(x - m, 0.0, 1.0))
         return np.where(x <= m, x, np.where(x >= m + 1.0, m + 1.0, bridge))
 
     def _slopes(self, x):
         m = self.m_threshold
         if x.size and x.max() <= m:
             return np.ones_like(x)
-        a1, a3, a4, a5 = self.bridge
-        u = np.clip(x - m, 0.0, 1.0)
-        slope = a1 + u * u * (3.0 * a3 + u * (4.0 * a4 + 5.0 * a5 * u))
+        slope = self._bridge_slope(np.clip(x - m, 0.0, 1.0))
         return np.where(x <= m, 1.0, np.where(x >= m + 1.0, 0.0, slope))
-
-
-def eval_sigma(x, sigma):
-    """Value of the truncated identity (domain-checked)."""
-    return sigma(x)
-
-
-def eval_sigma_prime(x, sigma):
-    """Derivative of the truncated identity (domain-checked)."""
-    return sigma.prime(x)
 
 
 def _sigma_clipped(sigma, x):
@@ -190,18 +180,6 @@ def _drift_terms(s, i, q, s_tau, q_tau, p, sigma):
     return _rates(s, i, q, sigma(q), _influx(s_tau, sigma(q_tau), p), p)
 
 
-def _drift_terms_sq(s, q, s_tau, q_tau, p, sigma):
-    """Elementwise right-hand side of the two-component (no coinfection) system.
-
-    Same arithmetic order as `_rates`, so at I = 0 it equals the full
-    system's (dS, dQ) to the bit rather than to a few ulps.
-    """
-    sq = sigma(q)
-    ds = (p.alpha - p.k1 * sq) * s
-    dq = p.d - p.m * q - p.k1 * sq * s + p.b * _influx(s_tau, sigma(q_tau), p)
-    return ds, dq
-
-
 def _require_finite(values, what):
     arr = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(arr)):
@@ -213,20 +191,13 @@ def drift(now, delayed, p, sigma):
     """Deterministic rates (dS, dI, dQ)/dt of the coinfection system.
 
     `now` and `delayed` are (S, I, Q) triples; only the S and Q components
-    of `delayed` enter the equations.
+    of `delayed` enter the equations. At k2 = 0 the S and Q rates do not
+    depend on I, so `drift(...)[::2]` is the system without coinfection.
     """
     now = _require_finite(now, "current state")
     delayed = _require_finite(delayed, "delayed state")
     ds, di, dq = _drift_terms(now[S], now[I], now[Q], delayed[S], delayed[Q], p, sigma)
     return np.array([ds, di, dq])
-
-
-def drift_no_coinfection(now, delayed, p, sigma):
-    """Deterministic rates (dS, dQ)/dt of the two-component system."""
-    now = _require_finite(now, "current state")
-    delayed = _require_finite(delayed, "delayed state")
-    ds, dq = _drift_terms_sq(now[0], now[1], delayed[0], delayed[1], p, sigma)
-    return np.array([ds, dq])
 
 
 def diffusion(now, p, sigma):

@@ -270,7 +270,10 @@ def ensemble(p, hist, cfg, n, reference, window, threshold=None, sigma=None):
         raise DomainError("need at least one path")
     times, nodes, guard = _simulate_paths(p, hist, cfg, list(range(n)), sigma)
     ref = _reference_nodes(reference, times)  # (n_nodes, 3)
-    dev = np.abs(nodes - ref[:, :, None]).max(axis=1)  # (n_nodes, n)
+    mean = nodes.mean(axis=2)
+    # deviations in place: no temporaries the size of nodes, which are spent
+    nodes -= ref[:, :, None]
+    dev = np.abs(nodes, out=nodes).max(axis=1)  # (n_nodes, n)
 
     t_a, t_b = window
     mask = (times >= t_a - 1e-12) & (times <= t_b + 1e-12)
@@ -281,7 +284,7 @@ def ensemble(p, hist, cfg, n, reference, window, threshold=None, sigma=None):
     stats = EnsembleStats(
         n_paths=n,
         times=times,
-        mean=nodes.mean(axis=2),
+        mean=mean,
         dev_p50=np.percentile(dev, 50.0, axis=1),
         dev_p95=np.percentile(dev, 95.0, axis=1),
         window=(float(t_a), float(t_b)),

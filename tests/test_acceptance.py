@@ -170,7 +170,7 @@ def test_criterion_5_coinfection_comparison():
     d_min0 = hypotheses.minimal_dose(P_STAR.with_k2(0.0))
 
     p0 = P_STAR.with_k2(0.0)
-    traj = dde.integrate_no_coinfection(p0, HIST_STANDARD, T=20.0, K=64)
+    traj = dde.integrate(p0, HIST_STANDARD, T=20.0, K=64).sq()
     fit = dde.fit_decay(traj, (0.0, p0.d / p0.m), window=(8.0, 16.0), eta=1.0)
 
     checks = [

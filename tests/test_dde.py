@@ -7,11 +7,9 @@ import pytest
 from phagesim import History, Parameters, equilibria, hypotheses
 from phagesim.dde import (
     auto_window,
-    dense_eval,
     distances,
     fit_decay,
     integrate,
-    integrate_no_coinfection,
     monitor_region,
 )
 from phagesim.errors import DivergenceError, DomainError, WindowError
@@ -88,7 +86,7 @@ class TestAccuracy:
             t = traj_star.times[j]
             assert np.array_equal(traj_star.eval(t), traj_star.states[j])
         assert np.array_equal(
-            dense_eval(traj_star, traj_star.times[5]), traj_star.states[5]
+            traj_star.eval(traj_star.times[5]), traj_star.states[5]
         )
 
     def test_eval_beyond_end_rejected(self, traj_star):
@@ -150,16 +148,22 @@ class TestDecayFit:
 
 
 class TestTwoComponentSubsystem:
-    def test_matches_full_model_when_k2_vanishes(self, p_star, hist_standard):
+    """Without coinfection, the system is the (S, Q) projection of a k2 = 0 run."""
+
+    def test_sq_columns_independent_of_i0(self, p_star, hist_standard):
         p = p_star.with_k2(0.0)
-        full = integrate(p, hist_standard, T=20.0, K=32)
-        sub = integrate_no_coinfection(p, hist_standard, T=20.0, K=32)
-        assert np.max(np.abs(full.states[:, 0] - sub.states[:, 0])) < 1e-10
-        assert np.max(np.abs(full.states[:, 2] - sub.states[:, 1])) < 1e-10
+        hist_other = History(p.tau, hist_standard.s_samples, hist_standard.q_samples, 3.0)
+        full_a = integrate(p, hist_standard, T=20.0, K=32)
+        full_b = integrate(p, hist_other, T=20.0, K=32)
+        assert not np.array_equal(full_a.states[:, 1], full_b.states[:, 1])
+        a, b = full_a.sq(), full_b.sq()
+        assert a.dim == 2
+        assert np.array_equal(a.states, b.states)
+        assert np.array_equal(a.derivs, b.derivs)
 
     def test_faster_decay_without_coinfection(self, p_star, hist_standard):
         p = p_star.with_k2(0.0)
-        traj = integrate_no_coinfection(p, hist_standard, T=20.0, K=64)
+        traj = integrate(p, hist_standard, T=20.0, K=64).sq()
         st = equilibria.stability_at_e0(p)
         rate_bound = min(st.gamma, p.m)  # no infected class, so mu drops out
         fit = fit_decay(traj, (0.0, p.d / p.m), window=(8.0, 16.0), eta=rate_bound)
@@ -167,7 +171,7 @@ class TestTwoComponentSubsystem:
         assert fit.fitted_rate >= 0.8
         assert fit.fitted_rate >= 4.0 * 0.2
 
-    def test_dense_eval_history_backing(self, p_star, hist_standard):
+    def test_dense_output_history_backing(self, p_star, hist_standard):
         p = p_star.with_k2(0.0)
-        sub = integrate_no_coinfection(p, hist_standard, T=5.0, K=16)
+        sub = integrate(p, hist_standard, T=5.0, K=16).sq()
         assert sub.eval(-0.25) == pytest.approx([0.5, 10.0], abs=1e-12)

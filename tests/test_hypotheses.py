@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -118,7 +119,51 @@ class TestInvariantRegion:
             invariant_region(dataclasses.replace(p_star, d=100.0))
 
 
+def _full_scan_entries(sigma):
+    """check_sigma's verdicts from a scan of every lattice point of [0, M+2]."""
+    step = hypotheses._SCAN_STEP
+    m = sigma.m_threshold
+    xs = np.arange(0.0, m + 2.0 + step, step)
+    vals = sigma(xs)
+    primes = sigma.prime(xs)
+    ident = xs[xs <= m]
+    identity_err = float(np.max(np.abs(sigma(ident) - ident))) if len(ident) else 0.0
+    plateau = xs[xs >= m + 1.0]
+    plateau_err = float(np.max(np.abs(sigma(plateau) - (m + 1.0)))) if len(plateau) else 0.0
+    mono_margin = float(np.min(np.diff(vals)))
+    prime_min = float(np.min(primes))
+    prime_max = float(np.max(primes))
+    centered = (sigma(xs[2:]) - sigma(xs[:-2])) / (2.0 * step)
+    fd_err = float(np.max(np.abs(centered - primes[1:-1]) / np.maximum(1.0, np.abs(primes[1:-1]))))
+    err = max(identity_err, plateau_err)
+    return [
+        ("sigma-identity", err, 0.0, -err, identity_err == 0.0 and plateau_err == 0.0),
+        ("sigma-monotone", mono_margin, 0.0, mono_margin, mono_margin >= 0.0 and prime_min >= 0.0),
+        ("sigma-slope", prime_max, 1.9, 1.9 - prime_max,
+         prime_min >= 0.0 and prime_max <= 1.9 and fd_err <= 1e-6),
+    ]
+
+
 class TestSigmaCheck:
+    @pytest.mark.parametrize("sigma_fn", [
+        *(SigmaFn(m) for m in (0.5, 1.0, 12.0, 19.5, 100.0, 300.0)),
+        SigmaFn(100.0, bridge=(1.0, -10.0, 7.0, 3.0)),
+    ], ids=["0.5", "1", "12", "19.5", "100", "300", "broken"])
+    def test_window_equals_full_scan(self, sigma_fn):
+        got = [(e.id, e.lhs, e.rhs, e.margin, e.passed) for e in hypotheses.check_sigma(sigma_fn)]
+        want = _full_scan_entries(sigma_fn)
+        # bitwise, signs of zeros included
+        assert [str(g) for g in got] == [str(w) for w in want]
+
+    def test_scan_memory_bounded(self):
+        tracemalloc.start()
+        try:
+            hypotheses.check_sigma(SigmaFn(1e6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
     def test_default_bridge_passes(self, sigma):
         assert all(e.passed for e in hypotheses.check_sigma(sigma))
 

@@ -10,9 +10,6 @@ from phagesim import (
     SigmaFn,
     diffusion,
     drift,
-    drift_no_coinfection,
-    eval_sigma,
-    eval_sigma_prime,
     stratonovich_correction,
 )
 from phagesim.errors import DomainError
@@ -20,25 +17,25 @@ from phagesim.errors import DomainError
 
 class TestSigma:
     def test_identity_region(self, sigma):
-        assert eval_sigma(3.0, sigma) == 3.0
+        assert sigma(3.0) == 3.0
         xs = np.linspace(0.0, 100.0, 1001)
         assert np.array_equal(sigma(xs), xs)
 
     def test_plateau(self, sigma):
-        assert eval_sigma(102.0, sigma) == 101.0
+        assert sigma(102.0) == 101.0
         assert sigma(101.0) == 101.0
 
     def test_bridge_value_and_monotonicity(self, sigma):
-        v = eval_sigma(100.5, sigma)
+        v = sigma(100.5)
         assert 100.0 < v < 101.0
         xs = np.arange(99.0, 102.0, 1e-4)
         vals = sigma(xs)
         assert np.all(np.diff(vals) >= 0.0)
 
     def test_prime_regions(self, sigma):
-        assert eval_sigma_prime(50.0, sigma) == 1.0
-        assert eval_sigma_prime(200.0, sigma) == 0.0
-        assert 0.0 <= eval_sigma_prime(100.5, sigma) <= 1.9
+        assert sigma.prime(50.0) == 1.0
+        assert sigma.prime(200.0) == 0.0
+        assert 0.0 <= sigma.prime(100.5) <= 1.9
 
     def test_prime_matches_finite_differences(self, sigma):
         xs = np.arange(1e-3, 102.0, 1e-2)
@@ -55,9 +52,9 @@ class TestSigma:
 
     def test_negative_input_rejected(self, sigma):
         with pytest.raises(DomainError):
-            eval_sigma(-1.0, sigma)
+            sigma(-1.0)
         with pytest.raises(DomainError):
-            eval_sigma_prime(-0.5, sigma)
+            sigma.prime(-0.5)
         with pytest.raises(DomainError):
             sigma(np.array([1.0, -2.0]))
 
@@ -104,14 +101,17 @@ class TestDrift:
 
 
 class TestTwoComponentReduction:
+    """The system without coinfection is the (S, Q) part of the drift at k2 = 0."""
+
     def test_fixed_point(self, p_star, sigma):
-        e0 = np.array([0.0, p_star.d / p_star.m])
-        assert np.max(np.abs(drift_no_coinfection(e0, e0, p_star, sigma))) < 1e-14
+        e0 = np.array([0.0, 0.0, p_star.d / p_star.m])
+        rates = drift(e0, e0, p_star.with_k2(0.0), sigma)[::2]
+        assert np.max(np.abs(rates)) < 1e-14
 
     def test_hand_substitution(self, sigma):
         p = Parameters(alpha=0.5, k1=0.1, k2=0.0, d=20.0, m=1.0, b=10.0,
                        mu=0.2, tau=1.0, M=100.0)
-        rates = drift_no_coinfection((1.0, 1.0), (1.0, 1.0), p, sigma)
+        rates = drift((1.0, 1.0, 1.0), (1.0, 1.0, 1.0), p, sigma)[::2]
         expected_dq = 20.0 - 1.0 - 0.1 + 0.1 * 10.0 * math.exp(-0.2)
         assert rates == pytest.approx([0.4, expected_dq], abs=1e-15)
 
@@ -120,14 +120,13 @@ class TestTwoComponentReduction:
         s_tau=st.floats(0.0, 50.0), q_tau=st.floats(0.0, 150.0),
     )
     @settings(max_examples=200, deadline=None)
-    def test_matches_full_drift_without_coinfection(self, s, q, i, s_tau, q_tau):
+    def test_sq_rates_independent_of_i(self, s, q, i, s_tau, q_tau):
         p = Parameters(alpha=0.5, k1=0.1, k2=0.0, d=20.0, m=1.0, b=10.0,
                        mu=0.2, tau=1.0, M=100.0)
         sig = SigmaFn(p.M)
-        full = drift((s, i, q), (s_tau, i, q_tau), p, sig)
-        reduced = drift_no_coinfection((s, q), (s_tau, q_tau), p, sig)
-        assert full[0] == reduced[0]
-        assert full[2] == pytest.approx(reduced[1], rel=1e-14, abs=1e-300)
+        with_i = drift((s, i, q), (s_tau, i, q_tau), p, sig)[::2]
+        without_i = drift((s, 0.0, q), (s_tau, 0.0, q_tau), p, sig)[::2]
+        assert np.array_equal(with_i, without_i)
 
 
 class TestNoise:

@@ -10,9 +10,11 @@ from phagesim.model import _drift_terms, diffusion, drift, stratonovich_correcti
 from phagesim.sde import (
     SCHEME_EULER,
     SCHEME_HEUN,
+    SCHEMES,
     ConcentrationRow,
     ConcentrationTable,
     PathConfig,
+    _reference_nodes,
     _simulate_paths,
     concentration_experiment,
     ensemble,
@@ -269,6 +271,29 @@ class TestEnsemble:
         assert stats.clamp_count == guard.clamp_count
         assert stats.warn_count == guard.warn_count
         assert stats.min_component == guard.min_component
+
+    @pytest.mark.parametrize("n", [1, 24])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_reduction_equals_full_difference(self, p_star, hist_standard, n, scheme):
+        # the reduction works in place on the nodes; pin it to the expression
+        # that builds |nodes - ref| in fresh arrays
+        p = p_star.with_eps(0.05)
+        cfg = PathConfig(seed=9, T=5.0, K=32, scheme=scheme)
+        det = dde.integrate(p_star, hist_standard, T=5.0, K=32)
+        for reference in (det, equilibria.bacteria_free(p_star)):
+            times, nodes, _ = _simulate_paths(p, hist_standard, cfg, list(range(n)))
+            dev = np.abs(nodes - _reference_nodes(reference, times)[:, :, None]).max(axis=1)
+            mask = (times >= 1.0 - 1e-12) & (times <= 4.0 + 1e-12)
+            sup_devs = dev[mask].max(axis=0)
+            threshold = float(np.median(sup_devs))
+            stats = ensemble(p, hist_standard, cfg, n, reference, (1.0, 4.0), threshold=threshold)
+            assert np.array_equal(stats.mean, nodes.mean(axis=2))
+            assert np.array_equal(stats.sup_devs, sup_devs)
+            assert np.array_equal(stats.dev_p50, np.percentile(dev, 50.0, axis=1))
+            assert np.array_equal(stats.dev_p95, np.percentile(dev, 95.0, axis=1))
+            assert stats.exceed_count == np.count_nonzero(sup_devs >= threshold)
+            if n == 1:
+                assert np.array_equal(stats.dev_p50, dev[:, 0])
 
     def test_empty_window_rejected(self, p_star, hist_standard):
         cfg = PathConfig(seed=5, T=5.0, K=32)
