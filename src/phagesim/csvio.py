@@ -9,6 +9,8 @@ from .errors import DomainError, PhagesimError
 
 
 def _fmt(value):
+    if type(value) is float:
+        return format(value, ".17g")
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
@@ -17,13 +19,16 @@ def _fmt(value):
 
 
 def write_csv(header, rows, path):
-    """Write a table; numeric cells carry 17 significant digits."""
+    """Write a table; numeric cells carry 17 significant digits.
+
+    Formatted numbers never need quoting, so each row is joined directly;
+    the header goes through the csv module.
+    """
     try:
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
+            csv.writer(fh, lineterminator="\n").writerow(header)
             for row in rows:
-                writer.writerow([_fmt(v) for v in row])
+                fh.write(",".join(map(_fmt, row)) + "\n")
     except OSError as exc:
         raise PhagesimError(f"cannot write {path}: {exc}") from exc
 
@@ -35,7 +40,7 @@ def trajectory_rows(traj, dense_dt=None):
     point that lands on the end is exactly t_end.
     """
     if dense_dt is None:
-        for t, y in zip(traj.times, traj.states):
+        for t, y in zip(traj.times.tolist(), traj.states.tolist()):
             yield (t, *y)
         return
     if not (math.isfinite(dense_dt) and dense_dt > 0.0):
@@ -43,7 +48,8 @@ def trajectory_rows(traj, dense_dt=None):
     k = 0
     t = traj.t0
     while t <= traj.t_end + 1e-12:
-        yield (min(t, traj.t_end), *traj.eval(min(t, traj.t_end)))
+        t = min(t, traj.t_end)
+        yield (t, *traj.eval(t).tolist())
         k += 1
         t = traj.t0 + k * dense_dt
 

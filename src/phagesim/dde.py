@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DivergenceError, DomainError, PositivityError, WindowError
-from .model import SigmaFn, _drift_terms
+from .model import SigmaFn, _influx, _rates
 
 BLOWUP_LIMIT = 1e12
 CLAMP_TOL = 1e-12  # undershoot treated as floating-point dust
@@ -115,28 +115,6 @@ class _PositivityGuard:
         return tuple(out)
 
 
-def _make_delayed_lookup(states, derivs, hist_sq, h):
-    """Delayed (S, Q) lookup. `states`/`derivs` are the growing node lists."""
-
-    def delayed(td):
-        if td <= 0.0:
-            return hist_sq(td)
-        x2 = round(2.0 * td / h) / 2.0  # delayed times are exact (half-)multiples of h
-        j = int(x2)
-        theta = x2 - j
-        if theta == 0.0:
-            y = states[j]
-            return y[0], y[-1]
-        y = _hermite(
-            np.asarray(states[j]), np.asarray(derivs[j]),
-            np.asarray(states[j + 1]), np.asarray(derivs[j + 1]),
-            theta, h,
-        )
-        return y[0], y[-1]
-
-    return delayed
-
-
 def integrate(p, hist, T, K, sigma=None):
     """Integrate the coinfection system from a history; returns a dense Trajectory."""
     if T <= 0.0:
@@ -146,41 +124,67 @@ def integrate(p, hist, T, K, sigma=None):
     if sigma is None:
         sigma = SigmaFn(p.M)
 
-    def rhs(y, delayed_sq):
-        return _drift_terms(y[0], y[1], y[2], delayed_sq[0], delayed_sq[1], p, sigma)
-
-    def hist_sq(td):
-        return hist.s(td), hist.q(td)
-
     tau = p.tau
     h = tau / K
     n_steps = max(1, math.ceil(T / h - 1e-9))
     guard = _PositivityGuard()
+    ka = p.k1 * p.attenuation  # the lysis influx is ka * sigma(Q) * S, as in model._influx
 
-    states = [(hist.s(0.0), hist.i0, hist.q(0.0))]
-    # node derivatives, needed for the Hermite lookups at midpoints
-    derivs = [rhs(states[0], hist_sq(-tau))]
-    delayed = _make_delayed_lookup(states, derivs, hist_sq, h)
+    # Step n reads the delayed (S, Q) at its midpoint t_n + h/2 - tau and its
+    # end t_{n+1} - tau: the history while that time is <= 0, otherwise the
+    # midpoint n-K+1/2 or the node n+1-K. The history part is one vectorised
+    # lookup at t = 0, -tau and the delayed times of the first steps.
+    ts = np.arange(min(n_steps, K)) * h
+    td_mid = ts + 0.5 * h - tau
+    td_end = ts + h - tau
+    td = np.concatenate(([0.0, -tau], td_mid, np.minimum(td_end, 0.0)))
+    s_hist, q_hist = hist.s(td), hist.q(td)
+    f_hist = _influx(s_hist, sigma(q_hist), p).tolist()
+    n_mid = int(np.count_nonzero(td_mid <= 0.0))
+    n_end = int(np.count_nonzero(td_end <= 0.0))
+    mid_hist = f_hist[2:2 + n_mid]
+    end_hist = f_hist[2 + len(ts):2 + len(ts) + n_end]
 
+    s, i, q = float(s_hist[0]), hist.i0, float(q_hist[0])
+    sq = sigma(q)
+    states = [(s, i, q)]
+    derivs = [_rates(s, i, q, sq, f_hist[1], p)]
+    node_influx = [f_hist[0]]  # of node j, read as the end value of step j+K-1
+
+    # _hermite's coefficients at theta = 1/2
+    hh, h6, c_f0, c_f1 = 0.5 * h, h / 6.0, 0.125 * h, -0.125 * h
     for n in range(n_steps):
-        t = n * h
-        y = states[n]
-        k1 = derivs[n]
-        d_mid = delayed(t + 0.5 * h - tau)
-        d_end = delayed(t + h - tau)
-        y2 = tuple(yi + 0.5 * h * ki for yi, ki in zip(y, k1))
-        k2 = rhs(y2, d_mid)
-        y3 = tuple(yi + 0.5 * h * ki for yi, ki in zip(y, k2))
-        k3 = rhs(y3, d_mid)
-        y4 = tuple(yi + h * ki for yi, ki in zip(y, k3))
-        k4 = rhs(y4, d_end)
-        y_next = tuple(
-            yi + h / 6.0 * (a + 2.0 * b + 2.0 * c + dd)
-            for yi, a, b, c, dd in zip(y, k1, k2, k3, k4)
-        )
-        y_next = guard.apply(y_next, t + h)
-        states.append(y_next)
-        derivs.append(rhs(y_next, d_end))
+        ds1, di1, dq1 = derivs[n]
+        if n < n_mid:
+            f_mid = mid_hist[n]
+        else:
+            s0, _, q0 = states[n - K]
+            fs0, _, fq0 = derivs[n - K]
+            s1, _, q1 = states[n - K + 1]
+            fs1, _, fq1 = derivs[n - K + 1]
+            s_mid = 0.5 * s0 + c_f0 * fs0 + 0.5 * s1 + c_f1 * fs1
+            q_mid = 0.5 * q0 + c_f0 * fq0 + 0.5 * q1 + c_f1 * fq1
+            f_mid = ka * sigma(q_mid) * s_mid
+        f_end = end_hist[n] if n < n_end else node_influx[n + 1 - K]
+
+        s2, i2, q2 = s + hh * ds1, i + hh * di1, q + hh * dq1
+        ds2, di2, dq2 = _rates(s2, i2, q2, sigma(q2), f_mid, p)
+        s3, i3, q3 = s + hh * ds2, i + hh * di2, q + hh * dq2
+        ds3, di3, dq3 = _rates(s3, i3, q3, sigma(q3), f_mid, p)
+        s4, i4, q4 = s + h * ds3, i + h * di3, q + h * dq3
+        ds4, di4, dq4 = _rates(s4, i4, q4, sigma(q4), f_end, p)
+        s = s + h6 * (ds1 + 2.0 * ds2 + 2.0 * ds3 + ds4)
+        i = i + h6 * (di1 + 2.0 * di2 + 2.0 * di3 + di4)
+        q = q + h6 * (dq1 + 2.0 * dq2 + 2.0 * dq3 + dq4)
+        # comparisons with NaN fail, so a NaN takes the full guard too
+        if not (0.0 <= s <= BLOWUP_LIMIT and 0.0 <= i <= BLOWUP_LIMIT
+                and 0.0 <= q <= BLOWUP_LIMIT):
+            s, i, q = guard.apply((s, i, q), n * h + h)
+
+        sq = sigma(q)
+        states.append((s, i, q))
+        derivs.append(_rates(s, i, q, sq, f_end, p))
+        node_influx.append(ka * sq * s)
 
     return Trajectory(
         t0=0.0,

@@ -166,6 +166,10 @@ def check_sigma(sigma):
     prime_max = float(np.max(primes))
     centered = (vals[2:] - vals[:-2]) / (2.0 * _SCAN_STEP)
     fd_err = float(np.max(np.abs(centered - primes[1:-1]) / np.maximum(1.0, np.abs(primes[1:-1]))))
+    # xs and vals near M+2 are rounded to about spacing(M+2), which the
+    # difference quotient divides by 2*_SCAN_STEP: from M of about 1e6 that
+    # alone exceeds 1e-6
+    fd_bound = 1e-6 + 4.0 * float(np.spacing(m + 2.0)) / (2.0 * _SCAN_STEP)
 
     entries = [
         CheckEntry(
@@ -190,7 +194,7 @@ def check_sigma(sigma):
             prime_max,
             1.9,
             1.9 - prime_max,
-            prime_min >= 0.0 and prime_max <= 1.9 and fd_err <= 1e-6,
+            prime_min >= 0.0 and prime_max <= 1.9 and fd_err <= fd_bound,
         ),
     ]
     return entries

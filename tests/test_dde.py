@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from phagesim import History, Parameters, equilibria, hypotheses
+from phagesim import History, Parameters, SigmaFn, dde, equilibria, hypotheses
 from phagesim.dde import (
     auto_window,
     distances,
@@ -13,6 +13,7 @@ from phagesim.dde import (
     monitor_region,
 )
 from phagesim.errors import DivergenceError, DomainError, WindowError
+from phagesim.model import _drift_terms
 
 
 @pytest.fixture(scope="module")
@@ -175,3 +176,117 @@ class TestTwoComponentSubsystem:
         p = p_star.with_k2(0.0)
         sub = integrate(p, hist_standard, T=5.0, K=16).sq()
         assert sub.eval(-0.25) == pytest.approx([0.5, 10.0], abs=1e-12)
+
+
+def _parent_integrate(p, hist, T, K, sigma=None):
+    """The tuple-RK4 loop with a general delayed lookup that `integrate` replaced.
+
+    Every delayed (S, Q) is found by rounding t - tau to a half-step, read
+    from the history, a node, or a three-component Hermite midpoint, and
+    each stage evaluates sigma at both its own and its delayed Q.
+    """
+    sigma = SigmaFn(p.M) if sigma is None else sigma
+
+    def rhs(y, delayed_sq):
+        return _drift_terms(y[0], y[1], y[2], delayed_sq[0], delayed_sq[1], p, sigma)
+
+    def hist_sq(td):
+        return hist.s(td), hist.q(td)
+
+    tau = p.tau
+    h = tau / K
+    n_steps = max(1, math.ceil(T / h - 1e-9))
+    guard = dde._PositivityGuard()
+    states = [(hist.s(0.0), hist.i0, hist.q(0.0))]
+    derivs = [rhs(states[0], hist_sq(-tau))]
+
+    def delayed(td):
+        if td <= 0.0:
+            return hist_sq(td)
+        x2 = round(2.0 * td / h) / 2.0
+        j = int(x2)
+        theta = x2 - j
+        if theta == 0.0:
+            y = states[j]
+            return y[0], y[-1]
+        y = dde._hermite(
+            np.asarray(states[j]), np.asarray(derivs[j]),
+            np.asarray(states[j + 1]), np.asarray(derivs[j + 1]),
+            theta, h,
+        )
+        return y[0], y[-1]
+
+    for n in range(n_steps):
+        t = n * h
+        y = states[n]
+        k1 = derivs[n]
+        d_mid = delayed(t + 0.5 * h - tau)
+        d_end = delayed(t + h - tau)
+        y2 = tuple(yi + 0.5 * h * ki for yi, ki in zip(y, k1))
+        k2 = rhs(y2, d_mid)
+        y3 = tuple(yi + 0.5 * h * ki for yi, ki in zip(y, k2))
+        k3 = rhs(y3, d_mid)
+        y4 = tuple(yi + h * ki for yi, ki in zip(y, k3))
+        k4 = rhs(y4, d_end)
+        y_next = tuple(
+            yi + h / 6.0 * (a + 2.0 * b + 2.0 * c + dd)
+            for yi, a, b, c, dd in zip(y, k1, k2, k3, k4)
+        )
+        y_next = guard.apply(y_next, t + h)
+        states.append(y_next)
+        derivs.append(rhs(y_next, d_end))
+    return np.array(states), np.array(derivs), guard
+
+
+def _table_history(tau, q_shift=0.0, i0=0.7):
+    grid = np.linspace(0.0, 1.0, 97)
+    return History(tau, 0.5 + 0.3 * np.sin(5.0 * grid), q_shift + 8.0 + 3.0 * np.cos(4.0 * grid), i0)
+
+
+_P = dict(alpha=0.5, k1=0.1, k2=0.05, d=20.0, m=1.0, b=10.0, mu=0.2, tau=1.0, M=100.0)
+
+# (parameter overrides, history, T, K); `table` is a smooth sampled history
+_PARENT_CASES = {
+    "constant": ({}, "constant", 6.0, 64),
+    "table": ({}, "table", 6.0, 64),
+    "k2-zero": ({"k2": 0.0}, "table", 6.0, 32),
+    "bridge": ({"M": 12.0}, "constant", 8.0, 16),  # Q climbs over [M, M+1] onto the plateau
+    "bridge-history": ({"M": 10.0}, "table", 4.0, 16),  # the history's Q straddles the bridge
+    "short": ({}, "table", 0.4, 16),  # T < tau: only history lookups
+    "K8": ({}, "table", 3.0, 8),
+    "odd-K": ({"tau": 0.7}, "table", 3.0, 13),
+    # (K-1)h + h - tau is +5.6e-17 at tau = 1/3 (node 0) and -5.6e-17 at tau = 0.3 (history)
+    "tau-third": ({"tau": 1.0 / 3.0}, "table", 2.0, 13),
+    "tau-0.3": ({"tau": 0.3}, "table", 2.0, 13),
+    "clamping": ({"k1": 1.0}, "tiny-s", 3.0, 16),
+}
+
+
+class TestParentLoop:
+    """`integrate` keeps the replaced loop's states, slopes and counters to the bit."""
+
+    @pytest.mark.parametrize("case", sorted(_PARENT_CASES))
+    def test_bitwise_equal(self, case):
+        overrides, kind, T, K = _PARENT_CASES[case]
+        p = Parameters(**{**_P, **overrides})
+        hist = {
+            "constant": lambda: History.constant(p.tau, 0.5, 10.0, 1.0),
+            "table": lambda: _table_history(p.tau),
+            "tiny-s": lambda: History.constant(p.tau, 3e-12, 10.0, 0.0),
+        }[kind]()
+        traj = integrate(p, hist, T=T, K=K)
+        states, derivs, guard = _parent_integrate(p, hist, T, K)
+        assert np.array_equal(traj.states, states)
+        assert np.array_equal(traj.derivs, derivs)
+        assert (traj.clamp_count, traj.warn_count, traj.min_component) == (
+            guard.clamp_count, guard.warn_count, guard.min_component)
+        if case == "clamping":
+            assert traj.clamp_count > 0 and traj.warn_count > 0
+
+    def test_same_blowup(self, hist_standard):
+        p = Parameters(**{**_P, "alpha": 40.0, "k1": 1e-30, "k2": 0.0})
+        with pytest.raises(DivergenceError) as new:
+            integrate(p, hist_standard, T=1.0, K=64)
+        with pytest.raises(DivergenceError) as old:
+            _parent_integrate(p, hist_standard, 1.0, 64)
+        assert new.value.t == old.value.t

@@ -167,6 +167,14 @@ class TestSigmaCheck:
     def test_default_bridge_passes(self, sigma):
         assert all(e.passed for e in hypotheses.check_sigma(sigma))
 
+    @pytest.mark.parametrize("m", [1e6, 1e8])
+    def test_large_threshold_slope_within_rounding(self, m):
+        # the finite differences carry float spacing of M over the 1e-4 lattice
+        assert all(e.passed for e in hypotheses.check_sigma(SigmaFn(m)))
+        broken = {e.id: e for e in hypotheses.check_sigma(SigmaFn(m, bridge=(1.0, -10.0, 7.0, 3.0)))}
+        assert not broken["sigma-monotone"].passed
+        assert not broken["sigma-slope"].passed
+
     def test_broken_bridge_fails_monotonicity(self):
         broken = SigmaFn(100.0, bridge=(1.0, -10.0, 7.0, 3.0))
         entries = {e.id: e for e in hypotheses.check_sigma(broken)}

@@ -1,4 +1,7 @@
+import csv
+import io
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -203,6 +206,72 @@ class TestCsv:
         assert len(times) == 11
         assert times[-1] == traj.t_end == 1.0
         assert times == [k * 0.1 for k in range(11)]
+
+
+def _csv_writer_bytes(header, rows):
+    """The table as csv.writer writes it, with cells formatted as write_csv promises."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([
+            str(int(v)) if isinstance(v, (int, np.integer)) else format(float(v), ".17g")
+            for v in row
+        ])
+    return buf.getvalue().encode()
+
+
+_EDGE_FLOATS = [-0.0, 5e-324, 1e300, -1e-300, float("inf"), float("nan")]
+
+
+class TestCsvBytes:
+    """write_csv's files equal a csv.writer reference byte for byte."""
+
+    @pytest.fixture(scope="class")
+    def traj(self, p_star, hist_standard):
+        traj = integrate(p_star, hist_standard, T=2.0, K=16)
+        traj.states[3, :] = _EDGE_FLOATS[:3]
+        traj.states[4, :] = _EDGE_FLOATS[3:]
+        return traj
+
+    def test_trajectory_three_and_two_columns(self, traj, tmp_path):
+        for table, header in ((traj, ["t", "S", "I", "Q"]), (traj.sq(), ["t", "S", "Q"])):
+            path = tmp_path / "traj.csv"
+            csvio.write_trajectory(table, path)
+            rows = [(t, *y) for t, y in zip(table.times, table.states)]
+            assert path.read_bytes() == _csv_writer_bytes(header, rows)
+
+    def test_dense_trajectory(self, p_star, hist_standard, tmp_path):
+        traj = integrate(p_star, hist_standard, T=2.0, K=16)
+        path = tmp_path / "dense.csv"
+        csvio.write_trajectory(traj, path, dense_dt=0.3)
+        rows = [(t, *traj.eval(t)) for t in [min(k * 0.3, traj.t_end) for k in range(7)]]
+        assert path.read_bytes() == _csv_writer_bytes(["t", "S", "I", "Q"], rows)
+
+    def test_ensemble_table(self, tmp_path):
+        n = 5
+        stats = SimpleNamespace(
+            times=np.linspace(0.0, 1.0, n),
+            mean=np.array([[0.1, -0.0, 5e-324]] * n) * np.arange(1, n + 1)[:, None],
+            dev_p50=np.array(_EDGE_FLOATS[:n]),
+            dev_p95=np.full(n, 1e300),
+        )
+        path = tmp_path / "ens.csv"
+        csvio.write_ensemble(stats, path)
+        rows = [(t, *m, a, b) for t, m, a, b in zip(stats.times, stats.mean, stats.dev_p50, stats.dev_p95)]
+        header = ["t", "mean_S", "mean_I", "mean_Q", "dev_p50", "dev_p95"]
+        assert path.read_bytes() == _csv_writer_bytes(header, rows)
+
+    def test_concentration_table(self, tmp_path):
+        fields = ["eps", "rho", "t_lo", "t_hi", "n", "exceed", "p_hat", "ci_lo", "ci_hi"]
+        values = [
+            (0.05, 0.3, 10.0, 30.0, 400, np.int64(373), 373 / 400, -0.0, 1.0),
+            (0.01, 1e300, 5e-324, 30.0, np.int64(2000), 0, 0.0, 0.0, 1.0 / 3.0),
+        ]
+        table = SimpleNamespace(rows=[SimpleNamespace(**dict(zip(fields, v))) for v in values])
+        path = tmp_path / "conc.csv"
+        csvio.write_concentration(table, path)
+        assert path.read_bytes() == _csv_writer_bytes(fields, values)
 
 
 class TestCli:
