@@ -1,7 +1,8 @@
 """Command-line surface: reproducible experiments from scenario files.
 
 Exit codes: 0 success, 2 hypothesis validation failure, 3 numeric
-divergence/positivity failure, 4 IO or scenario parse error.
+divergence/positivity failure, 4 IO or scenario parse error, or a run too
+large for the memory available (such as a huge path count).
 """
 
 import argparse
@@ -215,6 +216,9 @@ def main(argv=None):
         return EXIT_NUMERIC
     except OSError as exc:
         print(f"error:io: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except MemoryError as exc:
+        print(f"error:resource: out of memory: {exc}", file=sys.stderr)
         return EXIT_IO
     except PhagesimError as exc:
         print(f"error:model: {exc}", file=sys.stderr)

@@ -87,32 +87,47 @@ def _hermite(y0, f0, y1, f1, theta, h):
     )
 
 
-class _PositivityGuard:
-    def __init__(self):
+class _Guard:
+    """The positivity rule of both engines, applied to a (3, n) state.
+
+    A component in [-CLAMP_TOL, 0) is float dust and becomes 0; -0.0 keeps
+    its sign. One down to HARD_NEG stays and counts as a warning. Lower
+    raises PositivityError; non-finite or past BLOWUP_LIMIT raises
+    DivergenceError. Messages name column j as path labels[j], or as the
+    trajectory when there are no labels.
+    """
+
+    def __init__(self, labels=None):
+        self.labels = labels
         self.clamp_count = 0
         self.warn_count = 0
         self.min_component = 0.0
 
+    def _who(self, col):
+        return "trajectory" if self.labels is None else f"path {self.labels[int(col)]}"
+
     def apply(self, y, t):
-        out = list(y)
-        for k, v in enumerate(out):
-            if not math.isfinite(v) or abs(v) > BLOWUP_LIMIT:
-                raise DivergenceError(
-                    f"trajectory blew up at t={t:g} (component {k} = {v!r})", t=t
+        low, high = y.min(), y.max()
+        # a NaN fails both comparisons
+        if not (-BLOWUP_LIMIT <= low and high <= BLOWUP_LIMIT):
+            col, k = np.argwhere(~np.isfinite(y.T) | (np.abs(y.T) > BLOWUP_LIMIT))[0]
+            raise DivergenceError(
+                f"{self._who(col)} blew up at t={t:g} (component {k} = {float(y[k, col])!r})",
+                t=t,
+            )
+        low = float(low)
+        if low < 0.0:
+            self.min_component = min(self.min_component, low)
+            if low < HARD_NEG:
+                k, col = np.unravel_index(int(np.argmin(y)), y.shape)
+                raise PositivityError(
+                    f"{self._who(col)} component {k} reached {low:g} at t={t:g}", t=t
                 )
-            if v < 0.0:
-                self.min_component = min(self.min_component, v)
-                if v < HARD_NEG:
-                    raise PositivityError(
-                        f"component {k} reached {v:g} at t={t:g}, below the "
-                        f"{HARD_NEG:g} tolerance", t=t,
-                    )
-                if v >= -CLAMP_TOL:
-                    out[k] = 0.0
-                    self.clamp_count += 1
-                else:
-                    self.warn_count += 1
-        return tuple(out)
+            dust = (y < 0.0) & (y >= -CLAMP_TOL)
+            self.clamp_count += int(dust.sum())
+            self.warn_count += int((y < -CLAMP_TOL).sum())
+            y = np.where(dust, 0.0, y)
+        return y
 
 
 def integrate(p, hist, T, K, sigma=None):
@@ -127,7 +142,7 @@ def integrate(p, hist, T, K, sigma=None):
     tau = p.tau
     h = tau / K
     n_steps = max(1, math.ceil(T / h - 1e-9))
-    guard = _PositivityGuard()
+    guard = _Guard()
     ka = p.k1 * p.attenuation  # the lysis influx is ka * sigma(Q) * S, as in model._influx
 
     # Step n reads the delayed (S, Q) at its midpoint t_n + h/2 - tau and its
@@ -179,7 +194,7 @@ def integrate(p, hist, T, K, sigma=None):
         # comparisons with NaN fail, so a NaN takes the full guard too
         if not (0.0 <= s <= BLOWUP_LIMIT and 0.0 <= i <= BLOWUP_LIMIT
                 and 0.0 <= q <= BLOWUP_LIMIT):
-            s, i, q = guard.apply((s, i, q), n * h + h)
+            s, i, q = guard.apply(np.array([[s], [i], [q]]), n * h + h)[:, 0].tolist()
 
         sq = sigma(q)
         states.append((s, i, q))

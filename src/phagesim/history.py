@@ -46,10 +46,6 @@ class History:
         if min(self._s(fine).min(), self._q(fine).min()) < -1e-12:
             raise DomainError("history interpolant dips below zero between nodes")
 
-    @property
-    def grid_step(self):
-        return self.grid[1] - self.grid[0]
-
     @classmethod
     def constant(cls, tau, s0, q0, i0, n_grid=DEFAULT_GRID):
         n = n_grid + 1

@@ -28,14 +28,6 @@ class RegionBounds:
     q_min: float
     q_max: float
 
-    def contains(self, state, atol=0.0):
-        s, i, q = state[0], state[1], state[2]
-        return (
-            -atol <= s <= self.s_max + atol
-            and -atol <= i <= self.i_max + atol
-            and self.q_min - atol <= q <= self.q_max + atol
-        )
-
 
 @dataclass
 class CheckEntry:

@@ -14,12 +14,7 @@ from typing import Optional
 import numpy as np
 
 from . import dde, equilibria
-from .errors import (
-    ConfigurationError,
-    DivergenceError,
-    DomainError,
-    PositivityError,
-)
+from .errors import ConfigurationError, DomainError
 from .model import SigmaFn, _influx, _rates, _sigma_clipped
 
 SCHEME_HEUN = "stratonovich-heun"
@@ -50,18 +45,19 @@ def path_normals(seed, path_index, n_steps):
     return gen.standard_normal((n_steps, 2))
 
 
-def heun_step(y, dw, h, f_now, f_at, g):
-    """One Stratonovich-Heun step: the same increment drives predictor and corrector."""
-    gy = g(y)
-    noise = gy * dw
-    pred = y + h * f_now + noise
-    y_next = y + 0.5 * h * (f_now + f_at(pred)) + 0.5 * (gy + g(pred)) * dw
-    return y_next, pred
+def heun_step(y, dw, h, f_now, g_now, terms):
+    """One Stratonovich-Heun step: the same increment drives predictor and corrector.
+
+    `terms(pred)` returns the drift and the noise amplitude at the predictor.
+    """
+    pred = y + h * f_now + g_now * dw
+    f_pred, g_pred = terms(pred)
+    return y + 0.5 * h * (f_now + f_pred) + 0.5 * (g_now + g_pred) * dw
 
 
-def ito_euler_step(y, dw, h, f_corrected, g):
+def ito_euler_step(y, dw, h, f_corrected, g_now):
     """Euler-Maruyama on the Ito form (drift already carries the Stratonovich correction)."""
-    return y + h * f_corrected + g(y) * dw
+    return y + h * f_corrected + g_now * dw
 
 
 def simulate_linear(a, eps, x0, h, dw, scheme=SCHEME_HEUN):
@@ -70,95 +66,23 @@ def simulate_linear(a, eps, x0, h, dw, scheme=SCHEME_HEUN):
     Used as the scheme self-check against the exact geometric solution
     x0 * exp(a*t + eps*W(t)).
     """
-    f = lambda x: a * x
-    g = lambda x: eps * x
+    terms = lambda x: (a * x, eps * x)
     x = float(x0)
     for inc in dw:
         if scheme == SCHEME_HEUN:
-            x, _ = heun_step(x, inc, h, f(x), f, g)
+            x = heun_step(x, inc, h, a * x, eps * x, terms)
         else:
-            x = ito_euler_step(x, inc, h, f(x) + 0.5 * eps * eps * x, g)
+            x = ito_euler_step(x, inc, h, a * x + 0.5 * eps * eps * x, eps * x)
     return x
 
 
-class _EnsembleGuard:
-    def __init__(self, path_indices):
-        self.path_indices = np.asarray(path_indices)
-        self.min_component = 0.0
-        self.clamp_count = 0
-        self.warn_count = 0
-
-    def apply(self, y, t):
-        low, high = y.min(), y.max()
-        # a NaN fails both comparisons
-        if not (-dde.BLOWUP_LIMIT <= low and high <= dde.BLOWUP_LIMIT):
-            bad = ~np.isfinite(y) | (np.abs(y) > dde.BLOWUP_LIMIT)
-            which = int(self.path_indices[np.nonzero(np.any(bad, axis=0))[0][0]])
-            raise DivergenceError(f"path {which} blew up at t={t:g}", t=t)
-        low = float(low)
-        if low < 0.0:
-            self.min_component = min(self.min_component, low)
-            if low < dde.HARD_NEG:
-                loc = np.unravel_index(int(np.argmin(y)), y.shape)
-                which = int(self.path_indices[loc[1]])
-                raise PositivityError(
-                    f"path {which} component {loc[0]} reached {low:g} at t={t:g}", t=t
-                )
-            dust = (y < 0.0) & (y >= -dde.CLAMP_TOL)
-            self.clamp_count += int(dust.sum())
-            self.warn_count += int(((y < -dde.CLAMP_TOL)).sum())
-            y = np.where(dust, 0.0, y)
-        return y
-
-
-class _Stage:
-    """Drift, noise amplitude and Ito correction at a (3, n) state.
-
-    All three need sigma of the S and Q rows clipped at 0. It is evaluated
-    once per state (the last state seen, by identity) and shared, so a step
-    pays for one sigma per stage. Results go to two preallocated sets of
-    buffers that alternate from state to state, so the current state's
-    values survive while the predictor's are computed; results for a third
-    state overwrite those of the first.
-    """
-
-    def __init__(self, p, sigma, n_paths):
-        self.p = p
-        self.sigma = sigma
-        self.half_eps2 = 0.5 * p.eps * p.eps
-        self.y = None
-        self.k = 1
-        self.f = np.empty((2, 3, n_paths))
-        self.g_out = np.zeros((2, 3, n_paths))  # I carries no noise
-        self.c_out = np.zeros((2, 3, n_paths))
-
-    def sigma_sq(self, y):
-        """sigma(max(y[::2], 0)): rows sigma(S), sigma(Q)."""
-        if y is not self.y:
-            self.y = y
-            self.k ^= 1
-            self.clipped = np.maximum(y[::2], 0.0)
-            self.sig = self.sigma._values(self.clipped)
-        return self.sig
-
-    def drift(self, y, lysis_influx):
-        sq = self.sigma_sq(y)[1]
-        f = self.f[self.k]
-        f[0], f[1], f[2] = _rates(y[0], y[1], y[2], sq, lysis_influx, self.p)
-        return f
-
-    def g(self, y):
-        sig = self.sigma_sq(y)
-        out = self.g_out[self.k]
-        np.multiply(self.p.eps, sig, out=out[::2])
-        return out
-
-    def correction(self, y):
-        """Drift added when the Stratonovich system is rewritten in Ito form."""
-        sig = self.sigma_sq(y)
-        out = self.c_out[self.k]
-        np.multiply(self.half_eps2 * sig, self.sigma._slopes(self.clipped), out=out[::2])
-        return out
+def _stage(y, delayed_influx, p, sigma):
+    """At a (3, n) state: sigma of the S and Q rows clipped at 0, drift, noise amplitude."""
+    sig = sigma._values(np.maximum(y[::2], 0.0))
+    f = np.array(_rates(y[0], y[1], y[2], sig[1], delayed_influx, p))
+    g = np.zeros(y.shape)  # I carries no noise
+    g[::2] = p.eps * sig
+    return sig, f, g
 
 
 def _simulate_paths(p, hist, cfg, path_indices, sigma=None):
@@ -185,24 +109,26 @@ def _simulate_paths(p, hist, cfg, path_indices, sigma=None):
     t_hist = h * np.arange(-K, 0)
     influx[1:] = _influx(hist.s(t_hist), _sigma_clipped(sigma, hist.q(t_hist)), p)[:, None]
 
-    stage = _Stage(p, sigma, n_paths)
-    guard = _EnsembleGuard(path_indices)
+    guard = dde._Guard(path_indices)
     inc = np.zeros((3, n_paths))  # I carries no noise
+    corr = np.zeros((3, n_paths))  # and no Ito correction
+    half_eps2 = 0.5 * p.eps * p.eps
     heun = cfg.scheme == SCHEME_HEUN
     for n in range(n_steps):
-        t = n * h
         y = nodes[n]
-        influx[n % ring] = _influx(y[0], stage.sigma_sq(y)[1], p)
-        f_now = stage.drift(y, influx[(n - K) % ring])
+        sig, f_now, g_now = _stage(y, influx[(n - K) % ring], p, sigma)
+        influx[n % ring] = _influx(y[0], sig[1], p)
         inc[::2] = dw[n]
         if heun:
             d_next = influx[(n + 1 - K) % ring]
-            y_next, _ = heun_step(
-                y, inc, h, f_now, lambda pred: stage.drift(pred, d_next), stage.g
+            y_next = heun_step(
+                y, inc, h, f_now, g_now, lambda pred: _stage(pred, d_next, p, sigma)[1:]
             )
         else:
-            y_next = ito_euler_step(y, inc, h, f_now + stage.correction(y), stage.g)
-        nodes[n + 1] = guard.apply(y_next, t + h)
+            # the drift added when the Stratonovich system is rewritten in Ito form
+            corr[::2] = half_eps2 * sig * sigma._slopes(np.maximum(y[::2], 0.0))
+            y_next = ito_euler_step(y, inc, h, f_now + corr, g_now)
+        nodes[n + 1] = guard.apply(y_next, n * h + h)
 
     times = h * np.arange(n_steps + 1)
     return times, nodes, guard
@@ -268,7 +194,7 @@ def ensemble(p, hist, cfg, n, reference, window, threshold=None, sigma=None):
     """
     if n < 1:
         raise DomainError("need at least one path")
-    times, nodes, guard = _simulate_paths(p, hist, cfg, list(range(n)), sigma)
+    times, nodes, guard = _simulate_paths(p, hist, cfg, range(n), sigma)
     ref = _reference_nodes(reference, times)  # (n_nodes, 3)
     mean = nodes.mean(axis=2)
     # deviations in place: no temporaries the size of nodes, which are spent

@@ -12,7 +12,7 @@ from phagesim.dde import (
     integrate,
     monitor_region,
 )
-from phagesim.errors import DivergenceError, DomainError, WindowError
+from phagesim.errors import DivergenceError, DomainError, PositivityError, WindowError
 from phagesim.model import _drift_terms
 
 
@@ -178,6 +178,36 @@ class TestTwoComponentSubsystem:
         assert sub.eval(-0.25) == pytest.approx([0.5, 10.0], abs=1e-12)
 
 
+class _ParentGuard:
+    """The tuple guard `integrate` used before both engines shared one."""
+
+    def __init__(self):
+        self.clamp_count = 0
+        self.warn_count = 0
+        self.min_component = 0.0
+
+    def apply(self, y, t):
+        out = list(y)
+        for k, v in enumerate(out):
+            if not math.isfinite(v) or abs(v) > dde.BLOWUP_LIMIT:
+                raise DivergenceError(
+                    f"trajectory blew up at t={t:g} (component {k} = {v!r})", t=t
+                )
+            if v < 0.0:
+                self.min_component = min(self.min_component, v)
+                if v < dde.HARD_NEG:
+                    raise PositivityError(
+                        f"component {k} reached {v:g} at t={t:g}, below the "
+                        f"{dde.HARD_NEG:g} tolerance", t=t,
+                    )
+                if v >= -dde.CLAMP_TOL:
+                    out[k] = 0.0
+                    self.clamp_count += 1
+                else:
+                    self.warn_count += 1
+        return tuple(out)
+
+
 def _parent_integrate(p, hist, T, K, sigma=None):
     """The tuple-RK4 loop with a general delayed lookup that `integrate` replaced.
 
@@ -196,7 +226,7 @@ def _parent_integrate(p, hist, T, K, sigma=None):
     tau = p.tau
     h = tau / K
     n_steps = max(1, math.ceil(T / h - 1e-9))
-    guard = dde._PositivityGuard()
+    guard = _ParentGuard()
     states = [(hist.s(0.0), hist.i0, hist.q(0.0))]
     derivs = [rhs(states[0], hist_sq(-tau))]
 
@@ -290,3 +320,80 @@ class TestParentLoop:
         with pytest.raises(DivergenceError) as old:
             _parent_integrate(p, hist_standard, 1.0, 64)
         assert new.value.t == old.value.t
+
+    def test_same_positivity_error(self):
+        # with k1 = 1 the RK4 step drives I below HARD_NEG within a few steps
+        p = Parameters(**{**_P, "k1": 1.0})
+        hist = History.constant(p.tau, 1e-3, 10.0, 0.0)
+        with pytest.raises(PositivityError) as new:
+            integrate(p, hist, T=3.0, K=16)
+        with pytest.raises(PositivityError) as old:
+            _parent_integrate(p, hist, 3.0, 16)
+        assert new.value.t == old.value.t
+
+
+class _IndexOnly:
+    """Path labels that can be indexed but not listed, like range(10**12)."""
+
+    def __getitem__(self, j):
+        return 100 + j
+
+    def __iter__(self):
+        raise TypeError("path labels must not be listed")
+
+    __len__ = __iter__
+
+
+def _column(*values):
+    return np.array(values, dtype=float).reshape(3, -1)
+
+
+class TestGuard:
+    """The positivity rule both engines share, on hand-built (3, n) states."""
+
+    def test_clean_state_passes_through(self):
+        guard = dde._Guard()
+        y = _column(0.0, 1.0, 1e12)
+        assert guard.apply(y, 1.0) is y
+        assert (guard.clamp_count, guard.warn_count, guard.min_component) == (0, 0, 0.0)
+
+    def test_dust_clamped_and_negative_zero_kept(self):
+        guard = dde._Guard(range(2))
+        y = np.array([[-1e-13, -0.0], [0.5, -1e-12], [-0.0, 2.0]])
+        out = guard.apply(y, 0.5)
+        assert np.array_equal(out, [[0.0, 0.0], [0.5, 0.0], [0.0, 2.0]])
+        assert np.array_equal(np.signbit(out), [[False, True], [False, False], [True, False]])
+        assert (guard.clamp_count, guard.warn_count, guard.min_component) == (2, 0, -1e-12)
+
+    def test_warnings_counted_and_kept(self):
+        guard = dde._Guard()
+        y = _column(-1e-9, 3.0, -1e-6)
+        assert np.array_equal(guard.apply(y, 0.5), y)
+        guard.apply(_column(-2e-12, 1.0, 1.0), 0.75)
+        assert (guard.clamp_count, guard.warn_count, guard.min_component) == (0, 3, -1e-6)
+
+    @pytest.mark.parametrize("labels, who", [(None, "trajectory"), ([4, 9], "path 9")])
+    def test_hard_negative(self, labels, who):
+        guard = dde._Guard(labels)
+        y = np.array([[1.0, -1e-13], [1.0, 1.0], [1.0, -2e-6]])
+        with pytest.raises(PositivityError) as err:
+            guard.apply(y, 2.5)
+        assert err.value.t == 2.5
+        assert str(err.value).startswith(f"{who} component 2 reached -2e-06 at t=2.5")
+        assert guard.min_component == -2e-6
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 2e12, -2e12])
+    @pytest.mark.parametrize("labels, who", [(None, "trajectory"), (_IndexOnly(), "path 101")])
+    def test_blowup(self, bad, labels, who):
+        guard = dde._Guard(labels)
+        y = np.array([[1.0, 1.0], [1.0, bad], [1.0, -1.0]])  # also hard-negative in path 1
+        with pytest.raises(DivergenceError) as err:
+            guard.apply(y, 3.0)
+        assert err.value.t == 3.0
+        assert str(err.value) == f"{who} blew up at t=3 (component 1 = {float(bad)!r})"
+        assert (guard.clamp_count, guard.warn_count, guard.min_component) == (0, 0, 0.0)
+
+    def test_blowup_names_the_first_path(self):
+        y = np.array([[1.0, np.inf], [1.0, 1.0], [np.nan, 1.0]])
+        with pytest.raises(DivergenceError, match=r"^path 3 blew up .*\(component 2 = nan\)$"):
+            dde._Guard([3, 8]).apply(y, 1.0)

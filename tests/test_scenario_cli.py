@@ -1,11 +1,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import phagesim
 from phagesim import cli, csvio
 from phagesim.dde import integrate
 from phagesim.errors import DomainError, ScenarioError
@@ -380,7 +384,8 @@ class TestCli:
         assert "without coinfection" in out
 
     def test_mc_concentration(self, tmp_path, capsys):
-        doc = json.loads(open(CONCENTRATION_SCENARIO).read())
+        with open(CONCENTRATION_SCENARIO) as fh:
+            doc = json.load(fh)
         doc["run"]["n"] = 40  # keep the smoke run quick
         path = write_doc(tmp_path, doc)
         code = cli.main(["mc-concentration", path, "--outdir", str(tmp_path)])
@@ -408,3 +413,26 @@ class TestCli:
         code = cli.main(["simulate", path, "--outdir", str(tmp_path)])
         assert code == cli.EXIT_NUMERIC
         assert "error:numeric" in capsys.readouterr().err
+
+    def test_huge_path_count_exits_on_resources(self, tmp_path):
+        # 10**12 paths need 45.5 PiB of increments. The child runs under a
+        # 2 GB address-space limit, so even code that tried to materialise
+        # the path indices could not exhaust the machine.
+        doc = load_reference_doc()
+        doc["run"]["n"] = 10**12
+        path = write_doc(tmp_path, doc)
+        child = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+            "from phagesim import cli\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        src_dir = os.path.dirname(os.path.dirname(phagesim.__file__))
+        env = {**os.environ, "PYTHONPATH": src_dir}
+        proc = subprocess.run(
+            [sys.executable, "-c", child, "simulate-sde", path, "--outdir", str(tmp_path)],
+            capture_output=True, text=True, timeout=10, env=env,
+        )
+        assert proc.returncode == cli.EXIT_IO
+        assert proc.stderr.startswith("error:resource:")
+        assert "Traceback" not in proc.stderr

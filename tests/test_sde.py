@@ -117,11 +117,11 @@ def _per_path_loop(p, hist, cfg, path_indices):
             inc = np.array([dw[n, 0], 0.0, dw[n, 1]])
             f_now = drift(y, delayed(n - cfg.K), p, clipped)
             if cfg.scheme == SCHEME_HEUN:
-                f_at = lambda x: drift(x, delayed(n + 1 - cfg.K), p, clipped)
-                y_next, _ = heun_step(y, inc, h, f_now, f_at, g)
+                terms = lambda x: (drift(x, delayed(n + 1 - cfg.K), p, clipped), g(x))
+                y_next = heun_step(y, inc, h, f_now, g(y), terms)
             else:
                 corr = stratonovich_correction(np.maximum(y, 0.0), p, sigma)
-                y_next = ito_euler_step(y, inc, h, f_now + corr, g)
+                y_next = ito_euler_step(y, inc, h, f_now + corr, g(y))
             dust = (y_next < 0.0) & (y_next >= -dde.CLAMP_TOL)
             ys.append(np.where(dust, 0.0, y_next))
         out[:, :, col] = ys
