@@ -19,7 +19,6 @@ from .errors import (
     PositivityError,
     ScenarioError,
 )
-from .model import SigmaFn
 from .scenario import parse_scenario
 
 EXIT_OK = 0
@@ -41,7 +40,7 @@ def _outpath(sc, args, name):
 
 def cmd_validate(args):
     sc, p, hist = _load(args)
-    report = hypotheses.validate(p, hist, SigmaFn(p.M))
+    report = hypotheses.validate(p, hist)
     print(report.to_text())
     if args.json:
         with open(args.json, "w") as fh:

@@ -54,9 +54,8 @@ class Trajectory:
     def _history_state(self, t):
         if self.history is None:
             raise DomainError(f"time {t:g} predates the trajectory and no history is attached")
-        if self.dim == 2:
-            return self.history.state_sq(t)
-        return self.history.state(t)
+        state = self.history.state(t)
+        return state[::2] if self.dim == 2 else state
 
     def eval(self, t):
         """Dense state at scalar time t; exact at nodes, history-backed below t0."""
@@ -66,6 +65,10 @@ class Trajectory:
         n_last = len(self.states) - 1
         if x > n_last + 1e-9:
             raise DomainError(f"time {t:g} beyond trajectory end {self.t_end:g}")
+        # (t - t0)/h of a node time t0 + h*j need not round to j exactly
+        j = round(x)
+        if j <= n_last and t == self.t0 + self.h * j:
+            return self.states[j].copy()
         j = min(int(x), n_last - 1) if n_last > 0 else 0
         theta = x - j
         if theta <= 0.0:
@@ -130,14 +133,13 @@ class _Guard:
         return y
 
 
-def integrate(p, hist, T, K, sigma=None):
+def integrate(p, hist, T, K):
     """Integrate the coinfection system from a history; returns a dense Trajectory."""
     if T <= 0.0:
         raise DomainError("horizon T must be positive")
     if K < 8:
         raise DomainError("need at least 8 steps per delay interval")
-    if sigma is None:
-        sigma = SigmaFn(p.M)
+    sigma = SigmaFn(p.M)
 
     tau = p.tau
     h = tau / K
@@ -168,38 +170,44 @@ def integrate(p, hist, T, K, sigma=None):
 
     # _hermite's coefficients at theta = 1/2
     hh, h6, c_f0, c_f1 = 0.5 * h, h / 6.0, 0.125 * h, -0.125 * h
-    for n in range(n_steps):
-        ds1, di1, dq1 = derivs[n]
-        if n < n_mid:
-            f_mid = mid_hist[n]
-        else:
-            s0, _, q0 = states[n - K]
-            fs0, _, fq0 = derivs[n - K]
-            s1, _, q1 = states[n - K + 1]
-            fs1, _, fq1 = derivs[n - K + 1]
-            s_mid = 0.5 * s0 + c_f0 * fs0 + 0.5 * s1 + c_f1 * fs1
-            q_mid = 0.5 * q0 + c_f0 * fq0 + 0.5 * q1 + c_f1 * fq1
-            f_mid = ka * sigma(q_mid) * s_mid
-        f_end = end_hist[n] if n < n_end else node_influx[n + 1 - K]
+    # sigma rejects a negative argument; in this loop that is a stage,
+    # midpoint or node Q below 0, a positivity failure of step n
+    try:
+        for n in range(n_steps):
+            ds1, di1, dq1 = derivs[n]
+            if n < n_mid:
+                f_mid = mid_hist[n]
+            else:
+                s0, _, q0 = states[n - K]
+                fs0, _, fq0 = derivs[n - K]
+                s1, _, q1 = states[n - K + 1]
+                fs1, _, fq1 = derivs[n - K + 1]
+                s_mid = 0.5 * s0 + c_f0 * fs0 + 0.5 * s1 + c_f1 * fs1
+                q_mid = 0.5 * q0 + c_f0 * fq0 + 0.5 * q1 + c_f1 * fq1
+                f_mid = ka * sigma(q_mid) * s_mid
+            f_end = end_hist[n] if n < n_end else node_influx[n + 1 - K]
 
-        s2, i2, q2 = s + hh * ds1, i + hh * di1, q + hh * dq1
-        ds2, di2, dq2 = _rates(s2, i2, q2, sigma(q2), f_mid, p)
-        s3, i3, q3 = s + hh * ds2, i + hh * di2, q + hh * dq2
-        ds3, di3, dq3 = _rates(s3, i3, q3, sigma(q3), f_mid, p)
-        s4, i4, q4 = s + h * ds3, i + h * di3, q + h * dq3
-        ds4, di4, dq4 = _rates(s4, i4, q4, sigma(q4), f_end, p)
-        s = s + h6 * (ds1 + 2.0 * ds2 + 2.0 * ds3 + ds4)
-        i = i + h6 * (di1 + 2.0 * di2 + 2.0 * di3 + di4)
-        q = q + h6 * (dq1 + 2.0 * dq2 + 2.0 * dq3 + dq4)
-        # comparisons with NaN fail, so a NaN takes the full guard too
-        if not (0.0 <= s <= BLOWUP_LIMIT and 0.0 <= i <= BLOWUP_LIMIT
-                and 0.0 <= q <= BLOWUP_LIMIT):
-            s, i, q = guard.apply(np.array([[s], [i], [q]]), n * h + h)[:, 0].tolist()
+            s2, i2, q2 = s + hh * ds1, i + hh * di1, q + hh * dq1
+            ds2, di2, dq2 = _rates(s2, i2, q2, sigma(q2), f_mid, p)
+            s3, i3, q3 = s + hh * ds2, i + hh * di2, q + hh * dq2
+            ds3, di3, dq3 = _rates(s3, i3, q3, sigma(q3), f_mid, p)
+            s4, i4, q4 = s + h * ds3, i + h * di3, q + h * dq3
+            ds4, di4, dq4 = _rates(s4, i4, q4, sigma(q4), f_end, p)
+            s = s + h6 * (ds1 + 2.0 * ds2 + 2.0 * ds3 + ds4)
+            i = i + h6 * (di1 + 2.0 * di2 + 2.0 * di3 + di4)
+            q = q + h6 * (dq1 + 2.0 * dq2 + 2.0 * dq3 + dq4)
+            # comparisons with NaN fail, so a NaN takes the full guard too
+            if not (0.0 <= s <= BLOWUP_LIMIT and 0.0 <= i <= BLOWUP_LIMIT
+                    and 0.0 <= q <= BLOWUP_LIMIT):
+                s, i, q = guard.apply(np.array([[s], [i], [q]]), n * h + h)[:, 0].tolist()
 
-        sq = sigma(q)
-        states.append((s, i, q))
-        derivs.append(_rates(s, i, q, sq, f_end, p))
-        node_influx.append(ka * sq * s)
+            sq = sigma(q)
+            states.append((s, i, q))
+            derivs.append(_rates(s, i, q, sq, f_end, p))
+            node_influx.append(ka * sq * s)
+    except DomainError as exc:
+        t = n * h + h
+        raise PositivityError(f"trajectory Q went negative before t={t:g}: {exc}", t=t) from exc
 
     return Trajectory(
         t0=0.0,

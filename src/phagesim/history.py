@@ -74,6 +74,3 @@ class History:
     def state(self, t):
         """Full (S, I, Q) pre-history state at a scalar time t in [-tau, 0]."""
         return np.array([self.s(t), self.i0, self.q(t)])
-
-    def state_sq(self, t):
-        return np.array([self.s(t), self.q(t)])

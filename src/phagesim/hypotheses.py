@@ -199,8 +199,9 @@ def _simpson(f, a, b, n):
     return h / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-1:2].sum())
 
 
-def required_initial_mass(hist, p, sigma):
+def required_initial_mass(hist, p):
     """k1*exp(-mu*tau) * integral of sigma(Q0)*S0 over [-tau, 0], by adaptive Simpson."""
+    sigma = SigmaFn(p.M)
     f = lambda t: sigma(hist.q(t)) * hist.s(t)
     n = max(2 * (len(hist.grid) - 1), 8)
     prev = _simpson(f, -p.tau, 0.0, n)
@@ -214,9 +215,9 @@ def required_initial_mass(hist, p, sigma):
     return p.k1 * p.attenuation * prev
 
 
-def check_initial_mass(hist, p, sigma):
+def check_initial_mass(hist, p):
     """Initial infected mass must cover the pre-history lysis debt."""
-    required = required_initial_mass(hist, p, sigma)
+    required = required_initial_mass(hist, p)
     return CheckEntry(
         "infected-mass",
         "I0 >= k1 e^{-mu tau} int sigma(Q0) S0",
@@ -336,13 +337,11 @@ def check_dose(p):
     return entries
 
 
-def validate(p, hist, sigma=None):
+def validate(p, hist):
     """Full report over every standing assumption for one parameter/history pair."""
-    if sigma is None:
-        sigma = SigmaFn(p.M)
     report = ValidationReport()
-    report.entries.extend(check_sigma(sigma))
-    report.entries.append(check_initial_mass(hist, p, sigma))
+    report.entries.extend(check_sigma(SigmaFn(p.M)))
+    report.entries.append(check_initial_mass(hist, p))
     if p.m * p.M > p.d:
         report.entries.extend(check_delay_hypotheses(hist, p))
     else:

@@ -156,12 +156,6 @@ class SigmaFn:
         return np.where(x <= m, 1.0, np.where(x >= m + 1.0, 0.0, slope))
 
 
-def _sigma_clipped(sigma, x):
-    # The stochastic engine may probe slightly negative predictor states;
-    # sigma extends by 0 there (matching sigma(0)=0 continuously).
-    return sigma._values(np.maximum(x, 0.0))
-
-
 def _influx(s_tau, sq_tau, p):
     """Infected cells ending their latency: k1 e^{-mu tau} sigma(Q(t-tau)) S(t-tau)."""
     return p.k1 * p.attenuation * sq_tau * s_tau

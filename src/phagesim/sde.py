@@ -15,7 +15,7 @@ import numpy as np
 
 from . import dde, equilibria
 from .errors import ConfigurationError, DomainError
-from .model import SigmaFn, _influx, _rates, _sigma_clipped
+from .model import SigmaFn, _influx, _rates
 
 SCHEME_HEUN = "stratonovich-heun"
 SCHEME_EULER = "ito-euler-corrected"
@@ -85,10 +85,15 @@ def _stage(y, delayed_influx, p, sigma):
     return sig, f, g
 
 
-def _simulate_paths(p, hist, cfg, path_indices, sigma=None):
+def _history_influx(hist, p, sigma, K):
+    """Lysis influx of the history at -tau, ..., -h, the delayed terms of nodes 0 to K-1."""
+    t = (p.tau / K) * np.arange(-K, 0)
+    return _influx(hist.s(t), sigma(hist.q(t)), p)
+
+
+def _simulate_paths(p, hist, cfg, path_indices):
     """Advance the given paths together; returns (times, nodes (n_nodes, 3, n), guard)."""
-    if sigma is None:
-        sigma = SigmaFn(p.M)
+    sigma = SigmaFn(p.M)
     h = p.tau / cfg.K
     n_steps = max(1, math.ceil(cfg.T / h - 1e-9))
     n_paths = len(path_indices)
@@ -106,8 +111,7 @@ def _simulate_paths(p, hist, cfg, path_indices, sigma=None):
     # current state, read K - 1 and K steps later as the delayed term.
     ring = K + 1
     influx = np.empty((ring, n_paths))
-    t_hist = h * np.arange(-K, 0)
-    influx[1:] = _influx(hist.s(t_hist), _sigma_clipped(sigma, hist.q(t_hist)), p)[:, None]
+    influx[1:] = _history_influx(hist, p, sigma, K)[:, None]
 
     guard = dde._Guard(path_indices)
     inc = np.zeros((3, n_paths))  # I carries no noise
@@ -134,28 +138,22 @@ def _simulate_paths(p, hist, cfg, path_indices, sigma=None):
     return times, nodes, guard
 
 
-def sample_path(p, hist, cfg, path_index=0, sigma=None):
-    """One sample path as a dense Trajectory (noise off reproduces the deterministic run)."""
-    if sigma is None:
-        sigma = SigmaFn(p.M)
-    _, nodes, guard = _simulate_paths(p, hist, cfg, [path_index], sigma)
-    states = nodes[:, :, 0]
-    # node drift values give the Hermite dense output its slopes; node n is
-    # delayed onto the history up to n = K and onto node n - K after it
-    K, n_nodes = cfg.K, len(states)
-    h = p.tau / K
-    t_hist = h * np.arange(-K, min(n_nodes, K + 1) - K)
-    past = states[1:max(n_nodes - K, 1)]
-    s_tau = np.concatenate([hist.s(t_hist), past[:, 0]])
-    q_tau = np.concatenate([hist.q(t_hist), past[:, 2]])
-    s, i, q = states.T
-    lysis_influx = _influx(s_tau, _sigma_clipped(sigma, q_tau), p)
-    derivs = np.column_stack(_rates(s, i, q, _sigma_clipped(sigma, q), lysis_influx, p))
+def sample_path(p, hist, cfg, path_index=0):
+    """One sample path as a dense Trajectory (noise off reproduces the deterministic run).
+
+    The slopes for the Hermite dense output are the drifts at the nodes:
+    node n reads the history's influx while n < K and node n - K's after.
+    """
+    sigma = SigmaFn(p.M)
+    _, nodes, guard = _simulate_paths(p, hist, cfg, [path_index])
+    y = nodes[:, :, 0].T  # (3, n_nodes)
+    node_influx = _influx(y[0], sigma._values(np.maximum(y[2], 0.0)), p)
+    delayed = np.concatenate([_history_influx(hist, p, sigma, cfg.K), node_influx])
     return dde.Trajectory(
         t0=0.0,
-        h=h,
-        states=states,
-        derivs=derivs,
+        h=p.tau / cfg.K,
+        states=y.T,
+        derivs=_stage(y, delayed[:y.shape[1]], p, sigma)[1].T,
         history=hist,
         clamp_count=guard.clamp_count,
         warn_count=guard.warn_count,
@@ -179,23 +177,27 @@ class EnsembleStats:
     warn_count: int = 0  # components left negative within the tolerance
 
 
-def _reference_nodes(reference, times):
-    if isinstance(reference, dde.Trajectory):
-        return np.array([reference.eval(t) for t in times])
-    return np.tile(np.asarray(reference, dtype=float), (len(times), 1))
-
-
-def ensemble(p, hist, cfg, n, reference, window, threshold=None, sigma=None):
+def ensemble(p, hist, cfg, n, reference, window, threshold=None):
     """Run n paths and aggregate deviation statistics against a reference.
 
-    `reference` is either a Trajectory (same step layout) or a fixed point.
-    The per-path statistic is the sup over window nodes of the largest
-    componentwise deviation.
+    `reference` is either a fixed point or a Trajectory on the ensemble's
+    nodes: the same t0 = 0, the same h = tau/K and the same node count, as
+    `dde.integrate(p, hist, cfg.T, cfg.K)` gives. Its states are compared
+    node by node; any other layout raises ConfigurationError. The per-path
+    statistic is the sup over window nodes of the largest componentwise
+    deviation.
     """
     if n < 1:
         raise DomainError("need at least one path")
-    times, nodes, guard = _simulate_paths(p, hist, cfg, range(n), sigma)
-    ref = _reference_nodes(reference, times)  # (n_nodes, 3)
+    times, nodes, guard = _simulate_paths(p, hist, cfg, range(n))
+    if isinstance(reference, dde.Trajectory):
+        if (reference.t0, reference.h, len(reference)) != (0.0, p.tau / cfg.K, len(times)):
+            raise ConfigurationError(
+                f"reference (t0={reference.t0:g}, h={reference.h:g}, {len(reference)} nodes) is "
+                f"not on the ensemble's nodes (t0=0, h={p.tau / cfg.K:g}, {len(times)} nodes)"
+            )
+        reference = reference.states
+    ref = np.asarray(reference, dtype=float).reshape(-1, 3)  # a fixed point broadcasts as (1, 3)
     mean = nodes.mean(axis=2)
     # deviations in place: no temporaries the size of nodes, which are spent
     nodes -= ref[:, :, None]
@@ -282,7 +284,7 @@ class ConcentrationTable:
 
 def concentration_experiment(
     p, hist, eps_list, rho, kappa1, kappa2, n, seed,
-    K=64, scheme=SCHEME_HEUN, sigma=None,
+    K=64, scheme=SCHEME_HEUN,
 ):
     """Empirical exceedance probabilities around E0 on the predicted time window.
 
@@ -300,7 +302,7 @@ def concentration_experiment(
         raise ConfigurationError("E0 is not attracting (eta <= 0); no window exists")
     e0 = equilibria.bacteria_free(p)
     t_det = max(50.0, 10.0 / st.eta)
-    det = dde.integrate(p.with_eps(0.0), hist, t_det, K, sigma=sigma)
+    det = dde.integrate(p.with_eps(0.0), hist, t_det, K)
     fit = dde.fit_decay(det, e0, dde.auto_window(det, e0), st.eta)
     c = fit.prefactor
     if rho >= c:
@@ -316,7 +318,7 @@ def concentration_experiment(
         cfg = PathConfig(seed=seed, T=t_hi, K=K, scheme=scheme)
         stats = ensemble(
             p.with_eps(eps), hist, cfg, n, e0, (t_lo, t_hi),
-            threshold=2.0 * rho, sigma=sigma,
+            threshold=2.0 * rho,
         )
         lo, hi = wilson_interval(stats.exceed_count, n)
         table.rows.append(

@@ -55,6 +55,16 @@ class TestBasicIntegration:
         with pytest.raises(DivergenceError):
             integrate(p, hist_standard, T=1.0, K=64)
 
+    def test_negative_stage_names_its_step(self, p_star):
+        # k1 = 10 drives the second RK4 stage's Q of the first step below 0,
+        # where sigma is undefined
+        p = dataclasses.replace(p_star, k1=10.0)
+        hist = History.constant(p.tau, 0.5, 10.0, 0.0)
+        with pytest.raises(PositivityError, match=r"before t=0\.125: sigma") as err:
+            integrate(p, hist, T=3.0, K=8)
+        assert err.value.t == 0.125
+        assert isinstance(err.value.__cause__, DomainError)
+
     def test_positivity_accounting_clean_run(self, traj_star):
         assert traj_star.min_component >= -1e-6
         assert traj_star.warn_count == 0
@@ -82,13 +92,20 @@ class TestAccuracy:
         )
         assert err < 1e-5
 
-    def test_dense_output_exact_at_nodes(self, traj_star):
+    def test_dense_output_exact_at_nodes(self, p_star, traj_star):
         for j in (0, 7, 100, len(traj_star) - 1):
             t = traj_star.times[j]
             assert np.array_equal(traj_star.eval(t), traj_star.states[j])
         assert np.array_equal(
             traj_star.eval(traj_star.times[5]), traj_star.states[5]
         )
+        # h = 0.3/13 is not dyadic: (t - t0)/h is not an integer at some nodes
+        p = dataclasses.replace(p_star, tau=0.3)
+        traj = integrate(p, History.constant(p.tau, 0.5, 10.0, 1.0), T=5.0, K=13)
+        times = traj.times
+        assert np.any(times / traj.h != np.arange(len(traj)))
+        for j, t in enumerate(times):
+            assert np.array_equal(traj.eval(t), traj.states[j])
 
     def test_eval_beyond_end_rejected(self, traj_star):
         with pytest.raises(DomainError):

@@ -185,26 +185,26 @@ class TestSigmaCheck:
 
 
 class TestInitialMass:
-    def test_zero_phage_preset_needs_only_nonnegative_i0(self, p_star, sigma):
+    def test_zero_phage_preset_needs_only_nonnegative_i0(self, p_star):
         hist = History.zero_phage(p_star.tau, 1.0, 0.3)
-        entry = hypotheses.check_initial_mass(hist, p_star, sigma)
+        entry = hypotheses.check_initial_mass(hist, p_star)
         assert entry.passed
         assert entry.margin == pytest.approx(0.3, abs=1e-12)
 
-    def test_constant_history_matches_closed_form(self, p_star, sigma):
+    def test_constant_history_matches_closed_form(self, p_star):
         hist = History(p_star.tau, np.full(129, 1.0), np.full(129, 2.0), 0.0)
-        entry = hypotheses.check_initial_mass(hist, p_star, sigma)
+        entry = hypotheses.check_initial_mass(hist, p_star)
         expected = 0.1 * math.exp(-0.2) * 2.0 * 1.0 * 1.0
         assert entry.rhs == pytest.approx(expected, abs=1e-12)
         assert not entry.passed
 
-    def test_margin_with_sufficient_mass(self, p_star, sigma):
+    def test_margin_with_sufficient_mass(self, p_star):
         hist = History(p_star.tau, np.full(129, 1.0), np.full(129, 2.0), 0.2)
-        entry = hypotheses.check_initial_mass(hist, p_star, sigma)
+        entry = hypotheses.check_initial_mass(hist, p_star)
         assert entry.passed
         assert entry.margin == pytest.approx(0.2 - 0.1 * math.exp(-0.2) * 2.0, abs=1e-12)
 
-    def test_simpson_on_smooth_history(self, p_star, sigma):
+    def test_simpson_on_smooth_history(self, p_star):
         # quadratic profiles: the exact integral is available in closed form
         ts = np.linspace(-1.0, 0.0, 129)
         s_vals = 1.0 + ts * ts
@@ -212,7 +212,7 @@ class TestInitialMass:
         hist = History(p_star.tau, s_vals, q_vals, 0.0)
         # int_{-1}^{0} (2 - t)(1 + t^2) dt = 2 + 1/3 + ... computed symbolically
         exact = 2.0 - (-0.5) + 2.0 / 3.0 - (-0.25)
-        entry = hypotheses.check_initial_mass(hist, p_star, sigma)
+        entry = hypotheses.check_initial_mass(hist, p_star)
         assert entry.rhs == pytest.approx(0.1 * math.exp(-0.2) * exact, rel=1e-9)
 
 
@@ -260,8 +260,8 @@ class TestDose:
 
 
 class TestFullReport:
-    def test_reference_scenario_all_pass(self, p_star, hist_standard, sigma):
-        report = hypotheses.validate(p_star, hist_standard, sigma)
+    def test_reference_scenario_all_pass(self, p_star, hist_standard):
+        report = hypotheses.validate(p_star, hist_standard)
         assert report.passed
         assert report.failing_ids() == []
         delay_ids = {
@@ -270,10 +270,10 @@ class TestFullReport:
         }
         assert all(e.margin > 0 for e in report.entries if e.id in delay_ids)
 
-    def test_json_rendering_round_trips(self, p_star, hist_standard, sigma):
+    def test_json_rendering_round_trips(self, p_star, hist_standard):
         import json
 
-        report = hypotheses.validate(p_star, hist_standard, sigma)
+        report = hypotheses.validate(p_star, hist_standard)
         doc = json.loads(report.to_json())
         assert doc["passed"] is True
         assert {c["id"] for c in doc["checks"]} >= {"infected-mass", "dose-threshold"}

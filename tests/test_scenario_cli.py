@@ -406,13 +406,19 @@ class TestCli:
         assert cli.main(["validate", str(tmp_path / "nope.json")]) == cli.EXIT_IO
 
     def test_numeric_error_exit_code(self, tmp_path, capsys):
-        doc = load_reference_doc()
-        doc["parameters"].update(alpha=40.0, k1=1e-30, k2=0.0)
-        doc["run"]["T"] = 2.0
-        path = write_doc(tmp_path, doc)
-        code = cli.main(["simulate", path, "--outdir", str(tmp_path)])
-        assert code == cli.EXIT_NUMERIC
-        assert "error:numeric" in capsys.readouterr().err
+        # a blow-up, and an RK4 stage whose Q goes negative (k1 = 10)
+        for params, history, run in (
+            (dict(alpha=40.0, k1=1e-30, k2=0.0), {}, dict(T=2.0)),
+            (dict(k1=10.0), dict(i0=0.0), dict(T=3.0, K=8)),
+        ):
+            doc = load_reference_doc()
+            doc["parameters"].update(params)
+            doc["history"].update(history)
+            doc["run"].update(run)
+            path = write_doc(tmp_path, doc)
+            code = cli.main(["simulate", path, "--outdir", str(tmp_path)])
+            assert code == cli.EXIT_NUMERIC
+            assert "error:numeric" in capsys.readouterr().err
 
     def test_huge_path_count_exits_on_resources(self, tmp_path):
         # 10**12 paths need 45.5 PiB of increments. The child runs under a

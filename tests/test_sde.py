@@ -14,7 +14,6 @@ from phagesim.sde import (
     ConcentrationRow,
     ConcentrationTable,
     PathConfig,
-    _reference_nodes,
     _simulate_paths,
     concentration_experiment,
     ensemble,
@@ -128,6 +127,23 @@ def _per_path_loop(p, hist, cfg, path_indices):
     return out
 
 
+def _table_history(tau):
+    """A sampled history whose Q crosses the bridge of M = 12 and reaches the plateau."""
+    grid = np.linspace(0.0, math.pi, 17)
+    return History(tau, 0.5 + 0.2 * np.sin(grid), 11.0 + 2.5 * np.cos(grid), 1.0)
+
+
+# T = 0.5 < tau: every delay is history. The first two cases keep their ids.
+_SLOPE_CASES = [
+    pytest.param(
+        T, scheme, M, table,
+        id=(f"{T}" if (scheme, M, table) == (SCHEME_HEUN, 100.0, False)
+            else f"{T}-{scheme}-M{M:g}-{'table' if table else 'constant'}"),
+    )
+    for T in (3.0, 0.5) for scheme in SCHEMES for M in (100.0, 12.0) for table in (False, True)
+]
+
+
 class TestFusedStepper:
     """The ensemble stepper shares sigma and delayed terms across stages and
     paths; every node must still equal a path stepped on its own."""
@@ -146,11 +162,15 @@ class TestFusedStepper:
             assert q.max() < M
         assert np.array_equal(nodes, _per_path_loop(p, hist_standard, cfg, paths))
 
-    @pytest.mark.parametrize("T", [3.0, 0.5])  # 0.5 < tau: every delay is history
-    def test_sample_path_slopes_are_node_drifts(self, p_star, hist_standard, T):
-        p = p_star.with_eps(0.05)
-        cfg = PathConfig(seed=11, T=T, K=16)
-        path = sample_path(p, hist_standard, cfg, path_index=2)
+    @pytest.mark.parametrize("T, scheme, M, table", _SLOPE_CASES)
+    def test_sample_path_slopes_are_node_drifts(self, p_star, hist_standard, T, scheme, M, table):
+        p = dataclasses.replace(p_star, M=M, eps=0.05)
+        hist = _table_history(p.tau) if table else hist_standard
+        cfg = PathConfig(seed=11, T=T, K=16, scheme=scheme)
+        path = sample_path(p, hist, cfg, path_index=2)
+        if M == 12.0 and T > p.tau:  # Q runs through the bridge onto the plateau
+            q = path.states[:, 2]
+            assert np.any((q > M) & (q < M + 1.0)) and np.any(q >= M + 1.0)
         sigma = SigmaFn(p.M)
         clipped = lambda x: sigma(np.maximum(x, 0.0))
         h = p.tau / cfg.K
@@ -158,7 +178,7 @@ class TestFusedStepper:
         for n, y in enumerate(states):
             td = (n - cfg.K) * h
             if td <= 0.0:
-                d_s, d_q = hist_standard.s(td), hist_standard.q(td)
+                d_s, d_q = hist.s(td), hist.q(td)
             else:
                 d_s, d_q = states[n - cfg.K, 0], states[n - cfg.K, 2]
             expected = _drift_terms(y[0], y[1], y[2], d_s, d_q, p, clipped)
@@ -274,26 +294,41 @@ class TestEnsemble:
 
     @pytest.mark.parametrize("n", [1, 24])
     @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_reduction_equals_full_difference(self, p_star, hist_standard, n, scheme):
+    def test_reduction_equals_full_difference(self, p_star, n, scheme):
         # the reduction works in place on the nodes; pin it to the expression
-        # that builds |nodes - ref| in fresh arrays
-        p = p_star.with_eps(0.05)
-        cfg = PathConfig(seed=9, T=5.0, K=32, scheme=scheme)
-        det = dde.integrate(p_star, hist_standard, T=5.0, K=32)
-        for reference in (det, equilibria.bacteria_free(p_star)):
-            times, nodes, _ = _simulate_paths(p, hist_standard, cfg, list(range(n)))
-            dev = np.abs(nodes - _reference_nodes(reference, times)[:, :, None]).max(axis=1)
-            mask = (times >= 1.0 - 1e-12) & (times <= 4.0 + 1e-12)
-            sup_devs = dev[mask].max(axis=0)
-            threshold = float(np.median(sup_devs))
-            stats = ensemble(p, hist_standard, cfg, n, reference, (1.0, 4.0), threshold=threshold)
-            assert np.array_equal(stats.mean, nodes.mean(axis=2))
-            assert np.array_equal(stats.sup_devs, sup_devs)
-            assert np.array_equal(stats.dev_p50, np.percentile(dev, 50.0, axis=1))
-            assert np.array_equal(stats.dev_p95, np.percentile(dev, 95.0, axis=1))
-            assert stats.exceed_count == np.count_nonzero(sup_devs >= threshold)
-            if n == 1:
-                assert np.array_equal(stats.dev_p50, dev[:, 0])
+        # that builds |nodes - ref| in fresh arrays.
+        # h = 0.3/13 and 0.1/13 are not dyadic: (t - t0)/h misses some node
+        # indices, and at 0.1/13 a Hermite value off a node would show in dev
+        for tau, K in ((1.0, 32), (0.3, 13), (0.1, 13)):
+            p = dataclasses.replace(p_star, tau=tau, eps=0.05)
+            hist = History.constant(tau, 0.5, 10.0, 1.0)
+            cfg = PathConfig(seed=9, T=5.0, K=K, scheme=scheme)
+            det = dde.integrate(p.with_eps(0.0), hist, T=5.0, K=K)
+            for reference in (det, equilibria.bacteria_free(p)):
+                times, nodes, _ = _simulate_paths(p, hist, cfg, list(range(n)))
+                if isinstance(reference, dde.Trajectory):
+                    ref = np.array([reference.eval(t) for t in times])
+                else:
+                    ref = np.tile(reference, (len(times), 1))
+                dev = np.abs(nodes - ref[:, :, None]).max(axis=1)
+                mask = (times >= 1.0 - 1e-12) & (times <= 4.0 + 1e-12)
+                sup_devs = dev[mask].max(axis=0)
+                threshold = float(np.median(sup_devs))
+                stats = ensemble(p, hist, cfg, n, reference, (1.0, 4.0), threshold=threshold)
+                assert np.array_equal(stats.mean, nodes.mean(axis=2))
+                assert np.array_equal(stats.sup_devs, sup_devs)
+                assert np.array_equal(stats.dev_p50, np.percentile(dev, 50.0, axis=1))
+                assert np.array_equal(stats.dev_p95, np.percentile(dev, 95.0, axis=1))
+                assert stats.exceed_count == np.count_nonzero(sup_devs >= threshold)
+                if n == 1:
+                    assert np.array_equal(stats.dev_p50, dev[:, 0])
+
+    @pytest.mark.parametrize("T, K", [(5.0, 16), (4.0, 32), (6.0, 32)])
+    def test_reference_on_other_nodes_rejected(self, p_star, hist_standard, T, K):
+        cfg = PathConfig(seed=5, T=5.0, K=32)
+        det = dde.integrate(p_star, hist_standard, T=T, K=K)
+        with pytest.raises(ConfigurationError):
+            ensemble(p_star.with_eps(0.01), hist_standard, cfg, 2, det, (0.0, 5.0))
 
     def test_empty_window_rejected(self, p_star, hist_standard):
         cfg = PathConfig(seed=5, T=5.0, K=32)
