@@ -19,6 +19,11 @@ CLAMP_TOL = 1e-12  # undershoot treated as floating-point dust
 HARD_NEG = -1e-6  # beyond this the run is declared invalid
 
 
+def step_count(T, h):
+    """Steps of size h that reach T; a T within 1e-9 steps of a node ends there."""
+    return max(1, math.ceil(T / h - 1e-9))
+
+
 @dataclass
 class Trajectory:
     """Uniform-step node data with enough derivative information for dense output."""
@@ -143,7 +148,7 @@ def integrate(p, hist, T, K):
 
     tau = p.tau
     h = tau / K
-    n_steps = max(1, math.ceil(T / h - 1e-9))
+    n_steps = step_count(T, h)
     guard = _Guard()
     ka = p.k1 * p.attenuation  # the lysis influx is ka * sigma(Q) * S, as in model._influx
 
@@ -230,19 +235,23 @@ class RegionExit:
 
 
 def monitor_region(traj, region, atol=1e-9):
-    """First node, if any, where a trajectory leaves the invariant box."""
-    times = traj.times
-    for t, y in zip(times, traj.states):
-        s, i, q = y[0], y[1], y[2]
-        if s < -atol or s > region.s_max + atol:
-            return RegionExit(float(t), "S", float(s), region.s_max)
-        if i < -atol or i > region.i_max + atol:
-            return RegionExit(float(t), "I", float(i), region.i_max)
-        if q < region.q_min - atol:
-            return RegionExit(float(t), "Q", float(q), region.q_min)
-        if q > region.q_max + atol:
-            return RegionExit(float(t), "Q", float(q), region.q_max)
-    return None
+    """First node, if any, where a trajectory leaves the invariant box.
+
+    A node is checked for S, I, Q low, then Q high; a NaN counts as inside.
+    """
+    s, i, q = traj.states.T
+    outside = np.stack([
+        (s < -atol) | (s > region.s_max + atol),
+        (i < -atol) | (i > region.i_max + atol),
+        q < region.q_min - atol,
+        q > region.q_max + atol,
+    ], axis=1)
+    if not outside.any():
+        return None
+    j, k = divmod(int(outside.argmax()), 4)  # the first True, node by node
+    component, col, bound = (("S", 0, region.s_max), ("I", 1, region.i_max),
+                             ("Q", 2, region.q_min), ("Q", 2, region.q_max))[k]
+    return RegionExit(float(traj.times[j]), component, float(traj.states[j, col]), bound)
 
 
 @dataclass(frozen=True)

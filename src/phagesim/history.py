@@ -1,12 +1,19 @@
 """Initial condition on [-tau, 0]: sampled S and Q profiles plus the scalar I0."""
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicSpline, PPoly
 
 from .errors import DomainError
 
 DEFAULT_GRID = 128  # intervals on [-tau, 0]
 _EDGE_SLACK = 1e-9  # tolerated float dust when evaluating at the interval ends
+
+
+def _cubic(grid, samples):
+    """CubicSpline through the samples; for equal samples, its constant without the solve."""
+    if np.all(samples == samples[0]):
+        return PPoly(np.array([[0.0], [0.0], [0.0], [samples[0]]]), grid[[0, -1]])
+    return CubicSpline(grid, samples)
 
 
 class History:
@@ -37,14 +44,16 @@ class History:
         self.grid = np.linspace(-self.tau, 0.0, len(s_samples))
         self.s_samples = s_samples
         self.q_samples = q_samples
-        self._s = CubicSpline(self.grid, s_samples)
-        self._q = CubicSpline(self.grid, q_samples)
+        self._s = _cubic(self.grid, s_samples)
+        self._q = _cubic(self.grid, q_samples)
 
         # A cubic through nonnegative nodes can undershoot between them;
         # reject histories whose interpolant dips materially below zero.
+        # A constant cannot.
         fine = np.linspace(-self.tau, 0.0, 8 * len(s_samples))
-        if min(self._s(fine).min(), self._q(fine).min()) < -1e-12:
-            raise DomainError("history interpolant dips below zero between nodes")
+        for f in (self._s, self._q):
+            if isinstance(f, CubicSpline) and f(fine).min() < -1e-12:
+                raise DomainError("history interpolant dips below zero between nodes")
 
     @classmethod
     def constant(cls, tau, s0, q0, i0, n_grid=DEFAULT_GRID):

@@ -123,7 +123,7 @@ class SigmaFn:
 
     def prime(self, x):
         m = self.m_threshold
-        if np.isscalar(x):
+        if isinstance(x, float) or np.isscalar(x):
             if x < 0.0:
                 raise DomainError(f"sigma' is only defined for x >= 0, got {x!r}")
             if x <= m:

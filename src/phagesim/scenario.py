@@ -1,9 +1,11 @@
 """Scenario files: a strict JSON schema tying parameters, history and run settings."""
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
+from . import dde
 from .errors import ScenarioError
 from .history import DEFAULT_GRID, History
 from .model import Parameters
@@ -20,6 +22,10 @@ _RUN_KEYS = {
     "scheme", "outdir", "window",
 }
 _TOP_KEYS = {"parameters", "history", "run"}
+
+# Steps of tau/K a run may take to reach T; at 4-8 us and 440 bytes a dde
+# step, `simulate` at the limit takes about 15 s and 0.5 GB (docs/scenario-schema.md)
+MAX_STEPS = 10**6
 
 
 @dataclass
@@ -92,7 +98,8 @@ def _number(mapping, key, where, *, integer=False, minimum=None, strict=False):
         raise ScenarioError(f"{where}.{key} must be a number, got {value!r}")
     if integer and int(value) != value:
         raise ScenarioError(f"{where}.{key} must be an integer, got {value!r}")
-    if minimum is not None and (value <= minimum if strict else value < minimum):
+    # written so that NaN fails too
+    if minimum is not None and not (value > minimum if strict else value >= minimum):
         cmp = ">" if strict else ">="
         raise ScenarioError(f"{where}.{key} must be {cmp} {minimum}, got {value!r}")
     return int(value) if integer else float(value)
@@ -140,6 +147,15 @@ def from_dict(doc):
         run.T = _number(run_doc, "T", "run", minimum=0.0, strict=True)
     if "K" in run_doc:
         run.K = _number(run_doc, "K", "run", integer=True, minimum=8)
+    try:
+        n_steps = dde.step_count(run.T, parameters.tau / run.K)
+    except OverflowError:  # T/h is infinite, or K is too large for a float
+        n_steps = math.inf
+    if n_steps > MAX_STEPS:
+        raise ScenarioError(
+            f"run.T = {run.T:g} at tau/K = {parameters.tau:g}/{run.K} needs {n_steps:.7g} "
+            f"steps; the limit is {MAX_STEPS} steps"
+        )
     if "n" in run_doc:
         run.n = _number(run_doc, "n", "run", integer=True, minimum=1)
     if "seed" in run_doc:

@@ -2,9 +2,10 @@
 
 Paths are driven by per-path Philox streams keyed on (seed, path index), so
 any path is reproducible in isolation and ensembles are order-independent.
-All paths of an ensemble advance together on (3, n) arrays; the stepping
-formulas are elementwise, so a slice of an ensemble is bitwise identical to
-the standalone path with the same index.
+All paths of an ensemble advance together on (3, n) arrays, and a single
+path steps on three Python floats. The stepping formulas are elementwise and
+both lanes run them in the same order, so a slice of an ensemble is bitwise
+identical to the standalone path with the same index.
 """
 
 import math
@@ -14,6 +15,7 @@ from typing import Optional
 import numpy as np
 
 from . import dde, equilibria
+from .dde import BLOWUP_LIMIT
 from .errors import ConfigurationError, DomainError
 from .model import SigmaFn, _influx, _rates
 
@@ -92,10 +94,15 @@ def _history_influx(hist, p, sigma, K):
 
 
 def _simulate_paths(p, hist, cfg, path_indices):
-    """Advance the given paths together; returns (times, nodes (n_nodes, 3, n), guard)."""
+    """Advance the given paths; returns (times, nodes (n_nodes, 3, n), guard).
+
+    More than one path steps together on (3, n) arrays, and one path on
+    three floats by `_float_path`, which makes the same IEEE operations in
+    the same order, so a path's nodes are bitwise the same either way.
+    """
     sigma = SigmaFn(p.M)
     h = p.tau / cfg.K
-    n_steps = max(1, math.ceil(cfg.T / h - 1e-9))
+    n_steps = dde.step_count(cfg.T, h)
     n_paths = len(path_indices)
     K = cfg.K
 
@@ -104,16 +111,20 @@ def _simulate_paths(p, hist, cfg, path_indices):
         dw[:, :, j] = path_normals(cfg.seed, idx, n_steps)
     dw *= math.sqrt(h)
 
-    nodes = np.empty((n_steps + 1, 3, n_paths))
-    nodes[0] = np.array([hist.s(0.0), hist.i0, hist.q(0.0)])[:, None]
-
     # Lysis influx of node j, in row j % (K + 1): written when node j is the
     # current state, read K - 1 and K steps later as the delayed term.
     ring = K + 1
     influx = np.empty((ring, n_paths))
     influx[1:] = _history_influx(hist, p, sigma, K)[:, None]
 
+    times = h * np.arange(n_steps + 1)
+    y0 = (hist.s(0.0), hist.i0, hist.q(0.0))
     guard = dde._Guard(path_indices)
+    if n_paths == 1:
+        return times, _float_path(p, sigma, cfg, y0, dw[:, :, 0], influx[:, 0], guard), guard
+
+    nodes = np.empty((n_steps + 1, 3, n_paths))
+    nodes[0] = np.array(y0)[:, None]
     inc = np.zeros((3, n_paths))  # I carries no noise
     corr = np.zeros((3, n_paths))  # and no Ito correction
     half_eps2 = 0.5 * p.eps * p.eps
@@ -133,9 +144,44 @@ def _simulate_paths(p, hist, cfg, path_indices):
             corr[::2] = half_eps2 * sig * sigma._slopes(np.maximum(y[::2], 0.0))
             y_next = ito_euler_step(y, inc, h, f_now + corr, g_now)
         nodes[n + 1] = guard.apply(y_next, n * h + h)
-
-    times = h * np.arange(n_steps + 1)
     return times, nodes, guard
+
+
+def _float_path(p, sigma, cfg, y0, dw, influx, guard):
+    """The (3, n) step above for one path, written out on floats.
+
+    `0.0 if x <= 0.0 else x` clips as np.maximum(x, 0.0) does, -0.0 to +0.0.
+    The `+ 0.0` on I is the arrays' noise term on I, 0.0 * 0.0.
+    """
+    K, ring, h = cfg.K, cfg.K + 1, p.tau / cfg.K
+    eps, ka, hh, half_eps2 = p.eps, p.k1 * p.attenuation, 0.5 * h, 0.5 * p.eps * p.eps
+    heun = cfg.scheme == SCHEME_HEUN
+    influx = influx.tolist()
+    s, i, q = y0
+    nodes = [y0]
+    for n, (ws, wq) in enumerate(dw.tolist()):
+        cs, cq = 0.0 if s <= 0.0 else s, 0.0 if q <= 0.0 else q
+        sig_s, sig_q = sigma(cs), sigma(cq)
+        fs, fi, fq = _rates(s, i, q, sig_q, influx[(n - K) % ring], p)
+        gs, gq = eps * sig_s, eps * sig_q
+        influx[n % ring] = ka * sig_q * s
+        if heun:
+            ps, pi, pq = s + h * fs + gs * ws, i + h * fi + 0.0, q + h * fq + gq * wq
+            sig_ps, sig_pq = sigma(0.0 if ps <= 0.0 else ps), sigma(0.0 if pq <= 0.0 else pq)
+            fps, fpi, fpq = _rates(ps, pi, pq, sig_pq, influx[(n + 1 - K) % ring], p)
+            s = s + hh * (fs + fps) + 0.5 * (gs + eps * sig_ps) * ws
+            i = i + hh * (fi + fpi) + 0.0
+            q = q + hh * (fq + fpq) + 0.5 * (gq + eps * sig_pq) * wq
+        else:
+            s = s + h * (fs + half_eps2 * sig_s * sigma.prime(cs)) + gs * ws
+            i = i + h * (fi + 0.0) + 0.0  # I's Ito correction is 0.0 too
+            q = q + h * (fq + half_eps2 * sig_q * sigma.prime(cq)) + gq * wq
+        # comparisons with NaN fail, so a NaN takes the full guard too
+        if not (0.0 <= s <= BLOWUP_LIMIT and 0.0 <= i <= BLOWUP_LIMIT
+                and 0.0 <= q <= BLOWUP_LIMIT):
+            s, i, q = guard.apply(np.array([[s], [i], [q]]), n * h + h)[:, 0].tolist()
+        nodes.append((s, i, q))
+    return np.array(nodes)[:, :, None]
 
 
 def sample_path(p, hist, cfg, path_index=0):
@@ -189,15 +235,17 @@ def ensemble(p, hist, cfg, n, reference, window, threshold=None):
     """
     if n < 1:
         raise DomainError("need at least one path")
-    times, nodes, guard = _simulate_paths(p, hist, cfg, range(n))
     if isinstance(reference, dde.Trajectory):
-        if (reference.t0, reference.h, len(reference)) != (0.0, p.tau / cfg.K, len(times)):
+        h = p.tau / cfg.K
+        n_nodes = dde.step_count(cfg.T, h) + 1
+        if (reference.t0, reference.h, len(reference)) != (0.0, h, n_nodes):
             raise ConfigurationError(
                 f"reference (t0={reference.t0:g}, h={reference.h:g}, {len(reference)} nodes) is "
-                f"not on the ensemble's nodes (t0=0, h={p.tau / cfg.K:g}, {len(times)} nodes)"
+                f"not on the ensemble's nodes (t0=0, h={h:g}, {n_nodes} nodes)"
             )
         reference = reference.states
     ref = np.asarray(reference, dtype=float).reshape(-1, 3)  # a fixed point broadcasts as (1, 3)
+    times, nodes, guard = _simulate_paths(p, hist, cfg, range(n))
     mean = nodes.mean(axis=2)
     # deviations in place: no temporaries the size of nodes, which are spent
     nodes -= ref[:, :, None]

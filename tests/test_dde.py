@@ -112,6 +112,41 @@ class TestAccuracy:
             traj_star.eval(traj_star.t_end + 1.0)
 
 
+def _loop_monitor(traj, region, atol=1e-9):
+    """The node-by-node loop that monitor_region vectorises, kept as its reference."""
+    for t, y in zip(traj.times, traj.states):
+        s, i, q = y[0], y[1], y[2]
+        if s < -atol or s > region.s_max + atol:
+            return dde.RegionExit(float(t), "S", float(s), region.s_max)
+        if i < -atol or i > region.i_max + atol:
+            return dde.RegionExit(float(t), "I", float(i), region.i_max)
+        if q < region.q_min - atol:
+            return dde.RegionExit(float(t), "Q", float(q), region.q_min)
+        if q > region.q_max + atol:
+            return dde.RegionExit(float(t), "Q", float(q), region.q_max)
+    return None
+
+
+_BOX = hypotheses.RegionBounds(s_max=1.0, i_max=2.0, q_min=0.5, q_max=3.0)
+# (node, component, value) written into six nodes inside _BOX, and the
+# component the exit names (None: no exit)
+_EXIT_CASES = {
+    "inside": ([], None),
+    "on-the-tolerance": ([(1, 0, -1e-9), (2, 1, 2.0 + 1e-9), (3, 2, 3.0 + 1e-9)], None),
+    "S-low": ([(2, 0, -2e-9)], "S"),
+    "S-high": ([(3, 0, 1.5)], "S"),
+    "I-low": ([(1, 1, -1.0)], "I"),
+    "I-high": ([(4, 1, 2.1)], "I"),
+    "Q-low": ([(2, 2, 0.4)], "Q"),
+    "Q-high": ([(5, 2, 7.0)], "Q"),
+    "I-and-Q-at-one-node": ([(3, 2, 0.1), (3, 1, 5.0)], "I"),
+    "S-and-Q-at-one-node": ([(2, 2, 9.0), (2, 0, -1.0)], "S"),
+    "later-node-first-bound": ([(4, 0, 2.0), (2, 2, 0.0)], "Q"),
+    "nan-then-exit": ([(1, 0, np.nan), (1, 2, np.nan), (3, 1, 2.5)], "I"),
+    "nan-only": ([(2, 1, np.nan)], None),
+}
+
+
 class TestInvariantRegion:
     def test_reference_run_stays_inside(self, p_star, traj_star):
         region = hypotheses.invariant_region(p_star)
@@ -126,6 +161,17 @@ class TestInvariantRegion:
         assert exit_info.component == "Q"
         assert exit_info.t == 0.0
         assert exit_info.value == pytest.approx(10.0, abs=1e-12)
+
+    @pytest.mark.parametrize("case", sorted(_EXIT_CASES))
+    def test_equals_node_loop(self, case):
+        changes, component = _EXIT_CASES[case]
+        states = np.tile([0.5, 1.0, 2.0], (6, 1))
+        for node, k, value in changes:
+            states[node, k] = value
+        traj = dde.Trajectory(t0=0.25, h=0.1, states=states, derivs=np.zeros_like(states))
+        found = monitor_region(traj, _BOX)
+        assert found == _loop_monitor(traj, _BOX)
+        assert (found and found.component) == component
 
 
 class TestDecayFit:

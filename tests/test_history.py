@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from phagesim import History
 from phagesim.errors import DomainError
@@ -67,3 +68,37 @@ class TestEvaluation:
         hist = History.constant(1.0, 1.0, 1.0, 0.0)
         assert hist.s(-1.0 - 1e-10) == pytest.approx(1.0, abs=1e-12)
         assert hist.q(1e-10) == pytest.approx(1.0, abs=1e-12)
+
+
+_CONSTANT_PROFILES = {
+    "constant": lambda: History.constant(1.0, 0.5, 10.0, 1.0),
+    "constant-coarse": lambda: History.constant(1.7, 3e-13, 123.456, 0.0, n_grid=8),
+    "zero-phage": lambda: History.zero_phage(2.0, 2.0, 0.5),
+    "zero-everything": lambda: History.constant(0.3, 0.0, 0.0, 0.0),
+}
+
+
+class TestConstantProfiles:
+    """Equal samples skip the spline solve; the values stay CubicSpline's."""
+
+    @pytest.mark.parametrize("case", sorted(_CONSTANT_PROFILES))
+    def test_equals_cubic_spline(self, case):
+        hist = _CONSTANT_PROFILES[case]()
+        t = np.linspace(-hist.tau, 0.0, 10001)
+        for got, samples in ((hist.s, hist.s_samples), (hist.q, hist.q_samples)):
+            expected = np.maximum(CubicSpline(hist.grid, samples)(t), 0.0)
+            assert np.array_equal(got(t), expected)
+            assert np.array_equal(np.signbit(got(t)), np.signbit(expected))
+            scalars = np.array([got(float(x)) for x in t[::10]])
+            assert np.array_equal(scalars, expected[::10])
+            assert np.array_equal(np.signbit(scalars), np.signbit(expected[::10]))
+
+    @pytest.mark.parametrize("case", sorted(_CONSTANT_PROFILES))
+    def test_edge_slack_still_enforced(self, case):
+        hist = _CONSTANT_PROFILES[case]()
+        assert hist.s(-hist.tau - 1e-10) == hist.s(-hist.tau)
+        assert hist.q(1e-10) == hist.q(0.0)
+        with pytest.raises(DomainError):
+            hist.s(-hist.tau - 1e-8)
+        with pytest.raises(DomainError):
+            hist.q(np.array([-0.5 * hist.tau, 1e-8]))

@@ -2,8 +2,10 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,7 +15,7 @@ import phagesim
 from phagesim import cli, csvio
 from phagesim.dde import integrate
 from phagesim.errors import DomainError, ScenarioError
-from phagesim.scenario import from_dict, parse_scenario
+from phagesim.scenario import MAX_STEPS, from_dict, parse_scenario
 
 from conftest import CONCENTRATION_SCENARIO, REFERENCE_SCENARIO
 
@@ -102,6 +104,25 @@ class TestScenarioParsing:
         doc = load_reference_doc()  # T = 50
         doc["run"]["window"] = window
         with pytest.raises(ScenarioError, match="window"):
+            from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "T, steps", [(15625.0, None), (15625.02, "1000002"), (1e300, "6.4e+301")]
+    )
+    def test_step_limit(self, T, steps):
+        doc = load_reference_doc()  # tau/K = 1/64, so T = 15 625 takes MAX_STEPS steps
+        doc["run"]["T"] = T
+        if steps is None:
+            assert from_dict(doc).run.T == T
+            return
+        message = f"needs {steps} steps; the limit is {MAX_STEPS} steps"
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            from_dict(doc)
+
+    def test_nan_horizon_rejected(self):
+        doc = load_reference_doc()
+        doc["run"]["T"] = float("nan")
+        with pytest.raises(ScenarioError, match="run.T must be > 0.0, got nan"):
             from_dict(doc)
 
     def test_bad_kappa_order_rejected(self):
@@ -419,6 +440,19 @@ class TestCli:
             code = cli.main(["simulate", path, "--outdir", str(tmp_path)])
             assert code == cli.EXIT_NUMERIC
             assert "error:numeric" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("run", [dict(T=1e300), dict(T=float("inf")), dict(T=5.0, K=10**400)])
+    def test_huge_horizon_refused_at_once(self, tmp_path, capsys, run):
+        doc = load_reference_doc()
+        doc["run"].update(run)
+        path = write_doc(tmp_path, doc)
+        start = time.perf_counter()
+        code = cli.main(["simulate", path, "--outdir", str(tmp_path)])
+        assert time.perf_counter() - start < 1.0
+        assert code == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error:parse: run.T = ")
+        assert f"steps; the limit is {MAX_STEPS} steps" in err
 
     def test_huge_path_count_exits_on_resources(self, tmp_path):
         # 10**12 paths need 45.5 PiB of increments. The child runs under a

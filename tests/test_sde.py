@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from phagesim import History, Parameters, SigmaFn, dde, equilibria
-from phagesim.errors import ConfigurationError, DomainError
+from phagesim import History, Parameters, SigmaFn, dde, equilibria, sde
+from phagesim.errors import ConfigurationError, DivergenceError, DomainError, PositivityError
 from phagesim.model import _drift_terms, diffusion, drift, stratonovich_correction
 from phagesim.sde import (
     SCHEME_EULER,
@@ -185,6 +185,83 @@ class TestFusedStepper:
             assert np.array_equal(path.derivs[n], expected)
 
 
+# name: (overrides of p_star, history, T, path index (Heun, Euler), what the run shows).
+# Path indices are picked so that the single path itself clamps, warns or fails.
+_LANE_CASES = {
+    "M100": ({"eps": 0.05}, "standard", 5.0, (3, 3), None),
+    "M12": ({"M": 12.0, "eps": 0.05}, "standard", 5.0, (3, 3), None),
+    "M19.5": ({"M": 19.5, "eps": 0.05}, "standard", 5.0, (3, 3), None),
+    "M13": ({"M": 13.0, "eps": 0.05}, "standard", 5.0, (3, 3), None),
+    "M0.5": ({"M": 0.5, "eps": 0.05}, "standard", 5.0, (3, 3), None),
+    "table": ({"M": 12.0, "eps": 0.05}, "table", 5.0, (2, 2), None),
+    "T<tau": ({"eps": 0.05}, "standard", 0.5, (2, 2), None),
+    "zero-noise": ({}, "standard", 5.0, (0, 0), None),
+    "clamp": ({"M": 0.5, "eps": 3.0}, "tiny-s", 2.0, (2, 0), "clamp_count"),
+    "warn": ({"M": 0.5, "eps": 10.0}, "tiny-s", 2.0, (1, 4), "warn_count"),
+    "hard-negative": ({"M": 0.5, "eps": 30.0}, "tiny-s", 2.0, (1, 1), PositivityError),
+    "blow-up": ({"alpha": 40.0, "k1": 1e-15, "k2": 0.0, "d": 1.0, "eps": 0.5}, "ones", 5.0,
+                (0, 0), DivergenceError),
+}
+
+
+class TestFloatLane:
+    """A single path steps on floats; it must be the array lane's path to the bit.
+
+    The path listed twice runs on the array lane. Its guard counts every
+    event twice and names column 0 first, so counters and errors compare too.
+    """
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("case", sorted(_LANE_CASES))
+    def test_equals_array_lane(self, p_star, hist_standard, case, scheme):
+        overrides, kind, T, indices, shows = _LANE_CASES[case]
+        p = dataclasses.replace(p_star, **overrides)
+        hist = {
+            "standard": hist_standard,
+            "table": _table_history(p.tau),
+            "tiny-s": History.constant(p.tau, 1e-13, 10.0, 1.0),
+            "ones": History.constant(p.tau, 1.0, 1.0, 1.0),
+        }[kind]
+        idx = indices[SCHEMES.index(scheme)]
+        cfg = PathConfig(seed=7, T=T, K=16, scheme=scheme)
+        if isinstance(shows, type):
+            with pytest.raises(shows) as floats:
+                _simulate_paths(p, hist, cfg, [idx])
+            with pytest.raises(shows) as arrays:
+                _simulate_paths(p, hist, cfg, [idx, idx])
+            assert (floats.value.t, str(floats.value)) == (arrays.value.t, str(arrays.value))
+            return
+        times, nodes, guard = _simulate_paths(p, hist, cfg, [idx])
+        _, pair, pair_guard = _simulate_paths(p, hist, cfg, [idx, idx])
+        assert nodes.shape == (len(times), 3, 1)
+        # as bytes, so the sign bits of zeros count
+        assert nodes.tobytes() == np.ascontiguousarray(pair[:, :, :1]).tobytes()
+        assert (2 * guard.clamp_count, 2 * guard.warn_count, guard.min_component) == (
+            pair_guard.clamp_count, pair_guard.warn_count, pair_guard.min_component)
+        if shows:
+            assert getattr(guard, shows) > 0
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_nan_takes_the_guard(self, p_star, hist_standard, scheme, monkeypatch):
+        # a NaN increment of Q: a NaN fails every range comparison, not only one
+        normals = sde.path_normals
+
+        def with_nan(seed, path_index, n_steps):
+            z = normals(seed, path_index, n_steps)
+            z[3, 1] = np.nan
+            return z
+
+        monkeypatch.setattr(sde, "path_normals", with_nan)
+        p = p_star.with_eps(0.05)
+        cfg = PathConfig(seed=7, T=1.0, K=16, scheme=scheme)
+        with pytest.raises(DivergenceError) as floats:
+            _simulate_paths(p, hist_standard, cfg, [2])
+        with pytest.raises(DivergenceError) as arrays:
+            _simulate_paths(p, hist_standard, cfg, [2, 2])
+        assert (floats.value.t, str(floats.value)) == (arrays.value.t, str(arrays.value))
+        assert floats.value.t == 4 * p.tau / cfg.K and str(floats.value).endswith(" = nan)")
+
+
 class TestGeometricNoiseOracle:
     """Strong convergence against x0*exp(a*t + eps*W(t)) with shared Brownian paths."""
 
@@ -324,9 +401,14 @@ class TestEnsemble:
                     assert np.array_equal(stats.dev_p50, dev[:, 0])
 
     @pytest.mark.parametrize("T, K", [(5.0, 16), (4.0, 32), (6.0, 32)])
-    def test_reference_on_other_nodes_rejected(self, p_star, hist_standard, T, K):
+    def test_reference_on_other_nodes_rejected(self, p_star, hist_standard, T, K, monkeypatch):
         cfg = PathConfig(seed=5, T=5.0, K=32)
         det = dde.integrate(p_star, hist_standard, T=T, K=K)
+
+        def no_paths(*args):
+            raise AssertionError("the layout is checked before any path is drawn")
+
+        monkeypatch.setattr(sde, "_simulate_paths", no_paths)
         with pytest.raises(ConfigurationError):
             ensemble(p_star.with_eps(0.01), hist_standard, cfg, 2, det, (0.0, 5.0))
 
