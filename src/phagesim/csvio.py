@@ -36,7 +36,7 @@ def write_csv(header, rows, path):
 def trajectory_rows(traj, dense_dt=None):
     """(t, S, I, Q) rows at node resolution, optionally resampled at dense_dt.
 
-    The dense grid is t0 + k*dense_dt, so it does not drift and a grid
+    The dense grid is k*dense_dt, so it does not drift and a grid
     point that lands on the end is exactly t_end.
     """
     if dense_dt is None:
@@ -46,12 +46,12 @@ def trajectory_rows(traj, dense_dt=None):
     if not (math.isfinite(dense_dt) and dense_dt > 0.0):
         raise DomainError(f"dense step must be positive and finite, got {dense_dt!r}")
     k = 0
-    t = traj.t0
+    t = 0.0
     while t <= traj.t_end + 1e-12:
         t = min(t, traj.t_end)
         yield (t, *traj.eval(t).tolist())
         k += 1
-        t = traj.t0 + k * dense_dt
+        t = k * dense_dt
 
 
 def write_trajectory(traj, path, dense_dt=None):

@@ -17,6 +17,8 @@ from .model import SigmaFn, _influx, _rates
 BLOWUP_LIMIT = 1e12
 CLAMP_TOL = 1e-12  # undershoot treated as floating-point dust
 HARD_NEG = -1e-6  # beyond this the run is declared invalid
+REGION_ATOL = 1e-9  # how far a node may sit outside the invariant box
+AUTO_WINDOW = (0.25, 0.75)  # the fitting window, as fractions of the last resolved time
 
 
 def step_count(T, h):
@@ -26,13 +28,12 @@ def step_count(T, h):
 
 @dataclass
 class Trajectory:
-    """Uniform-step node data with enough derivative information for dense output."""
+    """Uniform-step node data from t = 0, with enough derivative information for dense output."""
 
-    t0: float
     h: float
     states: np.ndarray  # (n_nodes, dim)
     derivs: np.ndarray  # (n_nodes, dim)
-    history: object = None  # History backing t < t0
+    history: object = None  # History backing t < 0
     clamp_count: int = 0
     warn_count: int = 0
     min_component: float = 0.0
@@ -43,11 +44,11 @@ class Trajectory:
 
     @property
     def times(self):
-        return self.t0 + self.h * np.arange(len(self.states))
+        return self.h * np.arange(len(self.states))
 
     @property
     def t_end(self):
-        return self.t0 + self.h * (len(self.states) - 1)
+        return self.h * (len(self.states) - 1)
 
     def __len__(self):
         return len(self.states)
@@ -56,23 +57,20 @@ class Trajectory:
         """The (S, Q) columns. Of a k2 = 0 run, this is the system without coinfection."""
         return replace(self, states=self.states[:, ::2], derivs=self.derivs[:, ::2])
 
-    def _history_state(self, t):
-        if self.history is None:
-            raise DomainError(f"time {t:g} predates the trajectory and no history is attached")
-        state = self.history.state(t)
-        return state[::2] if self.dim == 2 else state
-
     def eval(self, t):
-        """Dense state at scalar time t; exact at nodes, history-backed below t0."""
-        if t < self.t0:
-            return self._history_state(t)
-        x = (t - self.t0) / self.h
+        """Dense state at scalar time t; exact at nodes, history-backed below 0."""
+        if t < 0.0:
+            if self.history is None:
+                raise DomainError(f"time {t:g} predates the trajectory and no history is attached")
+            state = self.history.state(t)
+            return state[::2] if self.dim == 2 else state
+        x = t / self.h
         n_last = len(self.states) - 1
         if x > n_last + 1e-9:
             raise DomainError(f"time {t:g} beyond trajectory end {self.t_end:g}")
-        # (t - t0)/h of a node time t0 + h*j need not round to j exactly
+        # t/h of a node time h*j need not round to j exactly
         j = round(x)
-        if j <= n_last and t == self.t0 + self.h * j:
+        if j <= n_last and t == self.h * j:
             return self.states[j].copy()
         j = min(int(x), n_last - 1) if n_last > 0 else 0
         theta = x - j
@@ -215,7 +213,6 @@ def integrate(p, hist, T, K):
         raise PositivityError(f"trajectory Q went negative before t={t:g}: {exc}", t=t) from exc
 
     return Trajectory(
-        t0=0.0,
         h=h,
         states=np.array(states),
         derivs=np.array(derivs),
@@ -234,17 +231,17 @@ class RegionExit:
     bound: float
 
 
-def monitor_region(traj, region, atol=1e-9):
+def monitor_region(traj, region):
     """First node, if any, where a trajectory leaves the invariant box.
 
     A node is checked for S, I, Q low, then Q high; a NaN counts as inside.
     """
     s, i, q = traj.states.T
     outside = np.stack([
-        (s < -atol) | (s > region.s_max + atol),
-        (i < -atol) | (i > region.i_max + atol),
-        q < region.q_min - atol,
-        q > region.q_max + atol,
+        (s < -REGION_ATOL) | (s > region.s_max + REGION_ATOL),
+        (i < -REGION_ATOL) | (i > region.i_max + REGION_ATOL),
+        q < region.q_min - REGION_ATOL,
+        q > region.q_max + REGION_ATOL,
     ], axis=1)
     if not outside.any():
         return None
@@ -292,7 +289,13 @@ def fit_decay(traj, e0, window, eta):
         )
     slope, _ = np.polyfit(times[mask], np.log(dist[mask]), 1)
     fitted_rate = -float(slope)
-    prefactor = float(np.max(dist * np.exp(eta * times)))
+    # the sup in log space, where e^{eta t} cannot overflow; the product is
+    # formed only at the nodes within 1e-9 of the top, far more than rounding,
+    # so a finite prefactor keeps the bits of the max over all nodes
+    alive = np.nonzero(dist > 0.0)[0]
+    log_env = np.log(dist[alive]) + eta * times[alive]
+    top = alive[log_env >= log_env.max() - 1e-9]
+    prefactor = float(np.max(dist[top] * np.exp(eta * times[top])))
     bound_residual = float(np.max(dist - prefactor * np.exp(-eta * times)))
     return DecayFit(
         prefactor=prefactor,
@@ -304,11 +307,11 @@ def fit_decay(traj, e0, window, eta):
     )
 
 
-def auto_window(traj, e0, lo_frac=0.25, hi_frac=0.75):
+def auto_window(traj, e0):
     """A fitting window clear of both the transient and distance underflow."""
     dist = distances(traj, e0)
     alive = np.nonzero(dist > 1e-12)[0]
     if len(alive) < 4:
         raise WindowError("trajectory sits on the equilibrium; no decay to fit")
     t_last = traj.times[alive[-1]]
-    return (lo_frac * t_last, hi_frac * t_last)
+    return (AUTO_WINDOW[0] * t_last, AUTO_WINDOW[1] * t_last)

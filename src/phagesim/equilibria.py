@@ -13,6 +13,7 @@ REGIME_UNIQUE_E0 = "unique-e0"
 REGIME_SMALL_DOSE = "small-dose-efficient"
 REGIME_LARGE_DOSE = "large-dose-nonefficient"
 REGIME_TRUNCATION = "truncation-excluded"
+DET_TOL = 1e-10  # the largest characteristic-determinant residual accepted at a root
 
 
 @dataclass(frozen=True)
@@ -91,7 +92,7 @@ def characteristic_determinant(lam, p):
     return float(np.linalg.det(mat))
 
 
-def stability_at_e0(p, det_tol=1e-10):
+def stability_at_e0(p):
     """Explicit eigenvalues at E0 plus the convergence-rate constants.
 
     The delayed characteristic matrix is lower triangular, so the spectrum
@@ -104,7 +105,7 @@ def stability_at_e0(p, det_tol=1e-10):
     eigenvalues = (lam1, -p.mu, -p.m)
     for lam in eigenvalues:
         residual = abs(characteristic_determinant(lam, p))
-        if residual >= det_tol:
+        if residual >= DET_TOL:
             raise RuntimeError(
                 f"characteristic determinant residual {residual:g} at lambda={lam:g}"
             )

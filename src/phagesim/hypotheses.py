@@ -16,7 +16,7 @@ from .errors import PreconditionError
 from .model import SigmaFn
 
 _SCAN_STEP = 1e-4
-_FD_STEP = 1e-6
+_REFINE = 8  # points of the dense history lookup per history grid interval
 
 
 @dataclass(frozen=True)
@@ -228,18 +228,14 @@ def check_initial_mass(hist, p):
     )
 
 
-def _dense_history(hist, refine=8):
-    ts = np.linspace(-hist.tau, 0.0, refine * (len(hist.grid) - 1) + 1)
-    return ts, hist.s(ts), hist.q(ts)
-
-
 def check_delay_hypotheses(hist, p):
     """The four initial-condition clauses, each as a worst-case margin over [-tau, 0]."""
     if p.m * p.M <= p.d:
         raise PreconditionError("delay hypotheses need m*M > d")
     nu = compute_nu(p)
     region = invariant_region(p)
-    _, s0, q0 = _dense_history(hist)
+    ts = np.linspace(-hist.tau, 0.0, _REFINE * (len(hist.grid) - 1) + 1)
+    s0, q0 = hist.s(ts), hist.q(ts)
     br = _burst_rate(p)
 
     region_margin = min(

@@ -10,7 +10,6 @@ identical to the standalone path with the same index.
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -22,6 +21,7 @@ from .model import SigmaFn, _influx, _rates
 SCHEME_HEUN = "stratonovich-heun"
 SCHEME_EULER = "ito-euler-corrected"
 SCHEMES = (SCHEME_HEUN, SCHEME_EULER)
+Z95 = 1.959963984540054  # the standard normal quantile of a two-sided 95% interval
 
 
 @dataclass(frozen=True)
@@ -196,7 +196,6 @@ def sample_path(p, hist, cfg, path_index=0):
     node_influx = _influx(y[0], sigma._values(np.maximum(y[2], 0.0)), p)
     delayed = np.concatenate([_history_influx(hist, p, sigma, cfg.K), node_influx])
     return dde.Trajectory(
-        t0=0.0,
         h=p.tau / cfg.K,
         states=y.T,
         derivs=_stage(y, delayed[:y.shape[1]], p, sigma)[1].T,
@@ -214,20 +213,37 @@ class EnsembleStats:
     mean: np.ndarray  # (n_nodes, 3)
     dev_p50: np.ndarray  # per-node median of max-component deviation
     dev_p95: np.ndarray
-    window: tuple
     sup_devs: np.ndarray  # per-path sup over window of max-component deviation
-    threshold: Optional[float] = None
-    exceed_count: Optional[int] = None
     min_component: float = 0.0
     clamp_count: int = 0  # components clamped from float dust to 0
     warn_count: int = 0  # components left negative within the tolerance
 
 
-def ensemble(p, hist, cfg, n, reference, window, threshold=None):
+def _window_mask(T, h, window):
+    """The window's nodes, known from the node count before any path is drawn."""
+    times = h * np.arange(dde.step_count(T, h) + 1)
+    t_a, t_b = window
+    mask = (times >= t_a - 1e-12) & (times <= t_b + 1e-12)
+    if not np.any(mask):
+        raise ConfigurationError(f"window [{t_a:g}, {t_b:g}] contains no nodes")
+    return mask
+
+
+def _deviations(nodes, ref, mask):
+    """Per node and path the largest |node - ref| component, and per path its sup on mask.
+
+    Formed in place on the spent nodes; `ref` is (n_nodes, 3), or (1, 3) for a fixed point.
+    """
+    nodes -= ref[:, :, None]
+    dev = np.abs(nodes, out=nodes).max(axis=1)  # (n_nodes, n)
+    return dev, dev[mask].max(axis=0)
+
+
+def ensemble(p, hist, cfg, n, reference, window):
     """Run n paths and aggregate deviation statistics against a reference.
 
     `reference` is either a fixed point or a Trajectory on the ensemble's
-    nodes: the same t0 = 0, the same h = tau/K and the same node count, as
+    nodes, the same h = tau/K and node count as
     `dde.integrate(p, hist, cfg.T, cfg.K)` gives. Its states are compared
     node by node; any other layout raises ConfigurationError. The per-path
     statistic is the sup over window nodes of the largest componentwise
@@ -235,52 +251,38 @@ def ensemble(p, hist, cfg, n, reference, window, threshold=None):
     """
     if n < 1:
         raise DomainError("need at least one path")
+    h = p.tau / cfg.K
+    mask = _window_mask(cfg.T, h, window)
     if isinstance(reference, dde.Trajectory):
-        h = p.tau / cfg.K
-        n_nodes = dde.step_count(cfg.T, h) + 1
-        if (reference.t0, reference.h, len(reference)) != (0.0, h, n_nodes):
+        if (reference.h, len(reference)) != (h, len(mask)):
             raise ConfigurationError(
-                f"reference (t0={reference.t0:g}, h={reference.h:g}, {len(reference)} nodes) is "
-                f"not on the ensemble's nodes (t0=0, h={h:g}, {n_nodes} nodes)"
+                f"reference (h={reference.h:g}, {len(reference)} nodes) is "
+                f"not on the ensemble's nodes (h={h:g}, {len(mask)} nodes)"
             )
         reference = reference.states
     ref = np.asarray(reference, dtype=float).reshape(-1, 3)  # a fixed point broadcasts as (1, 3)
     times, nodes, guard = _simulate_paths(p, hist, cfg, range(n))
     mean = nodes.mean(axis=2)
-    # deviations in place: no temporaries the size of nodes, which are spent
-    nodes -= ref[:, :, None]
-    dev = np.abs(nodes, out=nodes).max(axis=1)  # (n_nodes, n)
-
-    t_a, t_b = window
-    mask = (times >= t_a - 1e-12) & (times <= t_b + 1e-12)
-    if not np.any(mask):
-        raise ConfigurationError(f"window [{t_a:g}, {t_b:g}] contains no nodes")
-    sup_devs = dev[mask].max(axis=0)
-
-    stats = EnsembleStats(
+    dev, sup_devs = _deviations(nodes, ref, mask)
+    return EnsembleStats(
         n_paths=n,
         times=times,
         mean=mean,
         dev_p50=np.percentile(dev, 50.0, axis=1),
         dev_p95=np.percentile(dev, 95.0, axis=1),
-        window=(float(t_a), float(t_b)),
         sup_devs=sup_devs,
         min_component=guard.min_component,
         clamp_count=guard.clamp_count,
         warn_count=guard.warn_count,
     )
-    if threshold is not None:
-        stats.threshold = float(threshold)
-        stats.exceed_count = int(np.count_nonzero(sup_devs >= threshold))
-    return stats
 
 
-def wilson_interval(successes, n, z=1.959963984540054):
+def wilson_interval(successes, n):
     """95% Wilson score interval for a binomial proportion."""
     if n <= 0:
         raise DomainError("need n > 0")
     p_hat = successes / n
-    z2 = z * z
+    z2 = Z95 * Z95
     denom = 1.0 + z2 / n
     # boundary counts give exactly 0/1 endpoints; the closed form would land
     # one ulp inside and fail to cover the point estimate
@@ -289,7 +291,7 @@ def wilson_interval(successes, n, z=1.959963984540054):
     if successes == n:
         return 1.0 / denom, 1.0
     center = (p_hat + z2 / (2.0 * n)) / denom
-    half = z * math.sqrt(p_hat * (1.0 - p_hat) / n + z2 / (4.0 * n * n)) / denom
+    half = Z95 * math.sqrt(p_hat * (1.0 - p_hat) / n + z2 / (4.0 * n * n)) / denom
     return max(0.0, center - half), min(1.0, center + half)
 
 
@@ -362,18 +364,17 @@ def concentration_experiment(
     t_hi = kappa2 * log_ratio / st.eta
 
     table = ConcentrationTable(prefactor=c, eta=st.eta)
+    cfg = PathConfig(seed=seed, T=t_hi, K=K, scheme=scheme)
+    mask = _window_mask(t_hi, p.tau / K, (t_lo, t_hi))
     for eps in eps_list:
-        cfg = PathConfig(seed=seed, T=t_hi, K=K, scheme=scheme)
-        stats = ensemble(
-            p.with_eps(eps), hist, cfg, n, e0, (t_lo, t_hi),
-            threshold=2.0 * rho,
-        )
-        lo, hi = wilson_interval(stats.exceed_count, n)
+        _, nodes, _ = _simulate_paths(p.with_eps(eps), hist, cfg, range(n))
+        exceed = int(np.count_nonzero(_deviations(nodes, e0[None, :], mask)[1] >= 2.0 * rho))
+        del nodes  # spent: no (n_nodes, n) array outlives its row
+        lo, hi = wilson_interval(exceed, n)
         table.rows.append(
             ConcentrationRow(
                 eps=float(eps), rho=float(rho), t_lo=t_lo, t_hi=t_hi, n=n,
-                exceed=stats.exceed_count, p_hat=stats.exceed_count / n,
-                ci_lo=lo, ci_hi=hi,
+                exceed=exceed, p_hat=exceed / n, ci_lo=lo, ci_hi=hi,
             )
         )
     return table

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -168,7 +169,7 @@ class TestInvariantRegion:
         states = np.tile([0.5, 1.0, 2.0], (6, 1))
         for node, k, value in changes:
             states[node, k] = value
-        traj = dde.Trajectory(t0=0.25, h=0.1, states=states, derivs=np.zeros_like(states))
+        traj = dde.Trajectory(h=0.1, states=states, derivs=np.zeros_like(states))
         found = monitor_region(traj, _BOX)
         assert found == _loop_monitor(traj, _BOX)
         assert (found and found.component) == component
@@ -186,6 +187,23 @@ class TestDecayFit:
         envelope = fit.prefactor * np.exp(-eta * traj_star.times)
         assert np.all(dist <= envelope * (1 + 1e-12))
         assert fit.bound_residual <= 1e-12
+
+    def test_envelope_past_exp_overflow(self):
+        # e^{eta t} overflows past t = 709/eta = 1418 and the distance
+        # underflows to 0 past t = 745/0.51 = 1461; the envelope is c at t = 0
+        eta, rate, c = 0.5, 0.51, 2.0
+        h = 0.5
+        times = h * np.arange(3201)  # to t = 1600
+        states = np.zeros((len(times), 3))
+        states[:, 0] = c * np.exp(-rate * times)
+        traj = dde.Trajectory(h=h, states=states, derivs=np.zeros_like(states))
+        assert np.any(states[:, 0] == 0.0) and np.any(states[times > 1418.0, 0] > 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_decay(traj, np.zeros(3), window=(1.0, 20.0), eta=eta)
+        assert fit.prefactor == c
+        assert math.isfinite(fit.bound_residual) and fit.bound_residual <= 0.0
+        assert fit.fitted_rate == pytest.approx(rate, rel=1e-9)
 
     def test_auto_window_is_usable(self, p_star, traj_star):
         e0 = equilibria.bacteria_free(p_star)

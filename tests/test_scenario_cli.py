@@ -373,6 +373,20 @@ class TestCli:
         assert "error:parse" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_empty_window_exits_before_any_path(self, tmp_path, capsys, monkeypatch):
+        doc = load_reference_doc()
+        doc["run"]["window"] = [10.001, 10.002]  # between the nodes 10 and 10 + 1/64
+        path = write_doc(tmp_path, doc)
+
+        def no_paths(*args):
+            raise AssertionError("the window is checked before any path is drawn")
+
+        monkeypatch.setattr(phagesim.sde, "_simulate_paths", no_paths)
+        code = cli.main(["simulate-sde", path, "--outdir", str(tmp_path / "out"),
+                         "--paths", "400"])
+        assert code == cli.EXIT_NUMERIC
+        assert "window [10.001, 10.002] contains no nodes" in capsys.readouterr().err
+
     def test_simulate_sde_single_path(self, tmp_path, capsys):
         code = cli.main(
             ["simulate-sde", REFERENCE_SCENARIO, "--outdir", str(tmp_path), "--paths", "1"]

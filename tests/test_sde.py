@@ -345,16 +345,6 @@ class TestEnsemble:
             se = math.sqrt(a.var(ddof=1) / len(a) + b.var(ddof=1) / len(b))
             assert abs(a.mean() - b.mean()) <= 3.0 * se
 
-    def test_threshold_counting(self, p_star, hist_standard):
-        det = dde.integrate(p_star, hist_standard, T=5.0, K=32)
-        cfg = PathConfig(seed=5, T=5.0, K=32)
-        stats = ensemble(
-            p_star.with_eps(0.01), hist_standard, cfg, 50, det, (0.0, 5.0),
-            threshold=0.0,
-        )
-        assert stats.exceed_count == 50  # every sup-deviation beats a zero threshold
-        assert stats.min_component >= -1e-6
-
     def test_guard_counters_reach_stats(self):
         # S starts at 1e-13 and strong noise on the Euler scheme overshoots
         # it: small undershoots are clamped, larger ones are counted
@@ -390,13 +380,11 @@ class TestEnsemble:
                 dev = np.abs(nodes - ref[:, :, None]).max(axis=1)
                 mask = (times >= 1.0 - 1e-12) & (times <= 4.0 + 1e-12)
                 sup_devs = dev[mask].max(axis=0)
-                threshold = float(np.median(sup_devs))
-                stats = ensemble(p, hist, cfg, n, reference, (1.0, 4.0), threshold=threshold)
+                stats = ensemble(p, hist, cfg, n, reference, (1.0, 4.0))
                 assert np.array_equal(stats.mean, nodes.mean(axis=2))
                 assert np.array_equal(stats.sup_devs, sup_devs)
                 assert np.array_equal(stats.dev_p50, np.percentile(dev, 50.0, axis=1))
                 assert np.array_equal(stats.dev_p95, np.percentile(dev, 95.0, axis=1))
-                assert stats.exceed_count == np.count_nonzero(sup_devs >= threshold)
                 if n == 1:
                     assert np.array_equal(stats.dev_p50, dev[:, 0])
 
@@ -411,6 +399,21 @@ class TestEnsemble:
         monkeypatch.setattr(sde, "_simulate_paths", no_paths)
         with pytest.raises(ConfigurationError):
             ensemble(p_star.with_eps(0.01), hist_standard, cfg, 2, det, (0.0, 5.0))
+
+    def test_empty_window_rejected_before_any_path(self, p_star, hist_standard, monkeypatch):
+        # h = 1/64: the nodes next to the window are 10 and 10.015625
+        cfg = PathConfig(seed=5, T=50.0, K=64)
+        det = dde.integrate(p_star, hist_standard, T=50.0, K=64)
+
+        def no_paths(*args):
+            raise AssertionError("the window is checked before any path is drawn")
+
+        monkeypatch.setattr(sde, "_simulate_paths", no_paths)
+        for reference in (det, equilibria.bacteria_free(p_star)):
+            with pytest.raises(ConfigurationError,
+                               match=r"window \[10.001, 10.002\] contains no nodes"):
+                ensemble(p_star.with_eps(0.01), hist_standard, cfg, 400, reference,
+                         (10.001, 10.002))
 
     def test_empty_window_rejected(self, p_star, hist_standard):
         cfg = PathConfig(seed=5, T=5.0, K=32)
@@ -480,6 +483,28 @@ class TestConcentrationExperiment:
             assert 0.0 <= r.ci_lo <= r.p_hat <= r.ci_hi <= 1.0
             assert r.t_lo < r.t_hi
             assert r.n == 60
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_exceedances_equal_fresh_sups(self, p_conc, hist_conc, scheme):
+        # the count reduces the nodes in place; pin it to |nodes - E0| built in
+        # fresh arrays from the same paths
+        n, rho, K, seed = 40, 0.05, 32, 7
+        table = concentration_experiment(
+            p_conc, hist_conc, [0.025, 0.02], rho=rho, kappa1=1.2, kappa2=2.0,
+            n=n, seed=seed, K=K, scheme=scheme,
+        )
+        e0 = equilibria.bacteria_free(p_conc)
+        for r in table.rows:
+            cfg = PathConfig(seed=seed, T=r.t_hi, K=K, scheme=scheme)
+            times, nodes, guard = _simulate_paths(
+                p_conc.with_eps(r.eps), hist_conc, cfg, list(range(n))
+            )
+            dev = np.abs(nodes - e0[None, :, None]).max(axis=1)
+            window = (times >= r.t_lo - 1e-12) & (times <= r.t_hi + 1e-12)
+            assert r.exceed == np.count_nonzero(dev[window].max(axis=0) >= 2.0 * rho)
+            assert guard.min_component >= -1e-6
+        # a row strictly inside (0, n) shows a count, not a saturated one
+        assert any(0 < r.exceed < n for r in table.rows)
 
     def test_slope_requires_two_nonzero_rows(self, p_conc, hist_conc):
         table = concentration_experiment(
