@@ -289,9 +289,8 @@ def fit_decay(traj, e0, window, eta):
         )
     slope, _ = np.polyfit(times[mask], np.log(dist[mask]), 1)
     fitted_rate = -float(slope)
-    # the sup in log space, where e^{eta t} cannot overflow; the product is
-    # formed only at the nodes within 1e-9 of the top, far more than rounding,
-    # so a finite prefactor keeps the bits of the max over all nodes
+    # the sup in log space, where e^{eta t} cannot overflow; the products at the nodes
+    # within 1e-9 of the top (far above rounding) hold the bits of the max over all
     alive = np.nonzero(dist > 0.0)[0]
     log_env = np.log(dist[alive]) + eta * times[alive]
     top = alive[log_env >= log_env.max() - 1e-9]

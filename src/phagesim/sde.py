@@ -104,6 +104,8 @@ def _simulate_paths(p, hist, cfg, path_indices):
     h = p.tau / cfg.K
     n_steps = dde.step_count(cfg.T, h)
     n_paths = len(path_indices)
+    if n_paths < 1:
+        raise DomainError("need at least one path")
     K = cfg.K
 
     dw = np.empty((n_steps, 2, n_paths))
@@ -249,8 +251,6 @@ def ensemble(p, hist, cfg, n, reference, window):
     statistic is the sup over window nodes of the largest componentwise
     deviation.
     """
-    if n < 1:
-        raise DomainError("need at least one path")
     h = p.tau / cfg.K
     mask = _window_mask(cfg.T, h, window)
     if isinstance(reference, dde.Trajectory):

@@ -470,6 +470,11 @@ class TestConcentrationExperiment:
                 p_conc, hist_conc, [0.05], rho=1e6, kappa1=1.2, kappa2=2.0,
                 n=10, seed=0,
             )
+        with pytest.raises(DomainError, match="need at least one path"):
+            concentration_experiment(
+                p_conc, hist_conc, [0.05], rho=0.05, kappa1=1.2, kappa2=2.0,
+                n=0, seed=0,
+            )
 
     def test_small_run_structure(self, p_conc, hist_conc):
         table = concentration_experiment(
