@@ -9,12 +9,8 @@ from .errors import DomainError, PhagesimError
 
 
 def _fmt(value):
-    if type(value) is float:
+    if isinstance(value, float):
         return format(value, ".17g")
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
     return str(value)
 
 
@@ -61,10 +57,8 @@ def write_trajectory(traj, path, dense_dt=None):
 
 def write_ensemble(stats, path):
     header = ["t", "mean_S", "mean_I", "mean_Q", "dev_p50", "dev_p95"]
-    rows = (
-        (t, m[0], m[1], m[2], p50, p95)
-        for t, m, p50, p95 in zip(stats.times, stats.mean, stats.dev_p50, stats.dev_p95)
-    )
+    columns = (stats.times, stats.mean, stats.dev_p50, stats.dev_p95)
+    rows = ((t, *m, p50, p95) for t, m, p50, p95 in zip(*(c.tolist() for c in columns)))
     write_csv(header, rows, path)
 
 

@@ -19,6 +19,7 @@ CLAMP_TOL = 1e-12  # undershoot treated as floating-point dust
 HARD_NEG = -1e-6  # beyond this the run is declared invalid
 REGION_ATOL = 1e-9  # how far a node may sit outside the invariant box
 AUTO_WINDOW = (0.25, 0.75)  # the fitting window, as fractions of the last resolved time
+DIST_FLOOR = 1e-12  # a distance to the equilibrium at or below this is rounding, not decay
 
 
 def step_count(T, h):
@@ -272,8 +273,10 @@ def distances(traj, target):
 def fit_decay(traj, e0, window, eta):
     """Least-squares decay rate over a window plus the tight envelope prefactor.
 
-    The prefactor is sup over all nodes of |Z(t)-E0| e^{eta t}, so the
-    exponential bound holds with equality somewhere on the trajectory.
+    The prefactor is sup of |Z(t)-E0| e^{eta t} over the nodes above
+    DIST_FLOOR, so the exponential bound holds with equality at one of them;
+    past the floor the distance is rounding, whose product with e^{eta t}
+    would grow without bound.
     """
     t_a, t_b = window
     times = traj.times
@@ -289,13 +292,15 @@ def fit_decay(traj, e0, window, eta):
         )
     slope, _ = np.polyfit(times[mask], np.log(dist[mask]), 1)
     fitted_rate = -float(slope)
+    alive = np.nonzero(dist > DIST_FLOOR)[0]
+    if len(alive) == 0:
+        raise WindowError("trajectory sits on the equilibrium; no envelope to fit")
     # the sup in log space, where e^{eta t} cannot overflow; the products at the nodes
     # within 1e-9 of the top (far above rounding) hold the bits of the max over all
-    alive = np.nonzero(dist > 0.0)[0]
     log_env = np.log(dist[alive]) + eta * times[alive]
     top = alive[log_env >= log_env.max() - 1e-9]
     prefactor = float(np.max(dist[top] * np.exp(eta * times[top])))
-    bound_residual = float(np.max(dist - prefactor * np.exp(-eta * times)))
+    bound_residual = float(np.max(dist[alive] - prefactor * np.exp(-eta * times[alive])))
     return DecayFit(
         prefactor=prefactor,
         fitted_rate=fitted_rate,
@@ -309,7 +314,7 @@ def fit_decay(traj, e0, window, eta):
 def auto_window(traj, e0):
     """A fitting window clear of both the transient and distance underflow."""
     dist = distances(traj, e0)
-    alive = np.nonzero(dist > 1e-12)[0]
+    alive = np.nonzero(dist > DIST_FLOOR)[0]
     if len(alive) < 4:
         raise WindowError("trajectory sits on the equilibrium; no decay to fit")
     t_last = traj.times[alive[-1]]

@@ -1,9 +1,9 @@
 """Validation of the standing assumptions and the derived thresholds.
 
 Every inequality the analysis relies on is checked numerically for a given
-parameter/history pair; failures are reported with their raw margins
-(LHS - RHS of the inequality written so that "pass" means margin > 0, or
-margin >= 0 for the non-strict ones).
+parameter/history pair; failures are reported with their raw margins. The
+margin is signed so that "pass" means margin > 0 for a strict inequality and
+margin >= 0 for a non-strict one; `_check` is that rule.
 """
 
 import json
@@ -47,6 +47,17 @@ class CheckEntry:
         self.passed = bool(self.passed)
 
 
+def _check(entry_id, description, lhs, relation, rhs, informational=False):
+    """The entry for `lhs relation rhs`, relation one of >, >=, <, <=.
+
+    The margin is lhs - rhs for > and >=, rhs - lhs for < and <=; a strict
+    relation passes on margin > 0, a non-strict one on margin >= 0.
+    """
+    margin = lhs - rhs if relation in (">", ">=") else rhs - lhs
+    passed = margin > 0.0 if relation in (">", "<") else margin >= 0.0
+    return CheckEntry(entry_id, description, lhs, rhs, margin, passed, informational)
+
+
 @dataclass
 class ValidationReport:
     entries: list = field(default_factory=list)
@@ -54,12 +65,6 @@ class ValidationReport:
     @property
     def passed(self):
         return all(e.passed for e in self.entries if not e.informational)
-
-    def entry(self, entry_id):
-        for e in self.entries:
-            if e.id == entry_id:
-                return e
-        raise KeyError(entry_id)
 
     def failing_ids(self):
         return [e.id for e in self.entries if not e.informational and not e.passed]
@@ -163,33 +168,25 @@ def check_sigma(sigma):
     # alone exceeds 1e-6
     fd_bound = 1e-6 + 4.0 * float(np.spacing(m + 2.0)) / (2.0 * _SCAN_STEP)
 
-    entries = [
+    # Not _check entries: the identity margin is -err, which is -0.0 on a pass
+    # where 0.0 - err would be +0.0, and its verdict fails on a NaN in either
+    # error; the other two verdicts join several conditions.
+    err = max(identity_err, plateau_err)
+    return [
         CheckEntry(
-            "sigma-identity",
-            "sigma(x) = x on [0, M] and sigma = M+1 past M+1 (max abs error)",
-            max(identity_err, plateau_err),
-            0.0,
-            -max(identity_err, plateau_err),
-            identity_err == 0.0 and plateau_err == 0.0,
+            "sigma-identity", "sigma(x) = x on [0, M] and sigma = M+1 past M+1 (max abs error)",
+            err, 0.0, -err, identity_err == 0.0 and plateau_err == 0.0,
         ),
         CheckEntry(
-            "sigma-monotone",
-            "sigma nondecreasing on a dense grid (min forward difference)",
-            mono_margin,
-            0.0,
-            mono_margin,
-            mono_margin >= 0.0 and prime_min >= 0.0,
+            "sigma-monotone", "sigma nondecreasing on a dense grid (min forward difference)",
+            mono_margin, 0.0, mono_margin, mono_margin >= 0.0 and prime_min >= 0.0,
         ),
         CheckEntry(
-            "sigma-slope",
-            "0 <= sigma' <= 1.9 on [0, M+2], agreeing with finite differences",
-            prime_max,
-            1.9,
-            1.9 - prime_max,
+            "sigma-slope", "0 <= sigma' <= 1.9 on [0, M+2], agreeing with finite differences",
+            prime_max, 1.9, 1.9 - prime_max,
             prime_min >= 0.0 and prime_max <= 1.9 and fd_err <= fd_bound,
         ),
     ]
-    return entries
 
 
 def _simpson(f, a, b, n):
@@ -217,14 +214,9 @@ def required_initial_mass(hist, p):
 
 def check_initial_mass(hist, p):
     """Initial infected mass must cover the pre-history lysis debt."""
-    required = required_initial_mass(hist, p)
-    return CheckEntry(
-        "infected-mass",
-        "I0 >= k1 e^{-mu tau} int sigma(Q0) S0",
-        hist.i0,
-        required,
-        hist.i0 - required,
-        hist.i0 >= required,
+    return _check(
+        "infected-mass", "I0 >= k1 e^{-mu tau} int sigma(Q0) S0",
+        hist.i0, ">=", required_initial_mass(hist, p),
     )
 
 
@@ -232,7 +224,6 @@ def check_delay_hypotheses(hist, p):
     """The four initial-condition clauses, each as a worst-case margin over [-tau, 0]."""
     if p.m * p.M <= p.d:
         raise PreconditionError("delay hypotheses need m*M > d")
-    nu = compute_nu(p)
     region = invariant_region(p)
     ts = np.linspace(-hist.tau, 0.0, _REFINE * (len(hist.grid) - 1) + 1)
     s0, q0 = hist.s(ts), hist.q(ts)
@@ -243,54 +234,26 @@ def check_delay_hypotheses(hist, p):
         float(p.M - s0.max()),
         hist.i0,
         p.M - hist.i0,
-        float(q0.min()) - nu,
+        float(q0.min()) - region.q_min,
         float(p.M - q0.max()),
     )
     pressure = (p.m * br + p.k2 * (p.m * p.M - p.d)) * q0 * s0
-    dose_pull = p.d * p.mu * hist.s(0.0)
-    entries = [
-        CheckEntry(
-            "init-region",
-            "(S0(t), I0, Q0(t)) in R0 = [0,M] x [0,M] x [nu, M]",
-            region_margin,
-            0.0,
-            region_margin,
-            region_margin >= 0.0,
+    return [
+        _check(
+            "init-region", "(S0(t), I0, Q0(t)) in R0 = [0,M] x [0,M] x [nu, M]",
+            region_margin, ">=", 0.0,
         ),
-        CheckEntry(
-            "phage-pressure",
-            "(m b e^{-mu tau} mu + k2(mM-d)) Q0(t) S0(t) > d mu S0(0)",
-            float(pressure.min()),
-            dose_pull,
-            float(pressure.min()) - dose_pull,
-            float(pressure.min()) > dose_pull,
+        _check(
+            "phage-pressure", "(m b e^{-mu tau} mu + k2(mM-d)) Q0(t) S0(t) > d mu S0(0)",
+            float(pressure.min()), ">", p.d * p.mu * hist.s(0.0),
         ),
-        CheckEntry(
-            "burst-viability",
-            "b e^{-mu tau} > 1",
-            p.effective_burst,
-            1.0,
-            p.effective_burst - 1.0,
-            p.effective_burst > 1.0,
+        _check("burst-viability", "b e^{-mu tau} > 1", p.effective_burst, ">", 1.0),
+        _check(
+            "bacteria-cap", "S0(t) < (mM-d)/(k1 b e^{-mu tau} M)",
+            float(s0.max()), "<", region.s_max,
         ),
-        CheckEntry(
-            "bacteria-cap",
-            "S0(t) < (mM-d)/(k1 b e^{-mu tau} M)",
-            float(s0.max()),
-            region.s_max,
-            region.s_max - float(s0.max()),
-            float(s0.max()) < region.s_max,
-        ),
-        CheckEntry(
-            "infected-cap",
-            "I0 < (mM-d)/(b e^{-mu tau} mu)",
-            hist.i0,
-            region.i_max,
-            region.i_max - hist.i0,
-            hist.i0 < region.i_max,
-        ),
+        _check("infected-cap", "I0 < (mM-d)/(b e^{-mu tau} mu)", hist.i0, "<", region.i_max),
     ]
-    return entries
 
 
 def check_dose(p):
@@ -298,21 +261,11 @@ def check_dose(p):
     br = _burst_rate(p)
     threshold = (p.alpha * p.m / p.k1) * (br + p.k2 * (p.M - p.d / p.m)) / br
     entries = [
-        CheckEntry(
-            "dose-capacity",
-            "d/m < M",
-            p.d / p.m,
-            p.M,
-            p.M - p.d / p.m,
-            p.d / p.m < p.M,
-        ),
-        CheckEntry(
+        _check("dose-capacity", "d/m < M", p.d / p.m, "<", p.M),
+        _check(
             "dose-threshold",
             "d > (alpha m / k1)(b e^{-mu tau} mu + k2(M - d/m))/(b e^{-mu tau} mu)",
-            p.d,
-            threshold,
-            p.d - threshold,
-            p.d > threshold,
+            p.d, ">", threshold,
         ),
     ]
     # Derived chain alpha/k1 < nu < d/m < M; reported, not a hypothesis itself.
@@ -320,14 +273,9 @@ def check_dose(p):
         nu = compute_nu(p)
         chain = min(nu - p.alpha / p.k1, p.d / p.m - nu, p.M - p.d / p.m)
         entries.append(
-            CheckEntry(
-                "dose-chain",
-                "derived chain alpha/k1 < nu < d/m < M",
-                chain,
-                0.0,
-                chain,
-                chain > 0.0,
-                informational=True,
+            _check(
+                "dose-chain", "derived chain alpha/k1 < nu < d/m < M",
+                chain, ">", 0.0, informational=True,
             )
         )
     return entries
@@ -341,15 +289,10 @@ def validate(p, hist):
     if p.m * p.M > p.d:
         report.entries.extend(check_delay_hypotheses(hist, p))
     else:
-        report.entries.append(
-            CheckEntry(
-                "init-clauses",
-                "delay hypotheses unevaluable: m*M <= d breaks the region definition",
-                p.m * p.M,
-                p.d,
-                p.m * p.M - p.d,
-                False,
-            )
-        )
+        # always a failure, so not a _check entry
+        report.entries.append(CheckEntry(
+            "init-clauses", "delay hypotheses unevaluable: m*M <= d breaks the region definition",
+            p.m * p.M, p.d, p.m * p.M - p.d, False,
+        ))
     report.entries.extend(check_dose(p))
     return report

@@ -2,24 +2,21 @@
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Optional
 
 from . import dde
 from .errors import ScenarioError
 from .history import DEFAULT_GRID, History
-from .model import Parameters
+from .model import _POSITIVE, Parameters
 from .sde import SCHEME_HEUN, SCHEMES
 
-_PARAM_KEYS = {"alpha", "k1", "k2", "d", "m", "b", "mu", "tau", "M", "eps"}
+_PARAM_KEYS = {f.name for f in fields(Parameters)}
+_REQUIRED_PARAMS = [f.name for f in fields(Parameters) if f.default is MISSING]
 _HISTORY_KEYS = {
     "constant": {"preset", "s0", "q0", "i0", "n_grid"},
     "zero-phage": {"preset", "s0", "i0", "n_grid"},
     "table": {"preset", "s", "q", "i0"},
-}
-_RUN_KEYS = {
-    "T", "K", "n", "seed", "eps_list", "rho", "kappa1", "kappa2",
-    "scheme", "outdir", "window",
 }
 _TOP_KEYS = {"parameters", "history", "run"}
 
@@ -41,6 +38,9 @@ class RunSettings:
     scheme: str = SCHEME_HEUN
     outdir: str = "out"
     window: Optional[list] = None
+
+
+_RUN_KEYS = {f.name for f in fields(RunSettings)}
 
 
 @dataclass
@@ -113,11 +113,11 @@ def from_dict(doc):
 
     params = doc["parameters"]
     _reject_unknown(params, _PARAM_KEYS, "parameters")
-    _require(params, sorted(_PARAM_KEYS - {"eps"}), "parameters")
+    _require(params, _REQUIRED_PARAMS, "parameters")
     kwargs = {}
     for key in _PARAM_KEYS:
         if key in params:
-            strict = key not in ("k2", "eps")
+            strict = key in _POSITIVE
             kwargs[key] = _number(params, key, "parameters", minimum=0.0, strict=strict)
     try:
         parameters = Parameters(**kwargs)

@@ -205,6 +205,23 @@ class TestDecayFit:
         assert math.isfinite(fit.bound_residual) and fit.bound_residual <= 0.0
         assert fit.fitted_rate == pytest.approx(rate, rel=1e-9)
 
+    def test_envelope_ignores_the_rounding_floor(self, p_star, hist_standard, traj_star):
+        # from t = 184.6 on |Z - E0| stays at 1.1e-13 (Q rounds 32 ulps off d/m);
+        # times e^{eta t} that floor would set c to about 1e-13 e^{0.2 T}
+        e0 = equilibria.bacteria_free(p_star)
+        eta = equilibria.stability_at_e0(p_star).eta
+        long = integrate(p_star, hist_standard, T=400.0, K=64)
+        assert distances(long, e0)[-1] <= dde.DIST_FLOOR
+        fit = fit_decay(long, e0, window=(10.0, 40.0), eta=eta)
+        assert fit.prefactor == fit_decay(traj_star, e0, window=(10.0, 40.0), eta=eta).prefactor
+        assert fit.bound_residual <= 1e-12
+
+    def test_envelope_needs_a_node_above_the_floor(self):
+        states = np.full((20, 3), 0.5 * dde.DIST_FLOOR)
+        traj = dde.Trajectory(h=0.5, states=states, derivs=np.zeros_like(states))
+        with pytest.raises(WindowError, match="no envelope"):
+            fit_decay(traj, np.zeros(3), window=(1.0, 5.0), eta=0.2)
+
     def test_auto_window_is_usable(self, p_star, traj_star):
         e0 = equilibria.bacteria_free(p_star)
         lo, hi = auto_window(traj_star, e0)

@@ -295,3 +295,140 @@ class TestFullReport:
                 nu = compute_nu(p)
                 assert p.alpha / p.k1 < nu < p.d / p.m < p.M
         assert found > 5
+
+
+def _written_out(p, hist):
+    """The nine entries with the margin and verdict of each inequality written out by hand.
+
+    Keyed by id: (lhs, rhs, margin, passed), the oracle for `hypotheses._check`.
+    """
+    br = p.effective_burst * p.mu
+    required = hypotheses.required_initial_mass(hist, p)
+    threshold = (p.alpha * p.m / p.k1) * (br + p.k2 * (p.M - p.d / p.m)) / br
+    out = {
+        "infected-mass": (hist.i0, required, hist.i0 - required, hist.i0 >= required),
+        "dose-capacity": (p.d / p.m, p.M, p.M - p.d / p.m, p.d / p.m < p.M),
+        "dose-threshold": (p.d, threshold, p.d - threshold, p.d > threshold),
+    }
+    if p.m * p.M <= p.d:
+        return out
+    nu = compute_nu(p)
+    region = invariant_region(p)
+    ts = np.linspace(-hist.tau, 0.0, hypotheses._REFINE * (len(hist.grid) - 1) + 1)
+    s0, q0 = hist.s(ts), hist.q(ts)
+    region_margin = min(
+        float(s0.min()), float(p.M - s0.max()), hist.i0, p.M - hist.i0,
+        float(q0.min()) - nu, float(p.M - q0.max()),
+    )
+    pressure = float(((p.m * br + p.k2 * (p.m * p.M - p.d)) * q0 * s0).min())
+    dose_pull = p.d * p.mu * hist.s(0.0)
+    s_top = float(s0.max())
+    burst = p.effective_burst
+    chain = min(nu - p.alpha / p.k1, p.d / p.m - nu, p.M - p.d / p.m)
+    out.update({
+        "init-region": (region_margin, 0.0, region_margin, region_margin >= 0.0),
+        "phage-pressure": (pressure, dose_pull, pressure - dose_pull, pressure > dose_pull),
+        "burst-viability": (burst, 1.0, burst - 1.0, burst > 1.0),
+        "bacteria-cap": (s_top, region.s_max, region.s_max - s_top, s_top < region.s_max),
+        "infected-cap": (hist.i0, region.i_max, region.i_max - hist.i0, hist.i0 < region.i_max),
+        "dose-chain": (chain, 0.0, chain, chain > 0.0),
+    })
+    return out
+
+
+@st.composite
+def _parameters_and_history(draw):
+    m = draw(st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0.2, 2.0))
+    M = draw(st.sampled_from([40.0, 100.0]) | st.floats(1.0, 300.0))
+    p = Parameters(
+        alpha=draw(st.floats(0.05, 1.0)), k1=draw(st.floats(0.01, 1.0)),
+        k2=draw(st.just(0.0) | st.floats(0.0, 0.2)), d=1.0, m=m,
+        b=draw(st.floats(0.5, 30.0)), mu=draw(st.floats(0.05, 0.8)),
+        tau=draw(st.floats(0.2, 3.0)), M=M,
+    )
+    dose = draw(st.sampled_from(["capacity", "minimal", "free"]))
+    if dose == "capacity":  # d/m == M exactly when m is a power of two
+        d = m * M
+    elif dose == "minimal":  # near the dose threshold, where most checks pass
+        d = hypotheses.minimal_dose(p) * draw(st.floats(0.98, 1.5))
+    else:
+        d = m * M * draw(st.floats(0.01, 1.5))
+    p = dataclasses.replace(p, d=d)
+
+    preset = draw(st.sampled_from(["constant", "zero-phage", "table"]))
+    s0 = draw(st.floats(0.0, 1.5))
+    q0 = draw(st.floats(0.0, 1.5 * min(M, d / m)))
+    if preset == "constant":
+        hist = History.constant(p.tau, s0, q0, 0.0, n_grid=draw(st.integers(3, 64)))
+    elif preset == "zero-phage":
+        hist = History.zero_phage(p.tau, s0, 0.0, n_grid=draw(st.integers(3, 64)))
+    else:
+        x = np.linspace(0.0, 1.0, draw(st.integers(4, 32)))
+        w = draw(st.floats(0.0, 6.0))
+        hist = History(p.tau, s0 * (1.0 + 0.5 * np.sin(w * x)), q0 * (1.0 + 0.5 * np.cos(w * x)), 0.0)
+    required = hypotheses.required_initial_mass(hist, p)
+    i0 = draw(st.sampled_from([0.0, required]) | st.floats(0.0, 2.0 * required + 1.0))
+    return p, History(p.tau, hist.s_samples, hist.q_samples, i0)
+
+
+def _entries(report):
+    return {e.id: e for e in report.entries}
+
+
+class TestMarginRule:
+    @pytest.mark.parametrize("relation, lhs, rhs, margin, passed", [
+        (">", 3.0, 1.0, 2.0, True), (">", 1.0, 1.0, 0.0, False), (">", 1.0, 3.0, -2.0, False),
+        (">=", 1.0, 1.0, 0.0, True), (">=", 1.0, 3.0, -2.0, False),
+        ("<", 1.0, 3.0, 2.0, True), ("<", 1.0, 1.0, 0.0, False), ("<", 3.0, 1.0, -2.0, False),
+        ("<=", 1.0, 1.0, 0.0, True), ("<=", 3.0, 1.0, -2.0, False),
+        (">", math.nan, 1.0, math.nan, False), ("<=", 1.0, math.nan, math.nan, False),
+    ])
+    def test_rule(self, relation, lhs, rhs, margin, passed):
+        e = hypotheses._check("x", "x", lhs, relation, rhs)
+        assert str((e.lhs, e.rhs, e.margin, e.passed)) == str((lhs, rhs, margin, passed))
+
+    @given(_parameters_and_history())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_written_out_inequalities(self, draw):
+        p, hist = draw
+        expected = _written_out(p, hist)
+        got = _entries(hypotheses.validate(p, hist))
+        assert expected.keys() <= got.keys()
+        for entry_id, (lhs, rhs, margin, passed) in expected.items():
+            e = got[entry_id]
+            # str keeps the sign of a zero margin
+            assert str((e.lhs, e.rhs, e.margin, e.passed)) == str(
+                (float(lhs), float(rhs), float(margin), bool(passed))
+            ), entry_id
+
+    @pytest.mark.parametrize("entry_id, passed", [
+        ("infected-mass", True), ("init-region", True), ("phage-pressure", False),
+        ("burst-viability", False), ("bacteria-cap", False), ("infected-cap", False),
+        ("dose-capacity", False), ("dose-threshold", False), ("dose-chain", False),
+    ])
+    def test_equality_sits_on_the_strictness(self, p_star, entry_id, passed):
+        # each case makes its inequality hold with equality: the margin is +0.0,
+        # and only a non-strict inequality passes
+        p, s0, q0, i0 = p_star, 0.5, 10.0, 1.0
+        if entry_id == "init-region":
+            s0 = 0.0
+        elif entry_id == "phage-pressure":  # both sides are 0 with no bacteria
+            s0 = q0 = 0.0
+        elif entry_id == "burst-viability":  # e^{-mu tau} rounds to 1
+            p = dataclasses.replace(p, b=1.0, mu=1e-9, tau=1e-9)
+        elif entry_id == "bacteria-cap":
+            s0 = invariant_region(p).s_max
+        elif entry_id == "infected-cap":
+            i0 = invariant_region(p).i_max
+        elif entry_id == "dose-capacity":
+            p = dataclasses.replace(p, d=p.m * p.M)
+        elif entry_id == "dose-threshold":  # alpha m / k1 = 1 and k2 = 0 give threshold 1
+            p = dataclasses.replace(p, alpha=1.0, k1=1.0, k2=0.0, d=1.0)
+        elif entry_id == "dose-chain":  # k2 = 0 and power-of-two d, m give nu = d/m
+            p = dataclasses.replace(p, alpha=0.1, k1=0.1, k2=0.0, d=4.0)
+        hist = History.constant(p.tau, s0, q0, i0)
+        if entry_id == "infected-mass":
+            hist = History.constant(p.tau, s0, q0, hypotheses.required_initial_mass(hist, p))
+        e = _entries(hypotheses.validate(p, hist))[entry_id]
+        assert e.lhs == e.rhs
+        assert str((e.margin, e.passed)) == str((0.0, passed))
