@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 2 hypothesis validation failure, 3 numeric
 divergence/positivity failure, 4 IO or scenario parse error, or a run too
-large for the memory available (such as a huge path count).
+large for the memory available (such as a huge path count). No run takes
+more than dde.MAX_STEPS = 10**6 steps of tau/K: a longer run.T exits 4 when
+parsed, and a longer horizon that mc-concentration derives exits 3 before any path.
 """
 
 import argparse
@@ -29,7 +31,7 @@ EXIT_IO = 4
 
 def _load(args):
     sc = parse_scenario(args.scenario)
-    return sc, sc.parameters, sc.history()
+    return sc, sc.parameters, sc.history
 
 
 def _outpath(sc, args, name):

@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DivergenceError, DomainError, PositivityError, WindowError
+from .errors import ConfigurationError, DivergenceError, DomainError, PositivityError, WindowError
 from .model import SigmaFn, _influx, _rates
 
 BLOWUP_LIMIT = 1e12
@@ -20,11 +20,21 @@ HARD_NEG = -1e-6  # beyond this the run is declared invalid
 REGION_ATOL = 1e-9  # how far a node may sit outside the invariant box
 AUTO_WINDOW = (0.25, 0.75)  # the fitting window, as fractions of the last resolved time
 DIST_FLOOR = 1e-12  # a distance to the equilibrium at or below this is rounding, not decay
+# Steps of tau/K a run may take to reach T; at 4-8 us and 440 bytes a dde
+# step, `simulate` at the limit takes about 15 s and 0.5 GB (docs/scenario-schema.md)
+MAX_STEPS = 10**6
 
 
-def step_count(T, h):
-    """Steps of size h that reach T; a T within 1e-9 steps of a node ends there."""
-    return max(1, math.ceil(T / h - 1e-9))
+def step_count(T, tau, K):
+    """Steps of tau/K reaching T, at most MAX_STEPS; a T within 1e-9 steps of a node ends there."""
+    try:
+        n_steps = max(1, math.ceil(T / (tau / K) - 1e-9))
+    except OverflowError:  # T/h is infinite, or K is too large for a float
+        n_steps = math.inf
+    if n_steps > MAX_STEPS:
+        raise ConfigurationError(f"T = {T:g} at tau/K = {tau:g}/{K} needs {n_steps:.7g} "
+                                 f"steps; the limit is {MAX_STEPS} steps")
+    return n_steps
 
 
 @dataclass
@@ -147,7 +157,7 @@ def integrate(p, hist, T, K):
 
     tau = p.tau
     h = tau / K
-    n_steps = step_count(T, h)
+    n_steps = step_count(T, tau, K)
     guard = _Guard()
     ka = p.k1 * p.attenuation  # the lysis influx is ka * sigma(Q) * S, as in model._influx
 

@@ -1,17 +1,22 @@
-"""Scenario files: a strict JSON schema tying parameters, history and run settings."""
+"""Scenario files: a strict JSON schema tying parameters, history and run settings.
+
+The dataclass fields are the schema: `from_dict` checks them in declaration
+order, each number by `_number` against its rule (integer, minimum, strict,
+maximum), which a run field carries beside its default.
+"""
 
 import json
-import math
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Optional
 
 from . import dde
-from .errors import ScenarioError
+from .errors import ConfigurationError, ScenarioError
 from .history import DEFAULT_GRID, History
 from .model import _POSITIVE, Parameters
 from .sde import SCHEME_HEUN, SCHEMES
 
-_PARAM_KEYS = {f.name for f in fields(Parameters)}
+_PARAM_KEYS = tuple(f.name for f in fields(Parameters))
+_PARAM_RULES = {key: (False, 0.0, key in _POSITIVE, None) for key in _PARAM_KEYS}
 _REQUIRED_PARAMS = [f.name for f in fields(Parameters) if f.default is MISSING]
 _HISTORY_KEYS = {
     "constant": {"preset", "s0", "q0", "i0", "n_grid"},
@@ -20,27 +25,25 @@ _HISTORY_KEYS = {
 }
 _TOP_KEYS = {"parameters", "history", "run"}
 
-# Steps of tau/K a run may take to reach T; at 4-8 us and 440 bytes a dde
-# step, `simulate` at the limit takes about 15 s and 0.5 GB (docs/scenario-schema.md)
-MAX_STEPS = 10**6
-
 
 @dataclass
 class RunSettings:
-    T: float = 50.0
-    K: int = 64
-    n: int = 400
-    seed: int = 0
+    # a number's rule for `_number`: (integer, minimum, strict, maximum)
+    T: float = field(default=50.0, metadata={"rule": (False, 0.0, True, None)})
+    K: int = field(default=64, metadata={"rule": (True, 8, False, None)})
+    n: int = field(default=400, metadata={"rule": (True, 1, False, None)})
+    # sde.path_normals keys the noise streams on 64 bits of the seed
+    seed: int = field(default=0, metadata={"rule": (True, 0, False, 2**64 - 1)})
     eps_list: list = field(default_factory=lambda: [0.05, 0.02, 0.01])
-    rho: float = 0.05
-    kappa1: float = 1.2
-    kappa2: float = 2.0
+    rho: float = field(default=0.05, metadata={"rule": (False, 0.0, True, None)})
+    kappa1: float = field(default=1.2, metadata={"rule": (False, 1.0, True, None)})
+    kappa2: float = field(default=2.0, metadata={"rule": (False, 1.0, True, None)})
     scheme: str = SCHEME_HEUN
     outdir: str = "out"
     window: Optional[list] = None
 
 
-_RUN_KEYS = {f.name for f in fields(RunSettings)}
+_RUN_KEYS = tuple(f.name for f in fields(RunSettings))
 
 
 @dataclass
@@ -48,24 +51,7 @@ class Scenario:
     parameters: Parameters
     history_spec: dict
     run: RunSettings
-
-    def history(self):
-        spec = self.history_spec
-        tau = self.parameters.tau
-        preset = spec["preset"]
-        try:
-            if preset == "constant":
-                return History.constant(
-                    tau, spec["s0"], spec["q0"], spec["i0"],
-                    n_grid=spec.get("n_grid", DEFAULT_GRID),
-                )
-            if preset == "zero-phage":
-                return History.zero_phage(
-                    tau, spec["s0"], spec["i0"], n_grid=spec.get("n_grid", DEFAULT_GRID)
-                )
-            return History(tau, spec["s"], spec["q"], spec["i0"])
-        except Exception as exc:  # surface numeric validation as a scenario problem
-            raise ScenarioError(f"invalid history: {exc}") from exc
+    history: History  # built from history_spec when the scenario is parsed
 
     def to_dict(self):
         return {
@@ -80,8 +66,25 @@ class Scenario:
             fh.write("\n")
 
 
+def _history(spec, tau):
+    """The History of a checked spec; a value it refuses makes the history invalid."""
+    n_grid = spec.get("n_grid", DEFAULT_GRID)
+    try:
+        if spec["preset"] == "constant":
+            return History.constant(tau, spec["s0"], spec["q0"], spec["i0"], n_grid=n_grid)
+        if spec["preset"] == "zero-phage":
+            return History.zero_phage(tau, spec["s0"], spec["i0"], n_grid=n_grid)
+        return History(tau, spec["s"], spec["q"], spec["i0"])
+    # OverflowError: a table sample past the float range. A MemoryError is no
+    # fault of the history and reaches the CLI's resource handler.
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise ScenarioError(f"invalid history: {exc}") from exc
+
+
 def _reject_unknown(given, allowed, where):
-    unknown = sorted(set(given) - allowed)
+    if not isinstance(given, dict):
+        raise ScenarioError(f"{where} must be an object, got {type(given).__name__}")
+    unknown = sorted(set(given).difference(allowed))
     if unknown:
         raise ScenarioError(f"unknown key(s) in {where}: {', '.join(unknown)}")
 
@@ -92,17 +95,25 @@ def _require(mapping, keys, where):
         raise ScenarioError(f"missing key(s) in {where}: {', '.join(missing)}")
 
 
-def _number(mapping, key, where, *, integer=False, minimum=None, strict=False):
-    value = mapping[key]
+def _number(value, name, rule):
+    """`value` as an int or float, checked against rule = (integer, minimum, strict, maximum)."""
+    integer, minimum, strict, maximum = rule
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{where}.{key} must be a number, got {value!r}")
-    if integer and int(value) != value:
-        raise ScenarioError(f"{where}.{key} must be an integer, got {value!r}")
+        raise ScenarioError(f"{name} must be a number, got {value!r}")
+    # inf and NaN are no integers
+    if integer and isinstance(value, float) and not value.is_integer():
+        raise ScenarioError(f"{name} must be an integer, got {value!r}")
+    try:
+        number = int(value) if integer else float(value)
+    except OverflowError:  # an int past the float range
+        raise ScenarioError(f"{name} must be a finite number, got {value!r}") from None
     # written so that NaN fails too
-    if minimum is not None and not (value > minimum if strict else value >= minimum):
+    if minimum is not None and not (number > minimum if strict else number >= minimum):
         cmp = ">" if strict else ">="
-        raise ScenarioError(f"{where}.{key} must be {cmp} {minimum}, got {value!r}")
-    return int(value) if integer else float(value)
+        raise ScenarioError(f"{name} must be {cmp} {minimum}, got {value!r}")
+    if maximum is not None and not number <= maximum:
+        raise ScenarioError(f"{name} must be <= {maximum}, got {value!r}")
+    return number
 
 
 def from_dict(doc):
@@ -114,11 +125,8 @@ def from_dict(doc):
     params = doc["parameters"]
     _reject_unknown(params, _PARAM_KEYS, "parameters")
     _require(params, _REQUIRED_PARAMS, "parameters")
-    kwargs = {}
-    for key in _PARAM_KEYS:
-        if key in params:
-            strict = key in _POSITIVE
-            kwargs[key] = _number(params, key, "parameters", minimum=0.0, strict=strict)
+    kwargs = {key: _number(params[key], f"parameters.{key}", rule)
+              for key, rule in _PARAM_RULES.items() if key in params}
     try:
         parameters = Parameters(**kwargs)
     except Exception as exc:
@@ -128,79 +136,55 @@ def from_dict(doc):
     if not isinstance(hist, dict) or "preset" not in hist:
         raise ScenarioError("history must be an object with a 'preset' key")
     preset = hist["preset"]
-    if preset not in _HISTORY_KEYS:
+    if not isinstance(preset, str) or preset not in _HISTORY_KEYS:
         raise ScenarioError(
             f"unknown history preset {preset!r}; choose from {sorted(_HISTORY_KEYS)}"
         )
     _reject_unknown(hist, _HISTORY_KEYS[preset], "history")
-    required = _HISTORY_KEYS[preset] - {"n_grid"}
-    _require(hist, sorted(required - {"preset"}), "history")
-    for key in hist:
-        if key in ("preset", "s", "q"):
-            continue
-        _number(hist, key, "history", integer=(key == "n_grid"), minimum=0.0)
+    _require(hist, sorted(_HISTORY_KEYS[preset] - {"preset", "n_grid"}), "history")
+    checked = {key: value if key in ("preset", "s", "q") else
+               _number(value, f"history.{key}", (key == "n_grid", 0.0, False, None))
+               for key, value in hist.items()}
 
     run_doc = doc.get("run", {})
     _reject_unknown(run_doc, _RUN_KEYS, "run")
     run = RunSettings()
-    if "T" in run_doc:
-        run.T = _number(run_doc, "T", "run", minimum=0.0, strict=True)
-    if "K" in run_doc:
-        run.K = _number(run_doc, "K", "run", integer=True, minimum=8)
+    for f in fields(RunSettings):
+        if f.name not in run_doc:
+            continue
+        value = run_doc[f.name]
+        if f.metadata:
+            value = _number(value, f"run.{f.name}", f.metadata["rule"])
+        elif f.name == "eps_list":
+            if not isinstance(value, list) or not value:
+                raise ScenarioError("run.eps_list must be a nonempty list of numbers")
+            value = [_number(e, "run.eps_list.e", (False, 0.0, False, None)) for e in value]
+        elif f.name == "scheme" and value not in SCHEMES:
+            raise ScenarioError(f"run.scheme must be one of {SCHEMES}")
+        elif f.name == "outdir" and not isinstance(value, str):
+            raise ScenarioError("run.outdir must be a string")
+        elif f.name == "window":
+            if not (isinstance(value, list) and len(value) == 2):
+                raise ScenarioError("run.window must be [t_a, t_b] with t_a < t_b")
+            value = [_number(v, f"run.window[{j}]", (False, None, False, None))
+                     for j, v in enumerate(value)]
+            if not value[0] < value[1]:
+                raise ScenarioError("run.window must be [t_a, t_b] with t_a < t_b")
+        setattr(run, f.name, value)
+
     try:
-        n_steps = dde.step_count(run.T, parameters.tau / run.K)
-    except OverflowError:  # T/h is infinite, or K is too large for a float
-        n_steps = math.inf
-    if n_steps > MAX_STEPS:
-        raise ScenarioError(
-            f"run.T = {run.T:g} at tau/K = {parameters.tau:g}/{run.K} needs {n_steps:.7g} "
-            f"steps; the limit is {MAX_STEPS} steps"
-        )
-    if "n" in run_doc:
-        run.n = _number(run_doc, "n", "run", integer=True, minimum=1)
-    if "seed" in run_doc:
-        run.seed = _number(run_doc, "seed", "run", integer=True, minimum=0)
-    if "eps_list" in run_doc:
-        eps_list = run_doc["eps_list"]
-        if not isinstance(eps_list, list) or not eps_list:
-            raise ScenarioError("run.eps_list must be a nonempty list of numbers")
-        run.eps_list = [
-            _number({"e": e}, "e", "run.eps_list", minimum=0.0) for e in eps_list
-        ]
-    if "rho" in run_doc:
-        run.rho = _number(run_doc, "rho", "run", minimum=0.0, strict=True)
-    if "kappa1" in run_doc:
-        run.kappa1 = _number(run_doc, "kappa1", "run", minimum=1.0, strict=True)
-    if "kappa2" in run_doc:
-        run.kappa2 = _number(run_doc, "kappa2", "run", minimum=1.0, strict=True)
+        dde.step_count(run.T, parameters.tau, run.K)
+    except ConfigurationError as exc:  # its message starts "T = ", the run field it names
+        raise ScenarioError(f"run.{exc}") from exc
     if run.kappa2 <= run.kappa1:
         raise ScenarioError("run.kappa2 must exceed run.kappa1")
-    if "scheme" in run_doc:
-        if run_doc["scheme"] not in SCHEMES:
-            raise ScenarioError(f"run.scheme must be one of {SCHEMES}")
-        run.scheme = run_doc["scheme"]
-    if "outdir" in run_doc:
-        if not isinstance(run_doc["outdir"], str):
-            raise ScenarioError("run.outdir must be a string")
-        run.outdir = run_doc["outdir"]
-    if "window" in run_doc:
-        win = run_doc["window"]
-        if (
-            not isinstance(win, list)
-            or len(win) != 2
-            or not all(isinstance(v, (int, float)) for v in win)
-            or not win[0] < win[1]
-        ):
-            raise ScenarioError("run.window must be [t_a, t_b] with t_a < t_b")
-        if win[0] < 0.0 or win[1] > run.T:
-            raise ScenarioError(
-                f"run.window [{win[0]:g}, {win[1]:g}] must lie inside [0, T] = [0, {run.T:g}]"
-            )
-        run.window = [float(win[0]), float(win[1])]
+    if run.window is not None and (run.window[0] < 0.0 or run.window[1] > run.T):
+        t_a, t_b = run.window
+        raise ScenarioError(
+            f"run.window [{t_a:g}, {t_b:g}] must lie inside [0, T] = [0, {run.T:g}]"
+        )
 
-    scenario = Scenario(parameters=parameters, history_spec=dict(hist), run=run)
-    scenario.history()  # fail fast on unusable history values
-    return scenario
+    return Scenario(parameters, dict(hist), run, _history(checked, parameters.tau))
 
 
 def parse_scenario(path):

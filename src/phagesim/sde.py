@@ -102,7 +102,7 @@ def _simulate_paths(p, hist, cfg, path_indices):
     """
     sigma = SigmaFn(p.M)
     h = p.tau / cfg.K
-    n_steps = dde.step_count(cfg.T, h)
+    n_steps = dde.step_count(cfg.T, p.tau, cfg.K)
     n_paths = len(path_indices)
     if n_paths < 1:
         raise DomainError("need at least one path")
@@ -221,9 +221,9 @@ class EnsembleStats:
     warn_count: int = 0  # components left negative within the tolerance
 
 
-def _window_mask(T, h, window):
+def _window_mask(T, tau, K, window):
     """The window's nodes, known from the node count before any path is drawn."""
-    times = h * np.arange(dde.step_count(T, h) + 1)
+    times = (tau / K) * np.arange(dde.step_count(T, tau, K) + 1)
     t_a, t_b = window
     mask = (times >= t_a - 1e-12) & (times <= t_b + 1e-12)
     if not np.any(mask):
@@ -252,7 +252,7 @@ def ensemble(p, hist, cfg, n, reference, window):
     deviation.
     """
     h = p.tau / cfg.K
-    mask = _window_mask(cfg.T, h, window)
+    mask = _window_mask(cfg.T, p.tau, cfg.K, window)
     if isinstance(reference, dde.Trajectory):
         if (reference.h, len(reference)) != (h, len(mask)):
             raise ConfigurationError(
@@ -365,7 +365,7 @@ def concentration_experiment(
 
     table = ConcentrationTable(prefactor=c, eta=st.eta)
     cfg = PathConfig(seed=seed, T=t_hi, K=K, scheme=scheme)
-    mask = _window_mask(t_hi, p.tau / K, (t_lo, t_hi))
+    mask = _window_mask(t_hi, p.tau, K, (t_lo, t_hi))
     for eps in eps_list:
         _, nodes, _ = _simulate_paths(p.with_eps(eps), hist, cfg, range(n))
         exceed = int(np.count_nonzero(_deviations(nodes, e0[None, :], mask)[1] >= 2.0 * rho))

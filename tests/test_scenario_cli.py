@@ -1,21 +1,23 @@
 import csv
 import io
+import itertools
 import json
 import os
 import re
 import subprocess
 import sys
 import time
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import phagesim
-from phagesim import cli, csvio
-from phagesim.dde import integrate
+from phagesim import Parameters, cli, csvio, scenario
+from phagesim.dde import MAX_STEPS, integrate
 from phagesim.errors import DomainError, ScenarioError
-from phagesim.scenario import MAX_STEPS, from_dict, parse_scenario
+from phagesim.scenario import _PARAM_RULES, RunSettings, from_dict, parse_scenario
 
 from conftest import CONCENTRATION_SCENARIO, REFERENCE_SCENARIO
 
@@ -38,7 +40,7 @@ class TestScenarioParsing:
         assert sc.parameters.tau == 1.0
         assert sc.run.eps_list == [0.05, 0.02, 0.01]
         assert sc.run.scheme == "stratonovich-heun"
-        hist = sc.history()
+        hist = sc.history
         assert hist.s(0.0) == pytest.approx(0.5)
         assert hist.q(-0.3) == pytest.approx(10.0)
         assert hist.i0 == 1.0
@@ -159,7 +161,7 @@ class TestScenarioParsing:
             "i0": 1.0,
         }
         sc = from_dict(doc)
-        hist = sc.history()
+        hist = sc.history
         assert hist.s(-1.0) == pytest.approx(0.6, abs=1e-12)
         assert hist.q(0.0) == pytest.approx(10.0, abs=1e-12)
 
@@ -183,6 +185,133 @@ class TestScenarioParsing:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ScenarioError):
             parse_scenario(str(tmp_path / "nope.json"))
+
+
+SCHEMA_DOC = os.path.join(os.path.dirname(__file__), os.pardir, "docs", "scenario-schema.md")
+
+
+def _doc_table(heading):
+    """The rows of the first table under a heading of the schema doc, as dicts by column."""
+    with open(SCHEMA_DOC) as fh:
+        lines = fh.read().split(heading, 1)[1].splitlines()
+    start = next(j for j, line in enumerate(lines) if line.startswith("|"))
+    table = itertools.takewhile(lambda line: line.startswith("|"), lines[start:])
+    header, _, *rows = [[cell.strip() for cell in line.strip("|").split("|")] for line in table]
+    return [dict(zip(header, row)) for row in rows]
+
+
+def _doc_rule(constraint):
+    """(integer, minimum, strict, maximum) of a numeric constraint cell; None for another."""
+    match = re.fullmatch(r"(integer )?(>=|>) (\S+)", constraint)
+    if match:
+        return (bool(match[1]), float(match[3]), match[2] == ">", None)
+    match = re.fullmatch(r"(integer )?in \[(\S+), (\d+)\*\*(\d+) - (\d+)\]", constraint)
+    if match:  # the doc writes a maximum as b**e - c
+        maximum = int(match[3]) ** int(match[4]) - int(match[5])
+        return (bool(match[1]), float(match[2]), False, maximum)
+    return None
+
+
+class TestSchema:
+    """The dataclass fields are the schema: rules, their order, and the doc that states them."""
+
+    @pytest.mark.parametrize("heading, cls", [("## parameters", Parameters),
+                                              ("## run", RunSettings)])
+    def test_doc_tables_state_the_rules(self, heading, cls):
+        rows = _doc_table(heading)
+        assert [row["key"].strip("`") for row in rows] == [f.name for f in fields(cls)]
+        if cls is Parameters:
+            code = _PARAM_RULES
+        else:
+            code = {f.name: f.metadata.get("rule") for f in fields(cls)}
+            for row, f in zip(rows, fields(cls)):
+                written = row["default"].strip("`")
+                default = None if written == "absent" else json.loads(written)
+                assert default == getattr(RunSettings(), f.name), f.name
+        assert {row["key"].strip("`"): _doc_rule(row["constraint"]) for row in rows} == code
+
+    def test_first_bad_field_is_reported_for_any_hash_seed(self, tmp_path):
+        doc = load_reference_doc()
+        doc["parameters"].update(alpha=-1, mu="x", tau=0)
+        path = write_doc(tmp_path, doc)
+        child = (
+            "import sys\n"
+            "from phagesim.scenario import parse_scenario\n"
+            "try:\n"
+            "    parse_scenario(sys.argv[1])\n"
+            "except Exception as exc:\n"
+            "    print(exc)\n"
+        )
+        src_dir = os.path.dirname(os.path.dirname(phagesim.__file__))
+        messages = set()
+        for seed in range(6):
+            env = {**os.environ, "PYTHONPATH": src_dir, "PYTHONHASHSEED": str(seed)}
+            proc = subprocess.run([sys.executable, "-c", child, path], capture_output=True,
+                                  text=True, timeout=30, env=env, check=True)
+            messages.add(proc.stdout)
+        assert messages == {"parameters.alpha must be > 0.0, got -1\n"}
+
+    @pytest.mark.parametrize("change, message", [
+        (dict(run="T"), "run must be an object, got str"),
+        (dict(run=[]), "run must be an object, got list"),
+        (dict(parameters="abc"), "parameters must be an object, got str"),
+        (dict(history={"preset": ["x"], "s0": 0.5, "q0": 10.0, "i0": 1.0}),
+         "unknown history preset ['x']"),
+    ])
+    def test_section_and_preset_types(self, tmp_path, capsys, change, message):
+        doc = load_reference_doc()
+        doc.update(change)
+        assert cli.main(["validate", write_doc(tmp_path, doc)]) == cli.EXIT_IO
+        assert capsys.readouterr().err.startswith(f"error:parse: {message}")
+
+    def test_seed_fits_the_noise_key(self):
+        doc = load_reference_doc()
+        doc["run"]["seed"] = 2**64 - 1
+        assert from_dict(doc).run.seed == 2**64 - 1
+        doc["run"]["seed"] = 2**64  # path_normals would key it as seed 0
+        message = f"run.seed must be <= {2**64 - 1}, got {2**64}"
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            from_dict(doc)
+
+    @pytest.mark.parametrize("window, message", [
+        ([True, 3], "run.window[0] must be a number, got True"),
+        ([0.0, "3"], "run.window[1] must be a number, got '3'"),
+    ])
+    def test_window_entries_are_numbers(self, window, message):
+        doc = load_reference_doc()
+        doc["run"]["window"] = window
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            from_dict(doc)
+
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("run", "K", float("inf"), "run.K must be an integer, got inf"),
+        ("run", "n", float("nan"), "run.n must be an integer, got nan"),
+        ("run", "seed", float("-inf"), "run.seed must be an integer, got -inf"),
+        ("run", "T", 10**400, "run.T must be a finite number, got 1000"),
+        ("parameters", "alpha", -10**400, "parameters.alpha must be a finite number, got -1000"),
+        ("history", "i0", 10**400, "history.i0 must be a finite number, got 1000"),
+    ])
+    def test_numbers_outside_the_float_or_integer_range(self, section, key, value, message):
+        doc = load_reference_doc()
+        doc[section][key] = value
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            from_dict(doc)
+
+    def test_integral_float_grid(self):
+        doc = load_reference_doc()
+        doc["history"]["n_grid"] = 32.0
+        assert len(from_dict(doc).history.grid) == 33
+
+    def test_allocation_failure_is_not_a_bad_history(self, tmp_path, capsys, monkeypatch):
+        class Unallocatable:
+            @classmethod
+            def constant(cls, *args, **kwargs):
+                raise MemoryError("Unable to allocate 7.45 GiB")
+
+        monkeypatch.setattr(scenario, "History", Unallocatable)
+        assert cli.main(["validate", REFERENCE_SCENARIO]) == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert err == "error:resource: out of memory: Unable to allocate 7.45 GiB\n"
 
 
 class TestCsv:
@@ -467,6 +596,51 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:parse: run.T = ")
         assert f"steps; the limit is {MAX_STEPS} steps" in err
+
+    @pytest.mark.parametrize("params, run, T", [
+        ({}, dict(kappa2=1e20), "T = 1.66674e+21"),  # t_hi
+        ({}, dict(kappa2=float("inf")), "T = inf"),  # t_hi
+        (dict(m=1e-9, d=2e-8), {}, "T = 1e+10"),  # t_det = 10/eta
+    ])
+    def test_derived_horizon_refused_before_any_path(self, tmp_path, capsys, monkeypatch,
+                                                     params, run, T):
+        with open(CONCENTRATION_SCENARIO) as fh:
+            doc = json.load(fh)
+        doc["parameters"].update(params)
+        doc["run"].update(run)
+        path = write_doc(tmp_path, doc)
+
+        def no_paths(*args):
+            raise AssertionError("the horizon is checked before any path is drawn")
+
+        monkeypatch.setattr(phagesim.sde, "_simulate_paths", no_paths)
+        start = time.perf_counter()
+        code = cli.main(["mc-concentration", path, "--outdir", str(tmp_path / "out")])
+        assert time.perf_counter() - start < 1.0
+        assert code == cli.EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.startswith(f"error:model: {T}")
+        assert f"steps; the limit is {MAX_STEPS} steps\n" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["validate"], ["equilibria"], ["simulate"], ["simulate-sde", "--paths", "1"],
+        ["simulate-sde", "--paths", "3"], ["mc-concentration"], ["min-dose"],
+        ["compare-coinfection"],
+    ])
+    def test_each_command_builds_one_history(self, tmp_path, capsys, monkeypatch, argv):
+        doc = load_reference_doc()
+        doc["run"].update(T=5.0, n=3)
+        path = write_doc(tmp_path, doc)
+        built = []
+        init = phagesim.History.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(phagesim.History, "__init__", counted)
+        assert cli.main([argv[0], path, "--outdir", str(tmp_path), *argv[1:]]) == cli.EXIT_OK
+        assert len(built) == 1
 
     def test_huge_path_count_exits_on_resources(self, tmp_path):
         # 10**12 paths need 45.5 PiB of increments. The child runs under a
