@@ -1,7 +1,7 @@
 """Simulation and analysis toolkit for a stochastic delayed phage-coinfection model."""
 
 from .dde import DecayFit, Trajectory, fit_decay, integrate, monitor_region
-from .equilibria import EquilibriumSet, StabilityInfo, equilibrium_set, stability_at_e0
+from .equilibria import StabilityInfo, stability_at_e0
 from .history import History
 from .hypotheses import (
     RegionBounds,
@@ -11,13 +11,7 @@ from .hypotheses import (
     minimal_dose,
     validate,
 )
-from .model import (
-    Parameters,
-    SigmaFn,
-    diffusion,
-    drift,
-    stratonovich_correction,
-)
+from .model import Parameters, SigmaFn
 from .scenario import Scenario, parse_scenario
 from .sde import (
     ConcentrationTable,

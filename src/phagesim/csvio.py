@@ -8,23 +8,20 @@ import numpy as np
 from .errors import DomainError, PhagesimError
 
 
-def _fmt(value):
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
-
-
 def write_csv(header, rows, path):
-    """Write a table; numeric cells carry 17 significant digits.
+    """Write a table of tuple rows; numeric cells carry 17 significant digits.
 
-    Formatted numbers never need quoting, so each row is joined directly;
-    the header goes through the csv module.
+    Each row is formatted by one %-string as wide as the header. `%.17g`
+    prints an int of magnitude up to 2**53, such as a path count, as `str`
+    does, and formatted numbers never need quoting; the header goes through
+    the csv module.
     """
+    line = ",".join(["%.17g"] * len(header)) + "\n"
     try:
         with open(path, "w", newline="") as fh:
             csv.writer(fh, lineterminator="\n").writerow(header)
             for row in rows:
-                fh.write(",".join(map(_fmt, row)) + "\n")
+                fh.write(line % row)
     except OSError as exc:
         raise PhagesimError(f"cannot write {path}: {exc}") from exc
 

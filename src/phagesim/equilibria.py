@@ -1,9 +1,7 @@
 """Closed-form equilibria and linear stability at the bacteria-free point."""
 
-import json
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -13,14 +11,6 @@ REGIME_UNIQUE_E0 = "unique-e0"
 REGIME_SMALL_DOSE = "small-dose-efficient"
 REGIME_LARGE_DOSE = "large-dose-nonefficient"
 REGIME_TRUNCATION = "truncation-excluded"
-DET_TOL = 1e-10  # the largest characteristic-determinant residual accepted at a root
-
-
-@dataclass(frozen=True)
-class EquilibriumSet:
-    e0: np.ndarray
-    coexistence: Optional[np.ndarray]
-    regime: str
 
 
 @dataclass(frozen=True)
@@ -73,45 +63,18 @@ def coexistence(p):
     return point, REGIME_SMALL_DOSE if small_dose else REGIME_LARGE_DOSE
 
 
-def equilibrium_set(p):
-    point, regime = coexistence(p)
-    return EquilibriumSet(e0=bacteria_free(p), coexistence=point, regime=regime)
-
-
-def characteristic_determinant(lam, p):
-    """Determinant of the delayed characteristic matrix at E0, evaluated at lam."""
-    dm = p.d / p.m
-    delay = math.exp(-(p.mu + lam) * p.tau)
-    mat = np.array(
-        [
-            [lam - (p.alpha - p.k1 * dm), 0.0, 0.0],
-            [-p.k1 * dm + p.k1 * delay * dm, lam + p.mu, 0.0],
-            [p.k1 * dm - p.k1 * p.b * delay * dm, p.k2 * dm, lam + p.m],
-        ]
-    )
-    return float(np.linalg.det(mat))
-
-
 def stability_at_e0(p):
     """Explicit eigenvalues at E0 plus the convergence-rate constants.
 
-    The delayed characteristic matrix is lower triangular, so the spectrum
-    is independent of tau; the determinant is still evaluated at each root
-    as a consistency check.
+    The delayed characteristic matrix is lower triangular with diagonal
+    (lam - lam1, lam + mu, lam + m), so these are its roots for every tau.
     """
     if p.d / p.m >= p.M:
         raise EquilibriumExistenceError("stability at E0 needs d/m < M")
     lam1 = p.alpha - p.k1 * p.d / p.m
-    eigenvalues = (lam1, -p.mu, -p.m)
-    for lam in eigenvalues:
-        residual = abs(characteristic_determinant(lam, p))
-        if residual >= DET_TOL:
-            raise RuntimeError(
-                f"characteristic determinant residual {residual:g} at lambda={lam:g}"
-            )
     gamma = -lam1
     return StabilityInfo(
-        eigenvalues=eigenvalues,
+        eigenvalues=(lam1, -p.mu, -p.m),
         stable=lam1 < 0.0,
         gamma=gamma,
         eta=min(gamma, p.m, p.mu),
@@ -120,23 +83,24 @@ def stability_at_e0(p):
 
 def report(p):
     """Equilibrium/stability summary as (dict, text) for the CLI."""
-    eq = equilibrium_set(p)
+    point, regime = coexistence(p)
+    e0 = bacteria_free(p)
     st = stability_at_e0(p)
     payload = {
-        "e0": list(eq.e0),
-        "coexistence": None if eq.coexistence is None else list(eq.coexistence),
-        "regime": eq.regime,
+        "e0": list(e0),
+        "coexistence": None if point is None else list(point),
+        "regime": regime,
         "eigenvalues": list(st.eigenvalues),
         "stable": st.stable,
         "gamma": st.gamma,
         "eta": st.eta,
     }
     lines = [
-        f"bacteria-free equilibrium E0 = (0, 0, {eq.e0[2]:.12g})",
-        f"regime: {eq.regime}",
+        f"bacteria-free equilibrium E0 = (0, 0, {e0[2]:.12g})",
+        f"regime: {regime}",
     ]
-    if eq.coexistence is not None:
-        s, i, q = eq.coexistence
+    if point is not None:
+        s, i, q = point
         lines.append(f"coexistence point = ({s:.12g}, {i:.12g}, {q:.12g})")
     lines.append(
         "eigenvalues at E0: "
@@ -145,7 +109,3 @@ def report(p):
     )
     lines.append(f"gamma = {st.gamma:.12g}, eta = {st.eta:.12g}")
     return payload, "\n".join(lines)
-
-
-def to_json(p):
-    return json.dumps(report(p)[0], indent=2)

@@ -12,8 +12,6 @@ import numpy as np
 
 from .errors import DomainError
 
-S, I, Q = 0, 1, 2
-
 _POSITIVE = ("alpha", "k1", "d", "m", "b", "mu", "tau", "M")
 
 
@@ -168,45 +166,3 @@ def _rates(s, i, q, sq, lysis_influx, p):
     di = adsorbed - p.mu * i - lysis_influx
     dq = p.d - p.m * q - adsorbed - p.k2 * sq * i + p.b * lysis_influx
     return ds, di, dq
-
-
-def _drift_terms(s, i, q, s_tau, q_tau, p, sigma):
-    """Elementwise right-hand side of the coinfection system; returns (dS, dI, dQ)."""
-    return _rates(s, i, q, sigma(q), _influx(s_tau, sigma(q_tau), p), p)
-
-
-def _require_finite(values, what):
-    arr = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError(f"{what} must be finite, got {values!r}")
-    return arr
-
-
-def drift(now, delayed, p, sigma):
-    """Deterministic rates (dS, dI, dQ)/dt of the coinfection system.
-
-    `now` and `delayed` are (S, I, Q) triples; only the S and Q components
-    of `delayed` enter the equations. At k2 = 0 the S and Q rates do not
-    depend on I, so `drift(...)[::2]` is the system without coinfection.
-    """
-    now = _require_finite(now, "current state")
-    delayed = _require_finite(delayed, "delayed state")
-    ds, di, dq = _drift_terms(now[S], now[I], now[Q], delayed[S], delayed[Q], p, sigma)
-    return np.array([ds, di, dq])
-
-
-def diffusion(now, p, sigma):
-    """Noise amplitudes (eps*sigma(S), 0, eps*sigma(Q)); I carries no noise."""
-    now = _require_finite(now, "state")
-    gs = p.eps * sigma(now[S])
-    gq = p.eps * sigma(now[Q])
-    return np.array([gs, np.zeros_like(gs), gq])
-
-
-def stratonovich_correction(now, p, sigma):
-    """Drift added when the Stratonovich system is rewritten in Ito form."""
-    now = _require_finite(now, "state")
-    half_eps2 = 0.5 * p.eps * p.eps
-    cs = half_eps2 * sigma(now[S]) * sigma.prime(now[S])
-    cq = half_eps2 * sigma(now[Q]) * sigma.prime(now[Q])
-    return np.array([cs, np.zeros_like(cs), cq])

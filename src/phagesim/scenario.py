@@ -195,6 +195,10 @@ def parse_scenario(path):
         raise ScenarioError(
             f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    # json's other refusals: an integer of more than 4300 digits, bytes that
+    # are not UTF-8 (both ValueError) and nesting deeper than the recursion limit
+    except (RecursionError, ValueError) as exc:
+        raise ScenarioError(f"{path}: unreadable JSON: {exc}") from exc
     except OSError as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
     return from_dict(doc)

@@ -2,6 +2,8 @@
 
 Paths are driven by per-path Philox streams keyed on (seed, path index), so
 any path is reproducible in isolation and ensembles are order-independent.
+`_step_paths` steps whatever increments it is given, so a convergence test
+can drive the production stepper with Brownian paths of its own.
 All paths of an ensemble advance together on (3, n) arrays, and a single
 path steps on three Python floats. The stepping formulas are elementwise and
 both lanes run them in the same order, so a slice of an ensemble is bitwise
@@ -47,37 +49,6 @@ def path_normals(seed, path_index, n_steps):
     return gen.standard_normal((n_steps, 2))
 
 
-def heun_step(y, dw, h, f_now, g_now, terms):
-    """One Stratonovich-Heun step: the same increment drives predictor and corrector.
-
-    `terms(pred)` returns the drift and the noise amplitude at the predictor.
-    """
-    pred = y + h * f_now + g_now * dw
-    f_pred, g_pred = terms(pred)
-    return y + 0.5 * h * (f_now + f_pred) + 0.5 * (g_now + g_pred) * dw
-
-
-def ito_euler_step(y, dw, h, f_corrected, g_now):
-    """Euler-Maruyama on the Ito form (drift already carries the Stratonovich correction)."""
-    return y + h * f_corrected + g_now * dw
-
-
-def simulate_linear(a, eps, x0, h, dw, scheme=SCHEME_HEUN):
-    """Drive dx = a*x dt + eps*x o dW with the production stepping kernels.
-
-    Used as the scheme self-check against the exact geometric solution
-    x0 * exp(a*t + eps*W(t)).
-    """
-    terms = lambda x: (a * x, eps * x)
-    x = float(x0)
-    for inc in dw:
-        if scheme == SCHEME_HEUN:
-            x = heun_step(x, inc, h, a * x, eps * x, terms)
-        else:
-            x = ito_euler_step(x, inc, h, a * x + 0.5 * eps * eps * x, eps * x)
-    return x
-
-
 def _stage(y, delayed_influx, p, sigma):
     """At a (3, n) state: sigma of the S and Q rows clipped at 0, drift, noise amplitude."""
     sig = sigma._values(np.maximum(y[::2], 0.0))
@@ -94,24 +65,31 @@ def _history_influx(hist, p, sigma, K):
 
 
 def _simulate_paths(p, hist, cfg, path_indices):
-    """Advance the given paths; returns (times, nodes (n_nodes, 3, n), guard).
-
-    More than one path steps together on (3, n) arrays, and one path on
-    three floats by `_float_path`, which makes the same IEEE operations in
-    the same order, so a path's nodes are bitwise the same either way.
-    """
-    sigma = SigmaFn(p.M)
-    h = p.tau / cfg.K
+    """Advance the given paths on their own Philox streams; returns (times, nodes, guard)."""
     n_steps = dde.step_count(cfg.T, p.tau, cfg.K)
     n_paths = len(path_indices)
     if n_paths < 1:
         raise DomainError("need at least one path")
-    K = cfg.K
-
     dw = np.empty((n_steps, 2, n_paths))
     for j, idx in enumerate(path_indices):
         dw[:, :, j] = path_normals(cfg.seed, idx, n_steps)
-    dw *= math.sqrt(h)
+    dw *= math.sqrt(p.tau / cfg.K)
+    return _step_paths(p, hist, cfg, dw, path_indices)
+
+
+def _step_paths(p, hist, cfg, dw, path_indices):
+    """Step paths driven by the (n_steps, 2, n) increments of W_S and W_Q at h = tau/K.
+
+    Returns (times, nodes (n_steps + 1, 3, n), guard); `path_indices` label
+    the columns in the guard's reports. More than one path steps together on
+    (3, n) arrays, and one path on three floats by `_float_path`, which makes
+    the same IEEE operations in the same order, so a path's nodes are
+    bitwise the same either way.
+    """
+    sigma = SigmaFn(p.M)
+    K = cfg.K
+    h = p.tau / K
+    n_steps, _, n_paths = dw.shape
 
     # Lysis influx of node j, in row j % (K + 1): written when node j is the
     # current state, read K - 1 and K steps later as the delayed term.
@@ -129,7 +107,7 @@ def _simulate_paths(p, hist, cfg, path_indices):
     nodes[0] = np.array(y0)[:, None]
     inc = np.zeros((3, n_paths))  # I carries no noise
     corr = np.zeros((3, n_paths))  # and no Ito correction
-    half_eps2 = 0.5 * p.eps * p.eps
+    hh, half_eps2 = 0.5 * h, 0.5 * p.eps * p.eps
     heun = cfg.scheme == SCHEME_HEUN
     for n in range(n_steps):
         y = nodes[n]
@@ -137,14 +115,14 @@ def _simulate_paths(p, hist, cfg, path_indices):
         influx[n % ring] = _influx(y[0], sig[1], p)
         inc[::2] = dw[n]
         if heun:
-            d_next = influx[(n + 1 - K) % ring]
-            y_next = heun_step(
-                y, inc, h, f_now, g_now, lambda pred: _stage(pred, d_next, p, sigma)[1:]
-            )
+            # Stratonovich-Heun: the same increment drives predictor and corrector
+            pred = y + h * f_now + g_now * inc
+            _, f_pred, g_pred = _stage(pred, influx[(n + 1 - K) % ring], p, sigma)
+            y_next = y + hh * (f_now + f_pred) + 0.5 * (g_now + g_pred) * inc
         else:
-            # the drift added when the Stratonovich system is rewritten in Ito form
+            # Euler-Maruyama on the Ito form: the drift gains the Stratonovich correction
             corr[::2] = half_eps2 * sig * sigma._slopes(np.maximum(y[::2], 0.0))
-            y_next = ito_euler_step(y, inc, h, f_now + corr, g_now)
+            y_next = y + h * (f_now + corr) + g_now * inc
         nodes[n + 1] = guard.apply(y_next, n * h + h)
     return times, nodes, guard
 

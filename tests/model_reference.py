@@ -1,0 +1,88 @@
+"""Reference formulas the tests check the engines against, kept out of the package.
+
+The package steps the model through `model._rates`, `model._influx` and
+`SigmaFn` only. The functions here spell the same right-hand sides, noise
+amplitudes, step kernels and characteristic matrix out on their own, in the
+arithmetic the package had before they moved, so a test built from them is
+independent of the production kernels.
+"""
+
+import math
+
+import numpy as np
+
+from phagesim.errors import DomainError
+from phagesim.model import _influx, _rates
+
+S, I, Q = 0, 1, 2
+
+
+def _drift_terms(s, i, q, s_tau, q_tau, p, sigma):
+    """Elementwise right-hand side of the coinfection system; returns (dS, dI, dQ)."""
+    return _rates(s, i, q, sigma(q), _influx(s_tau, sigma(q_tau), p), p)
+
+
+def _require_finite(values, what):
+    arr = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise DomainError(f"{what} must be finite, got {values!r}")
+    return arr
+
+
+def drift(now, delayed, p, sigma):
+    """Deterministic rates (dS, dI, dQ)/dt of the coinfection system.
+
+    `now` and `delayed` are (S, I, Q) triples; only the S and Q components
+    of `delayed` enter the equations. At k2 = 0 the S and Q rates do not
+    depend on I, so `drift(...)[::2]` is the system without coinfection.
+    """
+    now = _require_finite(now, "current state")
+    delayed = _require_finite(delayed, "delayed state")
+    ds, di, dq = _drift_terms(now[S], now[I], now[Q], delayed[S], delayed[Q], p, sigma)
+    return np.array([ds, di, dq])
+
+
+def diffusion(now, p, sigma):
+    """Noise amplitudes (eps*sigma(S), 0, eps*sigma(Q)); I carries no noise."""
+    now = _require_finite(now, "state")
+    gs = p.eps * sigma(now[S])
+    gq = p.eps * sigma(now[Q])
+    return np.array([gs, np.zeros_like(gs), gq])
+
+
+def stratonovich_correction(now, p, sigma):
+    """Drift added when the Stratonovich system is rewritten in Ito form."""
+    now = _require_finite(now, "state")
+    half_eps2 = 0.5 * p.eps * p.eps
+    cs = half_eps2 * sigma(now[S]) * sigma.prime(now[S])
+    cq = half_eps2 * sigma(now[Q]) * sigma.prime(now[Q])
+    return np.array([cs, np.zeros_like(cs), cq])
+
+
+def heun_step(y, dw, h, f_now, g_now, terms):
+    """One Stratonovich-Heun step: the same increment drives predictor and corrector.
+
+    `terms(pred)` returns the drift and the noise amplitude at the predictor.
+    """
+    pred = y + h * f_now + g_now * dw
+    f_pred, g_pred = terms(pred)
+    return y + 0.5 * h * (f_now + f_pred) + 0.5 * (g_now + g_pred) * dw
+
+
+def ito_euler_step(y, dw, h, f_corrected, g_now):
+    """Euler-Maruyama on the Ito form (drift already carries the Stratonovich correction)."""
+    return y + h * f_corrected + g_now * dw
+
+
+def characteristic_determinant(lam, p):
+    """Determinant of the delayed characteristic matrix at E0, evaluated at lam."""
+    dm = p.d / p.m
+    delay = math.exp(-(p.mu + lam) * p.tau)
+    mat = np.array(
+        [
+            [lam - (p.alpha - p.k1 * dm), 0.0, 0.0],
+            [-p.k1 * dm + p.k1 * delay * dm, lam + p.mu, 0.0],
+            [p.k1 * dm - p.k1 * p.b * delay * dm, p.k2 * dm, lam + p.m],
+        ]
+    )
+    return float(np.linalg.det(mat))

@@ -17,19 +17,19 @@ from phagesim import (
     equilibria,
     hypotheses,
 )
-from phagesim.model import drift
 from phagesim.sde import (
     SCHEME_EULER,
     SCHEME_HEUN,
     PathConfig,
     _simulate_paths,
+    _step_paths,
     concentration_experiment,
     ensemble,
     sample_path,
-    simulate_linear,
 )
 
 from conftest import random_validated_scenario
+from model_reference import drift
 
 P_STAR = Parameters(alpha=0.5, k1=0.1, k2=0.05, d=20.0, m=1.0, b=10.0,
                     mu=0.2, tau=1.0, M=100.0)
@@ -219,8 +219,12 @@ def test_criterion_7_stochastic_scheme_validity():
     err_euler = float(np.max(np.abs(path.states - det.states)))
     checks.append(("eps=0 degeneracy (euler) < 1e-6", err_euler < 1e-6))
 
-    # strong order on the geometric oracle with shared coarsened Brownian paths
-    a, eps, x0, T = -0.5, 0.3, 1.0, 1.0
+    # strong order on the geometric oracle with shared coarsened Brownian paths:
+    # at k1 = 1e-300 the production stepper runs dS = a S dt + eps S o dW on S
+    a, eps, x0, T = 0.5, 0.3, 1.0, 1.0
+    p_geo = Parameters(alpha=a, k1=1e-300, k2=0.0, d=1.0, m=1.0, b=1.0, mu=1.0, tau=T,
+                       M=1e3, eps=eps)
+    hist_geo = History.constant(T, x0, 1.0, 1.0)
     rng = np.random.default_rng(99)
     levels = (32, 64, 128, 256)
     fine = max(levels)
@@ -228,11 +232,11 @@ def test_criterion_7_stochastic_scheme_validity():
     exact = x0 * np.exp(a * T + eps * dw_fine.sum(axis=1))
     errs = []
     for n_steps in levels:
-        dw = dw_fine.reshape(400, n_steps, fine // n_steps).sum(axis=2)
-        approx = np.array(
-            [simulate_linear(a, eps, x0, T / n_steps, dw[j]) for j in range(400)]
-        )
-        errs.append(math.sqrt(float(np.mean((approx - exact) ** 2))))
+        dw = np.zeros((n_steps, 2, 400))  # Q is driven by no noise
+        dw[:, 0] = dw_fine.reshape(400, n_steps, fine // n_steps).sum(axis=2).T
+        cfg = PathConfig(seed=0, T=T, K=n_steps)
+        _, nodes, _ = _step_paths(p_geo, hist_geo, cfg, dw, range(400))
+        errs.append(math.sqrt(float(np.mean((nodes[-1, 0] - exact) ** 2))))
     slope, _ = np.polyfit(np.log([T / n for n in levels]), np.log(errs), 1)
     checks.append(("geometric-noise strong order >= 0.9", slope >= 0.9))
 

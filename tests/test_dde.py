@@ -14,7 +14,8 @@ from phagesim.dde import (
     monitor_region,
 )
 from phagesim.errors import DivergenceError, DomainError, PositivityError, WindowError
-from phagesim.model import _drift_terms
+
+from model_reference import _drift_terms
 
 
 @pytest.fixture(scope="module")

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from phagesim import drift
 from phagesim import equilibria as eq
 from phagesim.errors import EquilibriumExistenceError
+
+from model_reference import characteristic_determinant, drift
 
 
 class TestBacteriaFree:
@@ -100,7 +101,7 @@ class TestStability:
     def test_determinant_vanishes_at_eigenvalues(self, p_star):
         st = eq.stability_at_e0(p_star)
         for lam in st.eigenvalues:
-            assert abs(eq.characteristic_determinant(lam, p_star)) < 1e-10
+            assert abs(characteristic_determinant(lam, p_star)) < 1e-10
 
     def test_precondition(self, p_star):
         with pytest.raises(EquilibriumExistenceError):
@@ -112,6 +113,4 @@ def test_report_rendering(p_star):
     assert payload["regime"] == eq.REGIME_UNIQUE_E0
     assert payload["stable"] is True
     assert "eigenvalues at E0" in text
-    import json
-
-    assert json.loads(eq.to_json(p_star))["eta"] == pytest.approx(0.2)
+    assert payload["eta"] == pytest.approx(0.2)

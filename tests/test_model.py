@@ -5,14 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phagesim import (
-    Parameters,
-    SigmaFn,
-    diffusion,
-    drift,
-    stratonovich_correction,
-)
+from phagesim import Parameters, SigmaFn
 from phagesim.errors import DomainError
+
+from model_reference import diffusion, drift, stratonovich_correction
 
 
 class TestSigma:

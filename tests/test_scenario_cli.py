@@ -186,6 +186,19 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError):
             parse_scenario(str(tmp_path / "nope.json"))
 
+    @pytest.mark.parametrize("content, message", [
+        # json.load refuses these with a plain ValueError or a RecursionError
+        (json.dumps(load_reference_doc()).replace('"T": 50.0', '"T": ' + "1" * 5000).encode(),
+         "Exceeds the limit"),
+        (b'{"parameters": "\xff"}', "'utf-8' codec can't decode"),
+        (b"[" * 100000 + b"]" * 100000, "maximum recursion depth exceeded"),
+    ], ids=["long-integer", "not-utf8", "deep-nesting"])
+    def test_json_refusals(self, tmp_path, content, message):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        with pytest.raises(ScenarioError, match=rf"bad\.json: unreadable JSON: {message}"):
+            parse_scenario(str(path))
+
 
 SCHEMA_DOC = os.path.join(os.path.dirname(__file__), os.pardir, "docs", "scenario-schema.md")
 
@@ -583,6 +596,36 @@ class TestCli:
             code = cli.main(["simulate", path, "--outdir", str(tmp_path)])
             assert code == cli.EXIT_NUMERIC
             assert "error:numeric" in capsys.readouterr().err
+
+    def test_json_digit_limit_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "long.json"
+        path.write_text('{"parameters": {"alpha": ' + "1" * 5000 + "}}")
+        assert cli.main(["equilibria", str(path)]) == cli.EXIT_IO
+        assert capsys.readouterr().err.startswith(f"error:parse: {path}: unreadable JSON:")
+
+    # Parameter draws on which a residual check of the characteristic
+    # determinant at E0 raised RuntimeError (first) or OverflowError in exp
+    # (second); the matrix is lower triangular, so the closed-form spectrum needs
+    # no check. The exit 3s are the runs' own positivity failures.
+    _DRAWS = {
+        "residual": (dict(alpha=0.4512, k1=8.051, k2=0.6335, d=0.3439, m=0.012, b=1417.26,
+                          mu=16.757, tau=1.1036, M=286.49), (0, 0, 0, 3)),
+        "overflow": (dict(alpha=27.4954, k1=1.8341, k2=5e-4, d=53.7833, m=1.4e-3, b=414.56,
+                          mu=0.0252, tau=28.36, M=394734.0), (0, 3, 3, 3)),
+    }
+
+    @pytest.mark.parametrize("draw", sorted(_DRAWS))
+    def test_spectrum_needs_no_determinant_check(self, tmp_path, capsys, draw):
+        params, codes = self._DRAWS[draw]
+        doc = load_reference_doc()
+        doc["parameters"].update(params)
+        doc["run"].update(n=4, eps_list=[0.01])
+        path = write_doc(tmp_path, doc)
+        commands = ("equilibria", "simulate", "compare-coinfection", "mc-concentration")
+        for command, code in zip(commands, codes):
+            assert cli.main([command, path, "--outdir", str(tmp_path)]) == code, command
+            err = capsys.readouterr().err
+            assert (err == "") if code == 0 else err.startswith("error:numeric: ")
 
     @pytest.mark.parametrize("run", [dict(T=1e300), dict(T=float("inf")), dict(T=5.0, K=10**400)])
     def test_huge_horizon_refused_at_once(self, tmp_path, capsys, run):

@@ -6,7 +6,6 @@ import pytest
 
 from phagesim import History, Parameters, SigmaFn, dde, equilibria, sde
 from phagesim.errors import ConfigurationError, DivergenceError, DomainError, PositivityError
-from phagesim.model import _drift_terms, diffusion, drift, stratonovich_correction
 from phagesim.sde import (
     SCHEME_EULER,
     SCHEME_HEUN,
@@ -15,14 +14,21 @@ from phagesim.sde import (
     ConcentrationTable,
     PathConfig,
     _simulate_paths,
+    _step_paths,
     concentration_experiment,
     ensemble,
-    heun_step,
-    ito_euler_step,
     path_normals,
     sample_path,
-    simulate_linear,
     wilson_interval,
+)
+
+from model_reference import (
+    _drift_terms,
+    diffusion,
+    drift,
+    heun_step,
+    ito_euler_step,
+    stratonovich_correction,
 )
 
 
@@ -97,7 +103,7 @@ class TestReproducibility:
 
 
 def _per_path_loop(p, hist, cfg, path_indices):
-    """Each path stepped alone from the model's public right-hand sides."""
+    """Each path stepped alone from the reference right-hand sides and step kernels."""
     sigma = SigmaFn(p.M)
     clipped = lambda x: sigma(np.maximum(x, 0.0))
     g = lambda x: diffusion(np.maximum(x, 0.0), p, sigma)
@@ -263,9 +269,15 @@ class TestFloatLane:
 
 
 class TestGeometricNoiseOracle:
-    """Strong convergence against x0*exp(a*t + eps*W(t)) with shared Brownian paths."""
+    """Strong convergence of the S row against S0*exp(a*t + eps*W(t)) with shared Brownian paths.
 
-    A, EPS, X0, T = -0.5, 0.3, 1.0, 1.0
+    At k1 = 1e-300, alpha - k1*sigma(Q) rounds to alpha, and below M sigma(S)
+    is S, so the production stepper runs dS = a S dt + eps S o dW on S.
+    """
+
+    A, EPS, X0, T = 0.5, 0.3, 1.0, 1.0
+    P = Parameters(alpha=A, k1=1e-300, k2=0.0, d=1.0, m=1.0, b=1.0, mu=1.0, tau=T, M=1e3,
+                   eps=EPS)
 
     def _strong_errors(self, scheme, levels=(32, 64, 128, 256), n_paths=400):
         rng = np.random.default_rng(99)
@@ -273,17 +285,16 @@ class TestGeometricNoiseOracle:
         dw_fine = rng.standard_normal((n_paths, fine)) * math.sqrt(self.T / fine)
         w_T = dw_fine.sum(axis=1)
         exact = self.X0 * np.exp(self.A * self.T + self.EPS * w_T)
+        hist = History.constant(self.T, self.X0, 1.0, 1.0)
         errs = []
         for n_steps in levels:
-            h = self.T / n_steps
-            dw = dw_fine.reshape(n_paths, n_steps, fine // n_steps).sum(axis=2)
-            approx = np.array(
-                [
-                    simulate_linear(self.A, self.EPS, self.X0, h, dw[j], scheme)
-                    for j in range(n_paths)
-                ]
-            )
-            errs.append(math.sqrt(float(np.mean((approx - exact) ** 2))))
+            dw = np.zeros((n_steps, 2, n_paths))  # Q is driven by no noise
+            dw[:, 0] = dw_fine.reshape(n_paths, n_steps, fine // n_steps).sum(axis=2).T
+            cfg = PathConfig(seed=0, T=self.T, K=n_steps, scheme=scheme)
+            _, nodes, _ = _step_paths(self.P, hist, cfg, dw, range(n_paths))
+            assert np.all(self.P.alpha - self.P.k1 * nodes[:, 2] == self.P.alpha)
+            assert nodes[:, 0].max() <= self.P.M
+            errs.append(math.sqrt(float(np.mean((nodes[-1, 0] - exact) ** 2))))
         return levels, errs
 
     def test_heun_strong_order(self):
@@ -304,6 +315,40 @@ class TestGeometricNoiseOracle:
         _, errs_e = self._strong_errors(SCHEME_EULER, levels=(256,))
         assert errs_h[0] < 5e-3
         assert errs_e[0] < 5e-2
+
+
+class TestDelayedStrongOrder:
+    """Strong order of the production stepper on the delayed model itself.
+
+    Reference scenario at eps = 0.05 up to T = 5. The Philox increments of 50
+    paths at K = 1024 are summed to K = 16, 32, 64 and 128, so every level
+    runs on the same Brownian paths with its lattice locked at h = tau/K. The
+    error is the RMS over paths of the sup over the coarse nodes of the
+    distance to the K = 1024 run. The noise is diagonal and the delay sits
+    only in the drift, so Heun is expected to converge with order 1.
+    """
+
+    FINE, LEVELS, T, N = 1024, (16, 32, 64, 128), 5.0, 50
+
+    @pytest.mark.parametrize("scheme, order", [(SCHEME_HEUN, 0.9), (SCHEME_EULER, 0.45)])
+    def test_strong_order(self, p_star, hist_standard, scheme, order):
+        p = p_star.with_eps(0.05)
+        n_fine = dde.step_count(self.T, p.tau, self.FINE)
+        dw_fine = np.stack([path_normals(0, j, n_fine) for j in range(self.N)], axis=2)
+        dw_fine *= math.sqrt(p.tau / self.FINE)
+        cfg = PathConfig(seed=0, T=self.T, K=self.FINE, scheme=scheme)
+        _, fine, _ = _step_paths(p, hist_standard, cfg, dw_fine, range(self.N))
+        errs = []
+        for K in self.LEVELS:
+            r = self.FINE // K
+            dw = dw_fine.reshape(-1, r, 2, self.N).sum(axis=1)
+            assert len(dw) == dde.step_count(self.T, p.tau, K)
+            cfg = PathConfig(seed=0, T=self.T, K=K, scheme=scheme)
+            _, nodes, _ = _step_paths(p, hist_standard, cfg, dw, range(self.N))
+            sup = np.sqrt(np.sum((nodes - fine[::r]) ** 2, axis=1)).max(axis=0)
+            errs.append(math.sqrt(float(np.mean(sup ** 2))))
+        slope, _ = np.polyfit(np.log([p.tau / K for K in self.LEVELS]), np.log(errs), 1)
+        assert slope >= order
 
 
 class TestEnsemble:
