@@ -170,10 +170,11 @@ def cmd_compare_coinfection(args):
     print("without coinfection (k2=0, (S,Q) subsystem):")
     print(f"  decay rate bound {eta2:g}, fitted rate = {fit2.fitted_rate:.6g}")
     print(f"  minimal dose = {d_min0:.10g}")
-    print(
-        f"coinfection slows convergence by factor {fit2.fitted_rate / fit.fitted_rate:.3g} "
-        f"and raises the dose by factor {d_min / d_min0:.3g}"
-    )
+    rates = fit2.fitted_rate, fit.fitted_rate
+    slows = (f"slows convergence by factor {rates[0] / rates[1]:.3g}"
+             if all(0.0 < r < math.inf for r in rates)  # a NaN rate fails too
+             else "gives no convergence factor on this horizon (a fitted rate is not positive)")
+    print(f"coinfection {slows} and raises the dose by factor {d_min / d_min0:.3g}")
     return EXIT_OK
 
 

@@ -32,7 +32,7 @@ class RunSettings:
     T: float = field(default=50.0, metadata={"rule": (False, 0.0, True, None)})
     K: int = field(default=64, metadata={"rule": (True, 8, False, None)})
     n: int = field(default=400, metadata={"rule": (True, 1, False, None)})
-    # sde.path_normals keys the noise streams on 64 bits of the seed
+    # sde._increments keys the noise streams on 64 bits of the seed
     seed: int = field(default=0, metadata={"rule": (True, 0, False, 2**64 - 1)})
     eps_list: list = field(default_factory=lambda: [0.05, 0.02, 0.01])
     rho: float = field(default=0.05, metadata={"rule": (False, 0.0, True, None)})

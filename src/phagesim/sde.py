@@ -4,14 +4,15 @@ Paths are driven by per-path Philox streams keyed on (seed, path index), so
 any path is reproducible in isolation and ensembles are order-independent.
 `_step_paths` steps whatever increments it is given, so a convergence test
 can drive the production stepper with Brownian paths of its own.
-All paths of an ensemble advance together on (3, n) arrays, and a single
-path steps on three Python floats. The stepping formulas are elementwise and
-both lanes run them in the same order, so a slice of an ensemble is bitwise
-identical to the standalone path with the same index.
+All paths of an ensemble advance together on (3, n) arrays, DRAW_STEPS steps
+at a time, and a single path on three floats. Both lanes run the same
+elementwise formulas in the same order, so an ensemble's column is bitwise
+the standalone path with the same index, whatever the block length.
 """
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -24,6 +25,7 @@ SCHEME_HEUN = "stratonovich-heun"
 SCHEME_EULER = "ito-euler-corrected"
 SCHEMES = (SCHEME_HEUN, SCHEME_EULER)
 Z95 = 1.959963984540054  # the standard normal quantile of a two-sided 95% interval
+DRAW_STEPS = 256  # steps per time block: increments drawn and nodes held at once
 
 
 @dataclass(frozen=True)
@@ -42,11 +44,21 @@ class PathConfig:
             raise DomainError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
 
 
-def path_normals(seed, path_index, n_steps):
-    """The (n_steps, 2) Gaussian increments feeding one path, from its own stream."""
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, path_index], dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key))
-    return gen.standard_normal((n_steps, 2))
+def _increments(p, cfg, path_indices):
+    """The paths' increments of W_S and W_Q at h = tau/K, as (m, 2, n) blocks of DRAW_STEPS steps.
+
+    A path's generator lives on between blocks, so its blocks stack to one (n_steps, 2)
+    draw times sqrt(h), bit for bit. Each block overwrites the one before.
+    """
+    n_steps, seed = dde.step_count(cfg.T, p.tau, cfg.K), cfg.seed & 0xFFFFFFFFFFFFFFFF
+    gens = [np.random.Generator(np.random.Philox(key=seed | int(j) << 64)) for j in path_indices]
+    dw = np.empty((min(DRAW_STEPS, n_steps), 2, len(gens)))
+    for start in range(0, n_steps, DRAW_STEPS):
+        block = dw[:n_steps - start]
+        for j, gen in enumerate(gens):
+            block[:, :, j] = gen.standard_normal(block.shape[:2])
+        block *= math.sqrt(p.tau / cfg.K)
+        yield block
 
 
 def _stage(y, delayed_influx, p, sigma):
@@ -67,29 +79,28 @@ def _history_influx(hist, p, sigma, K):
 def _simulate_paths(p, hist, cfg, path_indices):
     """Advance the given paths on their own Philox streams; returns (times, nodes, guard)."""
     n_steps = dde.step_count(cfg.T, p.tau, cfg.K)
-    n_paths = len(path_indices)
+    guard = dde._Guard(path_indices)
+    nodes = np.empty((n_steps + 1, 3, len(path_indices)))
+    for j, block in _step_paths(p, hist, cfg, _increments(p, cfg, path_indices), guard):
+        nodes[j:j + len(block)] = block
+    return (p.tau / cfg.K) * np.arange(n_steps + 1), nodes, guard
+
+
+def _step_paths(p, hist, cfg, increments, guard):
+    """Step paths on (m, 2, n) blocks of increments of W_S and W_Q at h = tau/K.
+
+    Yields (j, nodes): the guarded nodes j, j + 1, ... as an (m, 3, n) block,
+    node 0 first. `guard.labels` name the n columns. Paths step together on
+    (3, n) arrays into one buffer, a block per increment block; the stepper
+    never reads it back, so a caller may reduce a block in place. One path
+    steps on floats by `_float_path`, which makes the same IEEE operations in
+    the same order, and comes as one block.
+    """
+    n_paths = len(guard.labels)
     if n_paths < 1:
         raise DomainError("need at least one path")
-    dw = np.empty((n_steps, 2, n_paths))
-    for j, idx in enumerate(path_indices):
-        dw[:, :, j] = path_normals(cfg.seed, idx, n_steps)
-    dw *= math.sqrt(p.tau / cfg.K)
-    return _step_paths(p, hist, cfg, dw, path_indices)
-
-
-def _step_paths(p, hist, cfg, dw, path_indices):
-    """Step paths driven by the (n_steps, 2, n) increments of W_S and W_Q at h = tau/K.
-
-    Returns (times, nodes (n_steps + 1, 3, n), guard); `path_indices` label
-    the columns in the guard's reports. More than one path steps together on
-    (3, n) arrays, and one path on three floats by `_float_path`, which makes
-    the same IEEE operations in the same order, so a path's nodes are
-    bitwise the same either way.
-    """
     sigma = SigmaFn(p.M)
-    K = cfg.K
-    h = p.tau / K
-    n_steps, _, n_paths = dw.shape
+    K, h = cfg.K, p.tau / cfg.K
 
     # Lysis influx of node j, in row j % (K + 1): written when node j is the
     # current state, read K - 1 and K steps later as the delayed term.
@@ -97,38 +108,42 @@ def _step_paths(p, hist, cfg, dw, path_indices):
     influx = np.empty((ring, n_paths))
     influx[1:] = _history_influx(hist, p, sigma, K)[:, None]
 
-    times = h * np.arange(n_steps + 1)
     y0 = (hist.s(0.0), hist.i0, hist.q(0.0))
-    guard = dde._Guard(path_indices)
     if n_paths == 1:
-        return times, _float_path(p, sigma, cfg, y0, dw[:, :, 0], influx[:, 0], guard), guard
-
-    nodes = np.empty((n_steps + 1, 3, n_paths))
-    nodes[0] = np.array(y0)[:, None]
+        steps = chain.from_iterable(dw[:, :, 0].tolist() for dw in increments)
+        yield 0, _float_path(p, sigma, cfg, y0, steps, influx[:, 0], guard)
+        return
+    y = np.repeat(np.array(y0)[:, None], n_paths, axis=1)
+    nodes = y[None].copy()
+    yield 0, nodes
     inc = np.zeros((3, n_paths))  # I carries no noise
     corr = np.zeros((3, n_paths))  # and no Ito correction
     hh, half_eps2 = 0.5 * h, 0.5 * p.eps * p.eps
     heun = cfg.scheme == SCHEME_HEUN
-    for n in range(n_steps):
-        y = nodes[n]
-        sig, f_now, g_now = _stage(y, influx[(n - K) % ring], p, sigma)
-        influx[n % ring] = _influx(y[0], sig[1], p)
-        inc[::2] = dw[n]
-        if heun:
-            # Stratonovich-Heun: the same increment drives predictor and corrector
-            pred = y + h * f_now + g_now * inc
-            _, f_pred, g_pred = _stage(pred, influx[(n + 1 - K) % ring], p, sigma)
-            y_next = y + hh * (f_now + f_pred) + 0.5 * (g_now + g_pred) * inc
-        else:
-            # Euler-Maruyama on the Ito form: the drift gains the Stratonovich correction
-            corr[::2] = half_eps2 * sig * sigma._slopes(np.maximum(y[::2], 0.0))
-            y_next = y + h * (f_now + corr) + g_now * inc
-        nodes[n + 1] = guard.apply(y_next, n * h + h)
-    return times, nodes, guard
+    n = 0
+    for dw in increments:
+        if len(nodes) < len(dw):
+            nodes = np.empty((len(dw), 3, n_paths))
+        for k in range(len(dw)):
+            sig, f_now, g_now = _stage(y, influx[(n - K) % ring], p, sigma)
+            influx[n % ring] = _influx(y[0], sig[1], p)
+            inc[::2] = dw[k]
+            if heun:
+                # Stratonovich-Heun: the same increment drives predictor and corrector
+                pred = y + h * f_now + g_now * inc
+                _, f_pred, g_pred = _stage(pred, influx[(n + 1 - K) % ring], p, sigma)
+                y_next = y + hh * (f_now + f_pred) + 0.5 * (g_now + g_pred) * inc
+            else:
+                # Euler-Maruyama on the Ito form: the drift gains the Stratonovich correction
+                corr[::2] = half_eps2 * sig * sigma._slopes(np.maximum(y[::2], 0.0))
+                y_next = y + h * (f_now + corr) + g_now * inc
+            y = nodes[k] = guard.apply(y_next, n * h + h)  # nodes[k] is a copy callers may change
+            n += 1
+        yield n + 1 - len(dw), nodes[:len(dw)]
 
 
-def _float_path(p, sigma, cfg, y0, dw, influx, guard):
-    """The (3, n) step above for one path, written out on floats.
+def _float_path(p, sigma, cfg, y0, steps, influx, guard):
+    """The (3, n) step above for one path, written out on floats; `steps` yields (dW_S, dW_Q).
 
     `0.0 if x <= 0.0 else x` clips as np.maximum(x, 0.0) does, -0.0 to +0.0.
     The `+ 0.0` on I is the arrays' noise term on I, 0.0 * 0.0.
@@ -139,7 +154,7 @@ def _float_path(p, sigma, cfg, y0, dw, influx, guard):
     influx = influx.tolist()
     s, i, q = y0
     nodes = [y0]
-    for n, (ws, wq) in enumerate(dw.tolist()):
+    for n, (ws, wq) in enumerate(steps):
         cs, cq = 0.0 if s <= 0.0 else s, 0.0 if q <= 0.0 else q
         sig_s, sig_q = sigma(cs), sigma(cq)
         fs, fi, fq = _rates(s, i, q, sig_q, influx[(n - K) % ring], p)
@@ -209,14 +224,10 @@ def _window_mask(T, tau, K, window):
     return mask
 
 
-def _deviations(nodes, ref, mask):
-    """Per node and path the largest |node - ref| component, and per path its sup on mask.
-
-    Formed in place on the spent nodes; `ref` is (n_nodes, 3), or (1, 3) for a fixed point.
-    """
-    nodes -= ref[:, :, None]
-    dev = np.abs(nodes, out=nodes).max(axis=1)  # (n_nodes, n)
-    return dev, dev[mask].max(axis=0)
+def _deviations(block, ref):
+    """Per node and path of a spent node block its largest |node - ref| component, in place."""
+    block -= ref[..., None]
+    return np.abs(block, out=block).max(axis=1)
 
 
 def ensemble(p, hist, cfg, n, reference, window):
@@ -227,7 +238,8 @@ def ensemble(p, hist, cfg, n, reference, window):
     `dde.integrate(p, hist, cfg.T, cfg.K)` gives. Its states are compared
     node by node; any other layout raises ConfigurationError. The per-path
     statistic is the sup over window nodes of the largest componentwise
-    deviation.
+    deviation. Node blocks are reduced as they are stepped: beside the
+    (n_nodes, n) deviations the percentiles need, a run holds O(n) memory.
     """
     h = p.tau / cfg.K
     mask = _window_mask(cfg.T, p.tau, cfg.K, window)
@@ -238,19 +250,19 @@ def ensemble(p, hist, cfg, n, reference, window):
                 f"not on the ensemble's nodes (h={h:g}, {len(mask)} nodes)"
             )
         reference = reference.states
-    ref = np.asarray(reference, dtype=float).reshape(-1, 3)  # a fixed point broadcasts as (1, 3)
-    times, nodes, guard = _simulate_paths(p, hist, cfg, range(n))
-    mean = nodes.mean(axis=2)
-    dev, sup_devs = _deviations(nodes, ref, mask)
+    ref = np.broadcast_to(np.asarray(reference, dtype=float).reshape(-1, 3), (len(mask), 3))
+    paths = range(n)
+    guard = dde._Guard(paths)
+    mean, dev = np.empty((len(mask), 3)), np.empty((len(mask), len(paths)))
+    for j, block in _step_paths(p, hist, cfg, _increments(p, cfg, paths), guard):
+        mean[j:j + len(block)] = block.mean(axis=2)
+        dev[j:j + len(block)] = _deviations(block, ref[j:j + len(block)])
+    sup_devs = dev.max(axis=0, where=mask[:, None], initial=0.0)
+    # in place: each node's row of deviations is only reordered
+    dev_p50, dev_p95 = np.percentile(dev, [50.0, 95.0], axis=1, overwrite_input=True)
     return EnsembleStats(
-        n_paths=n,
-        times=times,
-        mean=mean,
-        dev_p50=np.percentile(dev, 50.0, axis=1),
-        dev_p95=np.percentile(dev, 95.0, axis=1),
-        sup_devs=sup_devs,
-        min_component=guard.min_component,
-        clamp_count=guard.clamp_count,
+        n_paths=n, times=h * np.arange(len(mask)), mean=mean, dev_p50=dev_p50, dev_p95=dev_p95,
+        sup_devs=sup_devs, min_component=guard.min_component, clamp_count=guard.clamp_count,
         warn_count=guard.warn_count,
     )
 
@@ -343,11 +355,15 @@ def concentration_experiment(
 
     table = ConcentrationTable(prefactor=c, eta=st.eta)
     cfg = PathConfig(seed=seed, T=t_hi, K=K, scheme=scheme)
-    mask = _window_mask(t_hi, p.tau, K, (t_lo, t_hi))
+    window = _window_mask(t_hi, p.tau, K, (t_lo, t_hi))[:, None]
+    paths = range(n)
     for eps in eps_list:
-        _, nodes, _ = _simulate_paths(p.with_eps(eps), hist, cfg, range(n))
-        exceed = int(np.count_nonzero(_deviations(nodes, e0[None, :], mask)[1] >= 2.0 * rho))
-        del nodes  # spent: no (n_nodes, n) array outlives its row
+        sup = np.zeros(len(paths))  # each path's sup over the window, block by block
+        increments = _increments(p, cfg, paths)
+        for j, block in _step_paths(p.with_eps(eps), hist, cfg, increments, dde._Guard(paths)):
+            rows = window[j:j + len(block)]
+            np.maximum(sup, _deviations(block, e0).max(axis=0, where=rows, initial=0.0), out=sup)
+        exceed = int(np.count_nonzero(sup >= 2.0 * rho))
         lo, hi = wilson_interval(exceed, n)
         table.rows.append(
             ConcentrationRow(

@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from phagesim import History, Parameters, SigmaFn, hypotheses
+from phagesim import History, Parameters, SigmaFn, dde, hypotheses, sde
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 REFERENCE_SCENARIO = os.path.abspath(os.path.join(SCENARIO_DIR, "reference.json"))
@@ -45,6 +45,12 @@ def hist_standard(p_star):
 @pytest.fixture(scope="session")
 def hist_conc(p_conc):
     return History.constant(p_conc.tau, 0.05, 1.0, 0.05)
+
+
+def step_all(p, hist, cfg, dw, path_indices):
+    """All nodes of `sde._step_paths` driven by full (n_steps, 2, n) increments as one block."""
+    blocks = sde._step_paths(p, hist, cfg, [dw], dde._Guard(path_indices))
+    return np.concatenate([block.copy() for _, block in blocks])
 
 
 def random_validated_scenario(rng, max_tries=200):

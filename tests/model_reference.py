@@ -2,9 +2,9 @@
 
 The package steps the model through `model._rates`, `model._influx` and
 `SigmaFn` only. The functions here spell the same right-hand sides, noise
-amplitudes, step kernels and characteristic matrix out on their own, in the
-arithmetic the package had before they moved, so a test built from them is
-independent of the production kernels.
+amplitudes, noise streams, step kernels and characteristic matrix out on
+their own, in the arithmetic the package had before they moved, so a test
+built from them is independent of the production kernels.
 """
 
 import math
@@ -15,6 +15,16 @@ from phagesim.errors import DomainError
 from phagesim.model import _influx, _rates
 
 S, I, Q = 0, 1, 2
+
+
+def path_normals(seed, path_index, n_steps):
+    """The (n_steps, 2) Gaussian increments of one path in one draw, from its own Philox stream.
+
+    The key is the two 64-bit words (seed, path index), written as an array
+    where `sde._increments` writes one integer.
+    """
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, path_index], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key)).standard_normal((n_steps, 2))
 
 
 def _drift_terms(s, i, q, s_tau, q_tau, p, sigma):

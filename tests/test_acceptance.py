@@ -22,13 +22,12 @@ from phagesim.sde import (
     SCHEME_HEUN,
     PathConfig,
     _simulate_paths,
-    _step_paths,
     concentration_experiment,
     ensemble,
     sample_path,
 )
 
-from conftest import random_validated_scenario
+from conftest import random_validated_scenario, step_all
 from model_reference import drift
 
 P_STAR = Parameters(alpha=0.5, k1=0.1, k2=0.05, d=20.0, m=1.0, b=10.0,
@@ -235,7 +234,7 @@ def test_criterion_7_stochastic_scheme_validity():
         dw = np.zeros((n_steps, 2, 400))  # Q is driven by no noise
         dw[:, 0] = dw_fine.reshape(400, n_steps, fine // n_steps).sum(axis=2).T
         cfg = PathConfig(seed=0, T=T, K=n_steps)
-        _, nodes, _ = _step_paths(p_geo, hist_geo, cfg, dw, range(400))
+        nodes = step_all(p_geo, hist_geo, cfg, dw, range(400))
         errs.append(math.sqrt(float(np.mean((nodes[-1, 0] - exact) ** 2))))
     slope, _ = np.polyfit(np.log([T / n for n in levels]), np.log(errs), 1)
     checks.append(("geometric-noise strong order >= 0.9", slope >= 0.9))

@@ -281,7 +281,7 @@ class TestSchema:
         doc = load_reference_doc()
         doc["run"]["seed"] = 2**64 - 1
         assert from_dict(doc).run.seed == 2**64 - 1
-        doc["run"]["seed"] = 2**64  # path_normals would key it as seed 0
+        doc["run"]["seed"] = 2**64  # the noise streams would key it as seed 0
         message = f"run.seed must be <= {2**64 - 1}, got {2**64}"
         with pytest.raises(ScenarioError, match=re.escape(message)):
             from_dict(doc)
@@ -523,7 +523,7 @@ class TestCli:
         def no_paths(*args):
             raise AssertionError("the window is checked before any path is drawn")
 
-        monkeypatch.setattr(phagesim.sde, "_simulate_paths", no_paths)
+        monkeypatch.setattr(phagesim.sde, "_increments", no_paths)
         code = cli.main(["simulate-sde", path, "--outdir", str(tmp_path / "out"),
                          "--paths", "400"])
         assert code == cli.EXIT_NUMERIC
@@ -559,6 +559,18 @@ class TestCli:
         assert "minimal dose = 17.58303808" in out
         assert "minimal dose = 5" in out
         assert "without coinfection" in out
+        assert "coinfection slows convergence by factor 5 and raises" in out
+
+    def test_compare_coinfection_on_a_short_horizon(self, tmp_path, capsys):
+        # at T = 5 the k2 = 0 fit rate is -0.2389: their ratio is no slow-down factor
+        doc = load_reference_doc()
+        doc["run"]["T"] = 5.0
+        assert cli.main(["compare-coinfection", write_doc(tmp_path, doc)]) == cli.EXIT_OK
+        out = capsys.readouterr().out
+        assert "fitted rate = -0.238857" in out
+        assert "slows convergence" not in out and "factor -" not in out
+        assert ("coinfection gives no convergence factor on this horizon (a fitted rate is "
+                "not positive) and raises the dose by factor 3.52") in out
 
     def test_mc_concentration(self, tmp_path, capsys):
         with open(CONCENTRATION_SCENARIO) as fh:
@@ -656,7 +668,7 @@ class TestCli:
         def no_paths(*args):
             raise AssertionError("the horizon is checked before any path is drawn")
 
-        monkeypatch.setattr(phagesim.sde, "_simulate_paths", no_paths)
+        monkeypatch.setattr(phagesim.sde, "_increments", no_paths)
         start = time.perf_counter()
         code = cli.main(["mc-concentration", path, "--outdir", str(tmp_path / "out")])
         assert time.perf_counter() - start < 1.0

@@ -1,11 +1,13 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from phagesim import History, Parameters, SigmaFn, dde, equilibria, sde
 from phagesim.errors import ConfigurationError, DivergenceError, DomainError, PositivityError
+from phagesim.scenario import parse_scenario
 from phagesim.sde import (
     SCHEME_EULER,
     SCHEME_HEUN,
@@ -14,20 +16,20 @@ from phagesim.sde import (
     ConcentrationTable,
     PathConfig,
     _simulate_paths,
-    _step_paths,
     concentration_experiment,
     ensemble,
-    path_normals,
     sample_path,
     wilson_interval,
 )
 
+from conftest import CONCENTRATION_SCENARIO, REFERENCE_SCENARIO, step_all
 from model_reference import (
     _drift_terms,
     diffusion,
     drift,
     heun_step,
     ito_euler_step,
+    path_normals,
     stratonovich_correction,
 )
 
@@ -250,14 +252,16 @@ class TestFloatLane:
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_nan_takes_the_guard(self, p_star, hist_standard, scheme, monkeypatch):
         # a NaN increment of Q: a NaN fails every range comparison, not only one
-        normals = sde.path_normals
+        increments = sde._increments
 
-        def with_nan(seed, path_index, n_steps):
-            z = normals(seed, path_index, n_steps)
-            z[3, 1] = np.nan
-            return z
+        def with_nan(*args):
+            blocks = increments(*args)
+            first = next(blocks)
+            first[3, 1] = np.nan
+            yield first
+            yield from blocks
 
-        monkeypatch.setattr(sde, "path_normals", with_nan)
+        monkeypatch.setattr(sde, "_increments", with_nan)
         p = p_star.with_eps(0.05)
         cfg = PathConfig(seed=7, T=1.0, K=16, scheme=scheme)
         with pytest.raises(DivergenceError) as floats:
@@ -291,7 +295,7 @@ class TestGeometricNoiseOracle:
             dw = np.zeros((n_steps, 2, n_paths))  # Q is driven by no noise
             dw[:, 0] = dw_fine.reshape(n_paths, n_steps, fine // n_steps).sum(axis=2).T
             cfg = PathConfig(seed=0, T=self.T, K=n_steps, scheme=scheme)
-            _, nodes, _ = _step_paths(self.P, hist, cfg, dw, range(n_paths))
+            nodes = step_all(self.P, hist, cfg, dw, range(n_paths))
             assert np.all(self.P.alpha - self.P.k1 * nodes[:, 2] == self.P.alpha)
             assert nodes[:, 0].max() <= self.P.M
             errs.append(math.sqrt(float(np.mean((nodes[-1, 0] - exact) ** 2))))
@@ -337,14 +341,14 @@ class TestDelayedStrongOrder:
         dw_fine = np.stack([path_normals(0, j, n_fine) for j in range(self.N)], axis=2)
         dw_fine *= math.sqrt(p.tau / self.FINE)
         cfg = PathConfig(seed=0, T=self.T, K=self.FINE, scheme=scheme)
-        _, fine, _ = _step_paths(p, hist_standard, cfg, dw_fine, range(self.N))
+        fine = step_all(p, hist_standard, cfg, dw_fine, range(self.N))
         errs = []
         for K in self.LEVELS:
             r = self.FINE // K
             dw = dw_fine.reshape(-1, r, 2, self.N).sum(axis=1)
             assert len(dw) == dde.step_count(self.T, p.tau, K)
             cfg = PathConfig(seed=0, T=self.T, K=K, scheme=scheme)
-            _, nodes, _ = _step_paths(p, hist_standard, cfg, dw, range(self.N))
+            nodes = step_all(p, hist_standard, cfg, dw, range(self.N))
             sup = np.sqrt(np.sum((nodes - fine[::r]) ** 2, axis=1)).max(axis=0)
             errs.append(math.sqrt(float(np.mean(sup ** 2))))
         slope, _ = np.polyfit(np.log([p.tau / K for K in self.LEVELS]), np.log(errs), 1)
@@ -441,7 +445,7 @@ class TestEnsemble:
         def no_paths(*args):
             raise AssertionError("the layout is checked before any path is drawn")
 
-        monkeypatch.setattr(sde, "_simulate_paths", no_paths)
+        monkeypatch.setattr(sde, "_increments", no_paths)
         with pytest.raises(ConfigurationError):
             ensemble(p_star.with_eps(0.01), hist_standard, cfg, 2, det, (0.0, 5.0))
 
@@ -453,7 +457,7 @@ class TestEnsemble:
         def no_paths(*args):
             raise AssertionError("the window is checked before any path is drawn")
 
-        monkeypatch.setattr(sde, "_simulate_paths", no_paths)
+        monkeypatch.setattr(sde, "_increments", no_paths)
         for reference in (det, equilibria.bacteria_free(p_star)):
             with pytest.raises(ConfigurationError,
                                match=r"window \[10.001, 10.002\] contains no nodes"):
@@ -562,6 +566,103 @@ class TestConcentrationExperiment:
             n=20, seed=2024,
         )
         assert table.log_prob_slope() is None
+
+
+def _bits(obj):
+    """Every field of a result dataclass as bytes, so signed zeros and NaN payloads count."""
+    return [(f.name, np.asarray(getattr(obj, f.name)).tobytes() if f.name != "rows"
+             else repr(obj.rows)) for f in dataclasses.fields(obj)]
+
+
+def _peak_bytes(fn):
+    """The most memory fn held at once beyond what was held before it, by tracemalloc."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+class TestTimeBlocks:
+    """Ensembles draw and step DRAW_STEPS steps at a time; no result may depend on that length."""
+
+    def test_increments_equal_one_draw_per_path(self, p_star, monkeypatch):
+        # 600 steps, a multiple of neither block length; a seed above 2**63
+        cfg = PathConfig(seed=2**64 - 5, T=600 * p_star.tau / 64, K=64)
+        paths, h = [0, 5, 2**40], p_star.tau / cfg.K
+        expected = np.stack([path_normals(cfg.seed, j, 600) * math.sqrt(h) for j in paths], axis=2)
+        for steps in (sde.DRAW_STEPS, 7):
+            monkeypatch.setattr(sde, "DRAW_STEPS", steps)
+            blocks = [block.copy() for block in sde._increments(p_star, cfg, paths)]
+            assert [len(b) for b in blocks] == [steps] * (600 // steps) + [600 % steps]
+            assert np.concatenate(blocks).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 24])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_ensemble_stats(self, p_star, hist_standard, n, scheme, monkeypatch):
+        # the third run clamps and warns, so the guard counters count too
+        p = p_star.with_eps(0.05)
+        det = dde.integrate(p.with_eps(0.0), hist_standard, T=5.0, K=64)  # 320 steps
+        clamping = Parameters(alpha=0.5, k1=0.1, k2=0.05, d=20.0, m=1.0, b=10.0,
+                              mu=0.2, tau=1.0, M=0.5, eps=3.0)
+        runs = [
+            (p, hist_standard, PathConfig(seed=3, T=5.0, K=64, scheme=scheme), det, (1.0, 4.0)),
+            (p, hist_standard, PathConfig(seed=3, T=5.0, K=64, scheme=scheme),
+             equilibria.bacteria_free(p), (0.0, 5.0)),
+            (clamping, History.constant(1.0, 1e-13, 10.0, 1.0),
+             PathConfig(seed=5, T=2.0, K=16, scheme=SCHEME_EULER), np.zeros(3), (0.5, 2.0)),
+        ]
+        stats = [ensemble(p, hist, cfg, n, ref, w) for p, hist, cfg, ref, w in runs]
+        assert n == 1 or (stats[2].clamp_count > 0 and stats[2].warn_count > 0)
+        baseline = [_bits(s) for s in stats]
+        for steps in (1, 7, 64, 320):
+            monkeypatch.setattr(sde, "DRAW_STEPS", steps)
+            for (p, hist, cfg, ref, w), base in zip(runs, baseline):
+                assert _bits(ensemble(p, hist, cfg, n, ref, w)) == base
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_concentration_table(self, p_conc, hist_conc, scheme, monkeypatch):
+        def table():
+            return concentration_experiment(
+                p_conc, hist_conc, [0.025, 0.02], rho=0.05, kappa1=1.2, kappa2=2.0,
+                n=20, seed=7, K=32, scheme=scheme,
+            )
+
+        baseline = table()
+        assert any(0 < r.exceed < r.n for r in baseline.rows)
+        n_steps = dde.step_count(baseline.rows[0].t_hi, p_conc.tau, 32)
+        for steps in (1, 7, 64, n_steps):
+            monkeypatch.setattr(sde, "DRAW_STEPS", steps)
+            assert _bits(table()) == _bits(baseline)
+
+
+class TestMemory:
+    """A Monte Carlo row holds its nodes and increments one time block at a time."""
+
+    def test_concentration_row(self):
+        # the full increments and nodes of the row would be 2 134 x 5 x 400 x 8 B, 34 MB
+        sc = parse_scenario(CONCENTRATION_SCENARIO)
+        r = sc.run
+        peak = _peak_bytes(lambda: concentration_experiment(
+            sc.parameters, sc.history, r.eps_list[:1], r.rho, r.kappa1, r.kappa2, 400,
+            r.seed, K=r.K, scheme=r.scheme,
+        ))
+        assert peak < 8e6
+
+    def test_ensemble(self):
+        # the (n_nodes, n) deviations the percentiles need are 3 201 x 400 x 8 B, 10 MB
+        sc = parse_scenario(REFERENCE_SCENARIO)
+        p, r = sc.parameters, sc.run
+        cfg = PathConfig(seed=r.seed, T=r.T, K=r.K, scheme=r.scheme)
+        det = dde.integrate(p.with_eps(0.0), sc.history, r.T, r.K)
+        peak = _peak_bytes(lambda: ensemble(p, sc.history, cfg, 400, det, (0.0, r.T)))
+        assert peak < 25e6
 
 
 def _row(eps, exceed, n=400):
