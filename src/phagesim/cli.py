@@ -103,7 +103,7 @@ def cmd_simulate_sde(args):
         csvio.write_trajectory(traj, path)
         print(f"sample path written to {path}")
         return EXIT_OK
-    reference = dde.integrate(p.with_eps(0.0), hist, sc.run.T, sc.run.K)
+    reference = dde.integrate(p, hist, sc.run.T, sc.run.K)
     window = tuple(sc.run.window) if sc.run.window else (0.0, sc.run.T)
     stats = sde.ensemble(p, hist, cfg, n, reference, window)
     path = _outpath(sc, args, "ensemble.csv")

@@ -6,7 +6,7 @@ maximum), which a run field carries beside its default.
 """
 
 import json
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional
 
 from . import dde
@@ -49,21 +49,8 @@ _RUN_KEYS = tuple(f.name for f in fields(RunSettings))
 @dataclass
 class Scenario:
     parameters: Parameters
-    history_spec: dict
     run: RunSettings
-    history: History  # built from history_spec when the scenario is parsed
-
-    def to_dict(self):
-        return {
-            "parameters": {k: getattr(self.parameters, k) for k in sorted(_PARAM_KEYS)},
-            "history": dict(self.history_spec),
-            "run": {k: v for k, v in asdict(self.run).items() if v is not None},
-        }
-
-    def emit(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
+    history: History
 
 
 def _history(spec, tau):
@@ -184,7 +171,7 @@ def from_dict(doc):
             f"run.window [{t_a:g}, {t_b:g}] must lie inside [0, T] = [0, {run.T:g}]"
         )
 
-    return Scenario(parameters, dict(hist), run, _history(checked, parameters.tau))
+    return Scenario(parameters, run, _history(checked, parameters.tau))
 
 
 def parse_scenario(path):

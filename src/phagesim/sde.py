@@ -5,9 +5,9 @@ any path is reproducible in isolation and ensembles are order-independent.
 `_step_paths` steps whatever increments it is given, so a convergence test
 can drive the production stepper with Brownian paths of its own.
 All paths of an ensemble advance together on (3, n) arrays, DRAW_STEPS steps
-at a time, and a single path on three floats. Both lanes run the same
-elementwise formulas in the same order, so an ensemble's column is bitwise
-the standalone path with the same index, whatever the block length.
+at a time; a sample path steps on three floats in `_float_path`. Both lanes
+run the same elementwise formulas in the same order, so an ensemble's column
+is bitwise the sample path with the same index, whatever the block length.
 """
 
 import math
@@ -76,25 +76,13 @@ def _history_influx(hist, p, sigma, K):
     return _influx(hist.s(t), sigma(hist.q(t)), p)
 
 
-def _simulate_paths(p, hist, cfg, path_indices):
-    """Advance the given paths on their own Philox streams; returns (times, nodes, guard)."""
-    n_steps = dde.step_count(cfg.T, p.tau, cfg.K)
-    guard = dde._Guard(path_indices)
-    nodes = np.empty((n_steps + 1, 3, len(path_indices)))
-    for j, block in _step_paths(p, hist, cfg, _increments(p, cfg, path_indices), guard):
-        nodes[j:j + len(block)] = block
-    return (p.tau / cfg.K) * np.arange(n_steps + 1), nodes, guard
-
-
 def _step_paths(p, hist, cfg, increments, guard):
     """Step paths on (m, 2, n) blocks of increments of W_S and W_Q at h = tau/K.
 
     Yields (j, nodes): the guarded nodes j, j + 1, ... as an (m, 3, n) block,
     node 0 first. `guard.labels` name the n columns. Paths step together on
     (3, n) arrays into one buffer, a block per increment block; the stepper
-    never reads it back, so a caller may reduce a block in place. One path
-    steps on floats by `_float_path`, which makes the same IEEE operations in
-    the same order, and comes as one block.
+    never reads it back, so a caller may reduce a block in place.
     """
     n_paths = len(guard.labels)
     if n_paths < 1:
@@ -109,10 +97,6 @@ def _step_paths(p, hist, cfg, increments, guard):
     influx[1:] = _history_influx(hist, p, sigma, K)[:, None]
 
     y0 = (hist.s(0.0), hist.i0, hist.q(0.0))
-    if n_paths == 1:
-        steps = chain.from_iterable(dw[:, :, 0].tolist() for dw in increments)
-        yield 0, _float_path(p, sigma, cfg, y0, steps, influx[:, 0], guard)
-        return
     y = np.repeat(np.array(y0)[:, None], n_paths, axis=1)
     nodes = y[None].copy()
     yield 0, nodes
@@ -142,28 +126,33 @@ def _step_paths(p, hist, cfg, increments, guard):
         yield n + 1 - len(dw), nodes[:len(dw)]
 
 
-def _float_path(p, sigma, cfg, y0, steps, influx, guard):
+def _float_path(p, hist, cfg, steps, guard):
     """The (3, n) step above for one path, written out on floats; `steps` yields (dW_S, dW_Q).
 
+    Returns the (n_nodes, 3) nodes and the drift at each node, the one each
+    step evaluates and then the last node's. `influx[n]` is node n's delayed
+    influx: the history's at (n - K) h while n < K, and node n - K's after.
     `0.0 if x <= 0.0 else x` clips as np.maximum(x, 0.0) does, -0.0 to +0.0.
     The `+ 0.0` on I is the arrays' noise term on I, 0.0 * 0.0.
     """
-    K, ring, h = cfg.K, cfg.K + 1, p.tau / cfg.K
+    sigma = SigmaFn(p.M)
+    K, h = cfg.K, p.tau / cfg.K
     eps, ka, hh, half_eps2 = p.eps, p.k1 * p.attenuation, 0.5 * h, 0.5 * p.eps * p.eps
     heun = cfg.scheme == SCHEME_HEUN
-    influx = influx.tolist()
-    s, i, q = y0
-    nodes = [y0]
+    influx = _history_influx(hist, p, sigma, K).tolist()
+    s, i, q = hist.s(0.0), hist.i0, hist.q(0.0)
+    nodes, drifts = [(s, i, q)], []
     for n, (ws, wq) in enumerate(steps):
         cs, cq = 0.0 if s <= 0.0 else s, 0.0 if q <= 0.0 else q
         sig_s, sig_q = sigma(cs), sigma(cq)
-        fs, fi, fq = _rates(s, i, q, sig_q, influx[(n - K) % ring], p)
+        fs, fi, fq = _rates(s, i, q, sig_q, influx[n], p)
+        drifts.append((fs, fi, fq))
         gs, gq = eps * sig_s, eps * sig_q
-        influx[n % ring] = ka * sig_q * s
+        influx.append(ka * sig_q * s)
         if heun:
             ps, pi, pq = s + h * fs + gs * ws, i + h * fi + 0.0, q + h * fq + gq * wq
             sig_ps, sig_pq = sigma(0.0 if ps <= 0.0 else ps), sigma(0.0 if pq <= 0.0 else pq)
-            fps, fpi, fpq = _rates(ps, pi, pq, sig_pq, influx[(n + 1 - K) % ring], p)
+            fps, fpi, fpq = _rates(ps, pi, pq, sig_pq, influx[n + 1], p)
             s = s + hh * (fs + fps) + 0.5 * (gs + eps * sig_ps) * ws
             i = i + hh * (fi + fpi) + 0.0
             q = q + hh * (fq + fpq) + 0.5 * (gq + eps * sig_pq) * wq
@@ -176,24 +165,24 @@ def _float_path(p, sigma, cfg, y0, steps, influx, guard):
                 and 0.0 <= q <= BLOWUP_LIMIT):
             s, i, q = guard.apply(np.array([[s], [i], [q]]), n * h + h)[:, 0].tolist()
         nodes.append((s, i, q))
-    return np.array(nodes)[:, :, None]
+    drifts.append(_rates(s, i, q, sigma(0.0 if q <= 0.0 else q), influx[len(nodes) - 1], p))
+    return np.array(nodes), np.array(drifts)
 
 
 def sample_path(p, hist, cfg, path_index=0):
     """One sample path as a dense Trajectory (noise off reproduces the deterministic run).
 
-    The slopes for the Hermite dense output are the drifts at the nodes:
-    node n reads the history's influx while n < K and node n - K's after.
+    The slopes for the Hermite dense output are the drifts the stepper
+    evaluated at the nodes.
     """
-    sigma = SigmaFn(p.M)
-    _, nodes, guard = _simulate_paths(p, hist, cfg, [path_index])
-    y = nodes[:, :, 0].T  # (3, n_nodes)
-    node_influx = _influx(y[0], sigma._values(np.maximum(y[2], 0.0)), p)
-    delayed = np.concatenate([_history_influx(hist, p, sigma, cfg.K), node_influx])
+    guard = dde._Guard([path_index])
+    blocks = _increments(p, cfg, [path_index])
+    steps = chain.from_iterable(dw[:, :, 0].tolist() for dw in blocks)
+    states, derivs = _float_path(p, hist, cfg, steps, guard)
     return dde.Trajectory(
         h=p.tau / cfg.K,
-        states=y.T,
-        derivs=_stage(y, delayed[:y.shape[1]], p, sigma)[1].T,
+        states=states,
+        derivs=derivs,
         history=hist,
         clamp_count=guard.clamp_count,
         warn_count=guard.warn_count,
@@ -342,7 +331,7 @@ def concentration_experiment(
         raise ConfigurationError("E0 is not attracting (eta <= 0); no window exists")
     e0 = equilibria.bacteria_free(p)
     t_det = max(50.0, 10.0 / st.eta)
-    det = dde.integrate(p.with_eps(0.0), hist, t_det, K)
+    det = dde.integrate(p, hist, t_det, K)
     fit = dde.fit_decay(det, e0, dde.auto_window(det, e0), st.eta)
     c = fit.prefactor
     if rho >= c:

@@ -53,6 +53,14 @@ def step_all(p, hist, cfg, dw, path_indices):
     return np.concatenate([block.copy() for _, block in blocks])
 
 
+def simulate_paths(p, hist, cfg, path_indices):
+    """Every node of the paths, stepped together on arrays: (times, nodes, guard)."""
+    guard = dde._Guard(path_indices)
+    blocks = sde._step_paths(p, hist, cfg, sde._increments(p, cfg, path_indices), guard)
+    nodes = np.concatenate([block.copy() for _, block in blocks])
+    return (p.tau / cfg.K) * np.arange(len(nodes)), nodes, guard
+
+
 def random_validated_scenario(rng, max_tries=200):
     """Draw (Parameters, History) until the full hypothesis suite passes."""
     for _ in range(max_tries):

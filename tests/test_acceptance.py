@@ -21,13 +21,12 @@ from phagesim.sde import (
     SCHEME_EULER,
     SCHEME_HEUN,
     PathConfig,
-    _simulate_paths,
     concentration_experiment,
     ensemble,
     sample_path,
 )
 
-from conftest import random_validated_scenario, step_all
+from conftest import random_validated_scenario, simulate_paths, step_all
 from model_reference import drift
 
 P_STAR = Parameters(alpha=0.5, k1=0.1, k2=0.05, d=20.0, m=1.0, b=10.0,
@@ -252,7 +251,7 @@ def test_criterion_7_stochastic_scheme_validity():
     final = {}
     for scheme in (SCHEME_HEUN, SCHEME_EULER):
         cfg = PathConfig(seed=21, T=2.0, K=256, scheme=scheme)
-        _, nodes, _ = _simulate_paths(p_cross, HIST_STANDARD, cfg, list(range(400)))
+        _, nodes, _ = simulate_paths(p_cross, HIST_STANDARD, cfg, list(range(400)))
         final[scheme] = nodes[-1]
     agree = True
     for k in range(3):

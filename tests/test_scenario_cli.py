@@ -50,13 +50,6 @@ class TestScenarioParsing:
         assert sc.parameters.d == 2.4
         assert sc.run.seed == 2024
 
-    def test_emit_round_trip(self, tmp_path):
-        sc = parse_scenario(REFERENCE_SCENARIO)
-        out = tmp_path / "copy.json"
-        sc.emit(out)
-        again = parse_scenario(str(out))
-        assert again.to_dict() == sc.to_dict()
-
     def test_defaults_applied(self, tmp_path):
         doc = load_reference_doc()
         del doc["run"]

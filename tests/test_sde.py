@@ -15,14 +15,13 @@ from phagesim.sde import (
     ConcentrationRow,
     ConcentrationTable,
     PathConfig,
-    _simulate_paths,
     concentration_experiment,
     ensemble,
     sample_path,
     wilson_interval,
 )
 
-from conftest import CONCENTRATION_SCENARIO, REFERENCE_SCENARIO, step_all
+from conftest import CONCENTRATION_SCENARIO, REFERENCE_SCENARIO, simulate_paths, step_all
 from model_reference import (
     _drift_terms,
     diffusion,
@@ -78,6 +77,20 @@ class TestZeroNoiseDegeneracy:
             errs.append(float(np.max(np.abs(path.eval(5.0) - det.eval(5.0)))))
         assert errs[1] < 0.35 * errs[0]
 
+    def test_residual_draw_undershoots_within_the_tolerance(self):
+        # The `residual` draw of the CLI tests on the reference history and run.
+        # Without noise, I dips below 0 just after t = tau, and dde.integrate's
+        # I dips too, so the discrete delayed subtraction causes the undershoot.
+        # It stays above HARD_NEG; at eps = 0.01 path 1 goes past it.
+        p = Parameters(alpha=0.4512, k1=8.051, k2=0.6335, d=0.3439, m=0.012, b=1417.26,
+                       mu=16.757, tau=1.1036, M=286.49)
+        hist = History.constant(p.tau, 0.5, 10.0, 1.0)
+        path = sample_path(p, hist, PathConfig(seed=12345, T=50.0, K=64))
+        det = dde.integrate(p, hist, T=50.0, K=64)
+        assert path.t_end >= 50.0 and len(path) == len(det)
+        for run in (path, det):
+            assert dde.HARD_NEG <= run.min_component < 0.0 and run.warn_count > 0
+
 
 class TestReproducibility:
     def test_bitwise_identical_reruns(self, p_star, hist_standard):
@@ -89,7 +102,7 @@ class TestReproducibility:
     def test_ensemble_slice_equals_standalone_path(self, p_star, hist_standard):
         p = p_star.with_eps(0.02)
         cfg = PathConfig(seed=11, T=5.0, K=32)
-        _, nodes, _ = _simulate_paths(p, hist_standard, cfg, list(range(5)))
+        _, nodes, _ = simulate_paths(p, hist_standard, cfg, list(range(5)))
         solo = sample_path(p, hist_standard, cfg, path_index=3)
         assert np.array_equal(nodes[:, :, 3], solo.states)
 
@@ -162,7 +175,7 @@ class TestFusedStepper:
         p = dataclasses.replace(p_star, M=M, eps=0.05)
         cfg = PathConfig(seed=17, T=5.0, K=16, scheme=scheme)
         paths = [0, 3, 7]
-        _, nodes, _ = _simulate_paths(p, hist_standard, cfg, paths)
+        _, nodes, _ = simulate_paths(p, hist_standard, cfg, paths)
         q = nodes[:, 2]
         if M == 12.0:  # Q runs through the bridge onto the plateau
             assert np.any((q > M) & (q < M + 1.0)) and np.any(q >= M + 1.0)
@@ -213,7 +226,7 @@ _LANE_CASES = {
 
 
 class TestFloatLane:
-    """A single path steps on floats; it must be the array lane's path to the bit.
+    """A sample path steps on floats; it must be the array lane's path to the bit.
 
     The path listed twice runs on the array lane. Its guard counts every
     event twice and names column 0 first, so counters and errors compare too.
@@ -234,20 +247,21 @@ class TestFloatLane:
         cfg = PathConfig(seed=7, T=T, K=16, scheme=scheme)
         if isinstance(shows, type):
             with pytest.raises(shows) as floats:
-                _simulate_paths(p, hist, cfg, [idx])
+                sample_path(p, hist, cfg, path_index=idx)
             with pytest.raises(shows) as arrays:
-                _simulate_paths(p, hist, cfg, [idx, idx])
-            assert (floats.value.t, str(floats.value)) == (arrays.value.t, str(arrays.value))
+                simulate_paths(p, hist, cfg, [idx, idx])
+            assert (type(floats.value), floats.value.t, str(floats.value)) == (
+                type(arrays.value), arrays.value.t, str(arrays.value))
             return
-        times, nodes, guard = _simulate_paths(p, hist, cfg, [idx])
-        _, pair, pair_guard = _simulate_paths(p, hist, cfg, [idx, idx])
-        assert nodes.shape == (len(times), 3, 1)
+        path = sample_path(p, hist, cfg, path_index=idx)
+        times, pair, pair_guard = simulate_paths(p, hist, cfg, [idx, idx])
+        assert path.states.shape == (len(times), 3)
         # as bytes, so the sign bits of zeros count
-        assert nodes.tobytes() == np.ascontiguousarray(pair[:, :, :1]).tobytes()
-        assert (2 * guard.clamp_count, 2 * guard.warn_count, guard.min_component) == (
+        assert path.states.tobytes() == np.ascontiguousarray(pair[:, :, 0]).tobytes()
+        assert (2 * path.clamp_count, 2 * path.warn_count, path.min_component) == (
             pair_guard.clamp_count, pair_guard.warn_count, pair_guard.min_component)
         if shows:
-            assert getattr(guard, shows) > 0
+            assert getattr(path, shows) > 0
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_nan_takes_the_guard(self, p_star, hist_standard, scheme, monkeypatch):
@@ -265,9 +279,9 @@ class TestFloatLane:
         p = p_star.with_eps(0.05)
         cfg = PathConfig(seed=7, T=1.0, K=16, scheme=scheme)
         with pytest.raises(DivergenceError) as floats:
-            _simulate_paths(p, hist_standard, cfg, [2])
+            sample_path(p, hist_standard, cfg, path_index=2)
         with pytest.raises(DivergenceError) as arrays:
-            _simulate_paths(p, hist_standard, cfg, [2, 2])
+            simulate_paths(p, hist_standard, cfg, [2, 2])
         assert (floats.value.t, str(floats.value)) == (arrays.value.t, str(arrays.value))
         assert floats.value.t == 4 * p.tau / cfg.K and str(floats.value).endswith(" = nan)")
 
@@ -387,7 +401,7 @@ class TestEnsemble:
         final = {}
         for scheme in (SCHEME_HEUN, SCHEME_EULER):
             cfg = PathConfig(seed=21, T=2.0, K=256, scheme=scheme)
-            _, nodes, _ = _simulate_paths(p, hist_standard, cfg, list(range(100)))
+            _, nodes, _ = simulate_paths(p, hist_standard, cfg, list(range(100)))
             final[scheme] = nodes[-1]  # (3, n)
         for k in range(3):
             a, b = final[SCHEME_HEUN][k], final[SCHEME_EULER][k]
@@ -401,7 +415,7 @@ class TestEnsemble:
                        mu=0.2, tau=1.0, M=0.5, eps=3.0)
         hist = History.constant(p.tau, 1e-13, 10.0, 1.0)
         cfg = PathConfig(seed=5, T=2.0, K=16, scheme=SCHEME_EULER)
-        _, _, guard = _simulate_paths(p, hist, cfg, list(range(20)))
+        _, _, guard = simulate_paths(p, hist, cfg, list(range(20)))
         stats = ensemble(p, hist, cfg, 20, np.zeros(3), (0.0, 2.0))
         assert guard.clamp_count > 0 and guard.warn_count > 0
         assert stats.clamp_count == guard.clamp_count
@@ -421,7 +435,7 @@ class TestEnsemble:
             cfg = PathConfig(seed=9, T=5.0, K=K, scheme=scheme)
             det = dde.integrate(p.with_eps(0.0), hist, T=5.0, K=K)
             for reference in (det, equilibria.bacteria_free(p)):
-                times, nodes, _ = _simulate_paths(p, hist, cfg, list(range(n)))
+                times, nodes, _ = simulate_paths(p, hist, cfg, list(range(n)))
                 if isinstance(reference, dde.Trajectory):
                     ref = np.array([reference.eval(t) for t in times])
                 else:
@@ -550,7 +564,7 @@ class TestConcentrationExperiment:
         e0 = equilibria.bacteria_free(p_conc)
         for r in table.rows:
             cfg = PathConfig(seed=seed, T=r.t_hi, K=K, scheme=scheme)
-            times, nodes, guard = _simulate_paths(
+            times, nodes, guard = simulate_paths(
                 p_conc.with_eps(r.eps), hist_conc, cfg, list(range(n))
             )
             dev = np.abs(nodes - e0[None, :, None]).max(axis=1)
