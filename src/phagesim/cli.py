@@ -65,15 +65,15 @@ def cmd_simulate(args):
     if args.dense is not None and not (math.isfinite(args.dense) and args.dense > 0.0):
         raise ScenarioError(f"--dense must be a positive finite time step, got {args.dense!r}")
     sc, p, hist = _load(args)
+    # without E0 there is nothing to fit, so no trajectory is integrated or written
+    e0 = equilibria.bacteria_free(p)
+    st = equilibria.stability_at_e0(p)
     traj = dde.integrate(p, hist, sc.run.T, sc.run.K)
     path = _outpath(sc, args, "trajectory.csv")
     csvio.write_trajectory(traj, path, dense_dt=args.dense)
     print(f"trajectory written to {path} ({len(traj)} nodes, h={traj.h:g})")
 
-    e0 = equilibria.bacteria_free(p)
-    st = equilibria.stability_at_e0(p)
-    window = tuple(sc.run.window) if sc.run.window else dde.auto_window(traj, e0)
-    fit = dde.fit_decay(traj, e0, window, st.eta)
+    fit = dde.fit_decay(traj, e0, st.eta, sc.run.window)
     print(
         f"decay fit on [{fit.window[0]:g}, {fit.window[1]:g}]: "
         f"rate={fit.fitted_rate:.6g} (eta={st.eta:g}, "
@@ -155,12 +155,12 @@ def cmd_compare_coinfection(args):
     T, K = sc.run.T, sc.run.K
 
     traj = dde.integrate(p, hist, T, K)
-    fit = dde.fit_decay(traj, e0, dde.auto_window(traj, e0), st.eta)
+    fit = dde.fit_decay(traj, e0, st.eta)
 
     p0 = p.with_k2(0.0)
     traj2 = dde.integrate(p0, hist, T, K).sq()
     eta2 = min(st.gamma, p.m)
-    fit2 = dde.fit_decay(traj2, e0[[0, 2]], dde.auto_window(traj2, e0[[0, 2]]), eta2)
+    fit2 = dde.fit_decay(traj2, e0[[0, 2]], eta2)
 
     d_min = hypotheses.minimal_dose(p)
     d_min0 = hypotheses.minimal_dose(p0)

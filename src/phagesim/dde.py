@@ -268,7 +268,6 @@ class DecayFit:
 
     prefactor: float
     fitted_rate: float
-    eta: float
     window: tuple
     bound_residual: float
     rate_ok: bool
@@ -280,19 +279,27 @@ def distances(traj, target):
     return np.linalg.norm(traj.states - target, axis=1)
 
 
-def fit_decay(traj, e0, window, eta):
+def fit_decay(traj, e0, eta, window=None):
     """Least-squares decay rate over a window plus the tight envelope prefactor.
 
+    Without a window it fits on AUTO_WINDOW of the last node above DIST_FLOOR. A window may
+    end where step_count lets a run end: ceil(t_b/h - 1e-9) <= n_steps.
     The prefactor is sup of |Z(t)-E0| e^{eta t} over the nodes above
     DIST_FLOOR, so the exponential bound holds with equality at one of them;
     past the floor the distance is rounding, whose product with e^{eta t}
     would grow without bound.
     """
-    t_a, t_b = window
     times = traj.times
-    if t_a < times[0] - 1e-12 or t_b > times[-1] + 1e-12 or t_b <= t_a:
-        raise WindowError(f"window [{t_a:g}, {t_b:g}] not inside the trajectory")
     dist = distances(traj, e0)
+    alive = np.nonzero(dist > DIST_FLOOR)[0]
+    if window is None:
+        if len(alive) < 4:
+            raise WindowError("trajectory sits on the equilibrium; no decay to fit")
+        t_last = times[alive[-1]]
+        window = (AUTO_WINDOW[0] * t_last, AUTO_WINDOW[1] * t_last)
+    t_a, t_b = window
+    if t_a < -1e-12 or t_b / traj.h - 1e-9 > len(traj) - 1 or t_b <= t_a:
+        raise WindowError(f"window [{t_a:g}, {t_b:g}] not inside the trajectory")
     mask = (times >= t_a - 1e-12) & (times <= t_b + 1e-12)
     if mask.sum() < 2:
         raise WindowError("window contains fewer than two nodes")
@@ -302,7 +309,6 @@ def fit_decay(traj, e0, window, eta):
         )
     slope, _ = np.polyfit(times[mask], np.log(dist[mask]), 1)
     fitted_rate = -float(slope)
-    alive = np.nonzero(dist > DIST_FLOOR)[0]
     if len(alive) == 0:
         raise WindowError("trajectory sits on the equilibrium; no envelope to fit")
     # the sup in log space, where e^{eta t} cannot overflow; the products at the nodes
@@ -314,18 +320,8 @@ def fit_decay(traj, e0, window, eta):
     return DecayFit(
         prefactor=prefactor,
         fitted_rate=fitted_rate,
-        eta=eta,
         window=(float(t_a), float(t_b)),
         bound_residual=bound_residual,
         rate_ok=fitted_rate >= 0.95 * eta,
     )
 
-
-def auto_window(traj, e0):
-    """A fitting window clear of both the transient and distance underflow."""
-    dist = distances(traj, e0)
-    alive = np.nonzero(dist > DIST_FLOOR)[0]
-    if len(alive) < 4:
-        raise WindowError("trajectory sits on the equilibrium; no decay to fit")
-    t_last = traj.times[alive[-1]]
-    return (AUTO_WINDOW[0] * t_last, AUTO_WINDOW[1] * t_last)

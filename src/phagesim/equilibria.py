@@ -22,7 +22,8 @@ class StabilityInfo:
 
 
 def bacteria_free(p):
-    """The bacteria-free equilibrium (0, 0, d/m); needs d/m < M so sigma is the identity there."""
+    """The bacteria-free equilibrium (0, 0, d/m); the one test of d/m < M, which makes sigma
+    the identity there and on which stability at E0, nu and the invariant region rest."""
     if p.d / p.m >= p.M:
         raise EquilibriumExistenceError(
             f"bacteria-free equilibrium needs d/m < M, got d/m={p.d / p.m:g} >= M={p.M:g}"
@@ -69,8 +70,7 @@ def stability_at_e0(p):
     The delayed characteristic matrix is lower triangular with diagonal
     (lam - lam1, lam + mu, lam + m), so these are its roots for every tau.
     """
-    if p.d / p.m >= p.M:
-        raise EquilibriumExistenceError("stability at E0 needs d/m < M")
+    bacteria_free(p)
     lam1 = p.alpha - p.k1 * p.d / p.m
     gamma = -lam1
     return StabilityInfo(

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PreconditionError
+from .equilibria import bacteria_free
 from .model import SigmaFn
 
 _SCAN_STEP = 1e-4
@@ -108,14 +108,16 @@ def _burst_rate(p):
     return p.effective_burst * p.mu
 
 
+def _headroom(p):
+    # m M - d, the capacity above the dose that nu and the region bounds scale with
+    return p.m * p.M - p.d
+
+
 def compute_nu(p):
-    """Lower boundary of the phage component of the invariant region."""
-    if p.m * p.M <= p.d:
-        raise PreconditionError(
-            "compute_nu requires m*M > d (the dose chain needs d/m < M)"
-        )
+    """Lower boundary of the phage component of the invariant region; needs E0 (d/m < M)."""
+    bacteria_free(p)
     br = _burst_rate(p)
-    return p.d * br / (p.m * br + p.k2 * (p.m * p.M - p.d))
+    return p.d * br / (p.m * br + p.k2 * _headroom(p))
 
 
 def minimal_dose(p):
@@ -129,14 +131,13 @@ def minimal_dose(p):
 
 
 def invariant_region(p):
-    """The box of the boundedness result; requires m*M > d."""
-    if p.m * p.M <= p.d:
-        raise PreconditionError("invariant_region requires m*M > d")
-    head = p.m * p.M - p.d
+    """The box of the boundedness result; needs E0 (d/m < M), through compute_nu."""
+    q_min = compute_nu(p)
+    head = _headroom(p)
     return RegionBounds(
         s_max=head / (p.k1 * p.effective_burst * p.M),
         i_max=head / (p.effective_burst * p.mu),
-        q_min=compute_nu(p),
+        q_min=q_min,
         q_max=p.M,
     )
 
@@ -221,9 +222,7 @@ def check_initial_mass(hist, p):
 
 
 def check_delay_hypotheses(hist, p):
-    """The four initial-condition clauses, each as a worst-case margin over [-tau, 0]."""
-    if p.m * p.M <= p.d:
-        raise PreconditionError("delay hypotheses need m*M > d")
+    """The four initial-condition clauses, each as a worst-case margin over [-tau, 0]; need E0."""
     region = invariant_region(p)
     ts = np.linspace(-hist.tau, 0.0, _REFINE * (len(hist.grid) - 1) + 1)
     s0, q0 = hist.s(ts), hist.q(ts)
@@ -237,7 +236,7 @@ def check_delay_hypotheses(hist, p):
         float(q0.min()) - region.q_min,
         float(p.M - q0.max()),
     )
-    pressure = (p.m * br + p.k2 * (p.m * p.M - p.d)) * q0 * s0
+    pressure = (p.m * br + p.k2 * _headroom(p)) * q0 * s0
     return [
         _check(
             "init-region", "(S0(t), I0, Q0(t)) in R0 = [0,M] x [0,M] x [nu, M]",
@@ -260,8 +259,9 @@ def check_dose(p):
     """The dose hypothesis: d/m < M and the k2-inflated dose threshold."""
     br = _burst_rate(p)
     threshold = (p.alpha * p.m / p.k1) * (br + p.k2 * (p.M - p.d / p.m)) / br
+    capacity = _check("dose-capacity", "d/m < M", p.d / p.m, "<", p.M)
     entries = [
-        _check("dose-capacity", "d/m < M", p.d / p.m, "<", p.M),
+        capacity,
         _check(
             "dose-threshold",
             "d > (alpha m / k1)(b e^{-mu tau} mu + k2(M - d/m))/(b e^{-mu tau} mu)",
@@ -269,7 +269,7 @@ def check_dose(p):
         ),
     ]
     # Derived chain alpha/k1 < nu < d/m < M; reported, not a hypothesis itself.
-    if p.m * p.M > p.d:
+    if capacity.passed:
         nu = compute_nu(p)
         chain = min(nu - p.alpha / p.k1, p.d / p.m - nu, p.M - p.d / p.m)
         entries.append(
@@ -286,13 +286,15 @@ def validate(p, hist):
     report = ValidationReport()
     report.entries.extend(check_sigma(SigmaFn(p.M)))
     report.entries.append(check_initial_mass(hist, p))
-    if p.m * p.M > p.d:
+    dose = check_dose(p)
+    capacity = dose[0]  # d/m < M: whether E0, and with it the region, exists
+    if capacity.passed:
         report.entries.extend(check_delay_hypotheses(hist, p))
     else:
-        # always a failure, so not a _check entry
+        # the dose-capacity failure restated; always a failure, so not a _check entry
         report.entries.append(CheckEntry(
-            "init-clauses", "delay hypotheses unevaluable: m*M <= d breaks the region definition",
-            p.m * p.M, p.d, p.m * p.M - p.d, False,
+            "init-clauses", "delay hypotheses unevaluable: d/m >= M breaks the region definition",
+            capacity.lhs, capacity.rhs, capacity.margin, False,
         ))
-    report.entries.extend(check_dose(p))
+    report.entries.extend(dose)
     return report

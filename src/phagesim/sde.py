@@ -332,7 +332,7 @@ def concentration_experiment(
     e0 = equilibria.bacteria_free(p)
     t_det = max(50.0, 10.0 / st.eta)
     det = dde.integrate(p, hist, t_det, K)
-    fit = dde.fit_decay(det, e0, dde.auto_window(det, e0), st.eta)
+    fit = dde.fit_decay(det, e0, st.eta)
     c = fit.prefactor
     if rho >= c:
         raise ConfigurationError(

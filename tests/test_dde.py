@@ -7,7 +7,6 @@ import pytest
 
 from phagesim import History, Parameters, SigmaFn, dde, equilibria, hypotheses
 from phagesim.dde import (
-    auto_window,
     distances,
     fit_decay,
     integrate,
@@ -225,10 +224,23 @@ class TestDecayFit:
 
     def test_auto_window_is_usable(self, p_star, traj_star):
         e0 = equilibria.bacteria_free(p_star)
-        lo, hi = auto_window(traj_star, e0)
+        fit = fit_decay(traj_star, e0, eta=0.2)
+        lo, hi = fit.window
         assert 0.0 < lo < hi <= traj_star.t_end
-        fit = fit_decay(traj_star, e0, window=(lo, hi), eta=0.2)
         assert fit.rate_ok
+        assert fit == fit_decay(traj_star, e0, eta=0.2, window=(lo, hi))
+
+    def test_window_may_end_where_the_run_ends(self, p_star, hist_standard):
+        # step_count ends a T within 1e-9 steps past a node on that node
+        e0 = equilibria.bacteria_free(p_star)
+        T = 50.00000000001
+        traj = integrate(p_star, hist_standard, T=T, K=64)
+        assert traj.t_end == 50.0 < T
+        fit = fit_decay(traj, e0, eta=0.2, window=(10.0, T))
+        assert fit.window == (10.0, T)
+        assert fit.fitted_rate == fit_decay(traj, e0, eta=0.2, window=(10.0, 50.0)).fitted_rate
+        with pytest.raises(WindowError, match="not inside"):
+            fit_decay(traj, e0, eta=0.2, window=(10.0, 50.0 + 2e-9 * traj.h))
 
     def test_window_outside_trajectory(self, p_star, traj_star):
         e0 = equilibria.bacteria_free(p_star)
@@ -243,8 +255,8 @@ class TestDecayFit:
         traj = integrate(p_star, hist, T=10.0, K=16)
         with pytest.raises(WindowError):
             fit_decay(traj, e0, window=(2.0, 8.0), eta=0.2)
-        with pytest.raises(WindowError):
-            auto_window(traj, e0)
+        with pytest.raises(WindowError, match="no decay to fit"):
+            fit_decay(traj, e0, eta=0.2)
 
 
 class TestTwoComponentSubsystem:

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phagesim import History, Parameters, SigmaFn, compute_nu, invariant_region, minimal_dose
-from phagesim import hypotheses
-from phagesim.errors import PreconditionError
+from phagesim import equilibria, hypotheses
+from phagesim.errors import EquilibriumExistenceError, PreconditionError
 
 
 def test_nu_reference_value(p_star):
@@ -310,7 +310,7 @@ def _written_out(p, hist):
         "dose-capacity": (p.d / p.m, p.M, p.M - p.d / p.m, p.d / p.m < p.M),
         "dose-threshold": (p.d, threshold, p.d - threshold, p.d > threshold),
     }
-    if p.m * p.M <= p.d:
+    if p.d / p.m >= p.M:
         return out
     nu = compute_nu(p)
     region = invariant_region(p)
@@ -432,3 +432,27 @@ class TestMarginRule:
         e = _entries(hypotheses.validate(p, hist))[entry_id]
         assert e.lhs == e.rhs
         assert str((e.margin, e.passed)) == str((0.0, passed))
+
+
+@given(
+    d=st.floats(1e-3, 1e3), m=st.floats(1e-2, 1e2), k=st.integers(-4, 4),
+)
+@settings(max_examples=300, deadline=None)
+def test_one_existence_test_near_capacity(p_star, hist_standard, d, m, k):
+    # M within a few ulps of d/m, where d/m < M and m*M > d can disagree: every
+    # function that needs E0 raises exactly when the dose-capacity entry fails
+    p = dataclasses.replace(p_star, d=d, m=m, M=d / m * (1.0 + k * 2.0**-52))
+    capacity = next(e for e in hypotheses.check_dose(p) if e.id == "dose-capacity")
+    needs_e0 = (
+        equilibria.bacteria_free, equilibria.stability_at_e0, compute_nu, invariant_region,
+        lambda p: hypotheses.check_delay_hypotheses(hist_standard, p),
+    )
+    for fn in needs_e0:
+        if capacity.passed:
+            fn(p)
+        else:
+            with pytest.raises(EquilibriumExistenceError):
+                fn(p)
+    entries = _entries(hypotheses.validate(p, hist_standard))
+    assert ("init-clauses" in entries) is not capacity.passed
+    assert entries["dose-capacity"].passed is capacity.passed

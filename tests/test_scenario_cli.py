@@ -471,6 +471,34 @@ class TestCli:
         assert "decay fit" in out
         assert "stays inside" in out
 
+    def test_simulate_without_e0_writes_nothing(self, tmp_path, capsys):
+        doc = load_reference_doc()
+        doc["parameters"]["d"] = 200.0  # d/m = 200 >= M = 100
+        path = write_doc(tmp_path, doc)
+        code = cli.main(["simulate", path, "--outdir", str(tmp_path / "out")])
+        assert code == cli.EXIT_NUMERIC
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error:model: bacteria-free equilibrium needs d/m < M, got d/m=200 >= M=100\n"
+        )
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("params, run", [
+        # d/m < M by one ulp while m*M rounds to d: E0 exists, and so does the region
+        (dict(d=72.17629231756851, m=7.1148057792558435, M=10.144520392672986), dict(T=5.0)),
+        # a window that ends at a T which step_count ends on the node 50
+        ({}, dict(T=50.00000000001, window=[10.0, 50.00000000001])),
+    ], ids=["capacity-edge", "window-at-T"])
+    def test_simulate_on_the_edges(self, tmp_path, capsys, params, run):
+        doc = load_reference_doc()
+        doc["parameters"].update(params)
+        doc["run"].update(run)
+        path = write_doc(tmp_path, doc)
+        assert cli.main(["simulate", path, "--outdir", str(tmp_path / "out")]) == cli.EXIT_OK
+        out = capsys.readouterr().out
+        assert "decay fit" in out and "region monitor" in out
+
     def test_simulate_dense_resampling(self, tmp_path):
         code = cli.main(
             ["simulate", REFERENCE_SCENARIO, "--outdir", str(tmp_path), "--dense", "1.0"]
