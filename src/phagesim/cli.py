@@ -1,10 +1,11 @@
 """Command-line surface: reproducible experiments from scenario files.
 
-Exit codes: 0 success, 2 hypothesis validation failure, 3 numeric
-divergence/positivity failure, 4 IO or scenario parse error, or a run too
-large for the memory available (such as a huge path count). No run takes
-more than dde.MAX_STEPS = 10**6 steps of tau/K: a longer run.T exits 4 when
-parsed, and a longer horizon that mc-concentration derives exits 3 before any path.
+Exit codes: 0 success, 2 hypothesis validation failure (or a burst b e^{-mu tau}
+that underflows in the thresholds), 3 numeric divergence/positivity failure, 4 IO
+or scenario parse error, or a run over its budget: more than dde.MAX_STEPS = 10**6
+steps of tau/K to reach run.T (refused when parsed) or rows of `simulate --dense`,
+or paths over sde.PATH_BYTES_BUDGET bytes (refused before any is built). A longer
+horizon that mc-concentration derives exits 3 before any path.
 """
 
 import argparse
@@ -17,6 +18,7 @@ import sys
 from . import csvio, dde, equilibria, hypotheses, sde
 from .errors import (
     DivergenceError,
+    HypothesisError,
     PhagesimError,
     PositivityError,
     ScenarioError,
@@ -65,9 +67,13 @@ def cmd_simulate(args):
     if args.dense is not None and not (math.isfinite(args.dense) and args.dense > 0.0):
         raise ScenarioError(f"--dense must be a positive finite time step, got {args.dense!r}")
     sc, p, hist = _load(args)
-    # without E0 there is nothing to fit, so no trajectory is integrated or written
+    if args.dense is not None and (rows := sc.run.T / args.dense + 1.0) > dde.MAX_STEPS:
+        raise ScenarioError(f"--dense {args.dense:g} over T = {sc.run.T:g} gives {rows:.7g} "
+                            f"rows; the limit is {dde.MAX_STEPS} rows")
+    # without E0 and its region nothing can be fitted or monitored, so nothing is integrated
     e0 = equilibria.bacteria_free(p)
     st = equilibria.stability_at_e0(p)
+    region = hypotheses.invariant_region(p)
     traj = dde.integrate(p, hist, sc.run.T, sc.run.K)
     path = _outpath(sc, args, "trajectory.csv")
     csvio.write_trajectory(traj, path, dense_dt=args.dense)
@@ -79,7 +85,6 @@ def cmd_simulate(args):
         f"rate={fit.fitted_rate:.6g} (eta={st.eta:g}, "
         f"{'ok' if fit.rate_ok else 'below eta'}), c={fit.prefactor:.6g}"
     )
-    region = hypotheses.invariant_region(p)
     exit_record = dde.monitor_region(traj, region)
     if exit_record is None:
         print("region monitor: trajectory stays inside the invariant box")
@@ -222,6 +227,9 @@ def main(argv=None):
     except MemoryError as exc:
         print(f"error:resource: out of memory: {exc}", file=sys.stderr)
         return EXIT_IO
+    except HypothesisError as exc:
+        print(f"error:hypothesis: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     except PhagesimError as exc:
         print(f"error:model: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -44,7 +44,6 @@ class Trajectory:
     h: float
     states: np.ndarray  # (n_nodes, dim)
     derivs: np.ndarray  # (n_nodes, dim)
-    history: object = None  # History backing t < 0
     clamp_count: int = 0
     warn_count: int = 0
     min_component: float = 0.0
@@ -69,16 +68,11 @@ class Trajectory:
         return replace(self, states=self.states[:, ::2], derivs=self.derivs[:, ::2])
 
     def eval(self, t):
-        """Dense state at scalar time t; exact at nodes, history-backed below 0."""
-        if t < 0.0:
-            if self.history is None:
-                raise DomainError(f"time {t:g} predates the trajectory and no history is attached")
-            state = self.history.state(t)
-            return state[::2] if self.dim == 2 else state
+        """Dense state at scalar time t in [0, t_end]; exact at nodes."""
         x = t / self.h
         n_last = len(self.states) - 1
-        if x > n_last + 1e-9:
-            raise DomainError(f"time {t:g} beyond trajectory end {self.t_end:g}")
+        if not (0.0 <= x <= n_last + 1e-9):  # a NaN fails too
+            raise DomainError(f"time {t:g} outside the trajectory [0, {self.t_end:g}]")
         # t/h of a node time h*j need not round to j exactly
         j = round(x)
         if j <= n_last and t == self.h * j:
@@ -227,7 +221,6 @@ def integrate(p, hist, T, K):
         h=h,
         states=np.array(states),
         derivs=np.array(derivs),
-        history=hist,
         clamp_count=guard.clamp_count,
         warn_count=guard.warn_count,
         min_component=guard.min_component,

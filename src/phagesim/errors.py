@@ -13,6 +13,10 @@ class PreconditionError(PhagesimError, ValueError):
     """A parameter combination violates a structural precondition."""
 
 
+class HypothesisError(PreconditionError):
+    """A standing hypothesis fails so that a quantity derived from it does not exist."""
+
+
 class EquilibriumExistenceError(PreconditionError):
     """The requested equilibrium point does not exist for these parameters."""
 

@@ -79,7 +79,3 @@ class History:
     def q(self, t):
         out = np.maximum(self._q(self._clamp_t(t)), 0.0)
         return float(out) if out.ndim == 0 else out
-
-    def state(self, t):
-        """Full (S, I, Q) pre-history state at a scalar time t in [-tau, 0]."""
-        return np.array([self.s(t), self.i0, self.q(t)])

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .equilibria import bacteria_free
+from .errors import HypothesisError
 from .model import SigmaFn
 
 _SCAN_STEP = 1e-4
@@ -104,8 +105,13 @@ class ValidationReport:
 
 
 def _burst_rate(p):
-    # b * exp(-mu*tau) * mu, the recurring group in the thresholds
-    return p.effective_burst * p.mu
+    # b * exp(-mu*tau) * mu, the recurring group in the thresholds; they divide by it,
+    # and the region's S bound by k1 b exp(-mu*tau) M
+    br = p.effective_burst * p.mu
+    if br == 0.0 or p.k1 * p.effective_burst * p.M == 0.0:
+        raise HypothesisError(f"b e^(-mu tau) = {p.effective_burst:.3g} at mu tau = "
+                              f"{p.mu * p.tau:g} underflows in the thresholds that divide by it")
+    return br
 
 
 def _headroom(p):

@@ -26,6 +26,12 @@ SCHEME_EULER = "ito-euler-corrected"
 SCHEMES = (SCHEME_HEUN, SCHEME_EULER)
 Z95 = 1.959963984540054  # the standard normal quantile of a two-sided 95% interval
 DRAW_STEPS = 256  # steps per time block: increments drawn and nodes held at once
+# Bytes a run's paths may hold, a quarter of an 8 GB host. A path holds its Philox
+# generator (about 1 KB traced), K + 1 floats of delayed influx, a block of increments
+# (2 floats a step), nodes (3) and deviations (1), and the float lane's K-long list of
+# history influx (32 B an entry): 1024 + 8 (K + 1) + 48 DRAW_STEPS + 32 K bytes,
+# 15.9 KB at K = 64, so about 135 000 paths fit at K = 64.
+PATH_BYTES_BUDGET = 2**31
 
 
 @dataclass(frozen=True)
@@ -42,6 +48,14 @@ class PathConfig:
             raise DomainError("horizon T must be positive")
         if self.scheme not in SCHEMES:
             raise DomainError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
+
+
+def _check_budget(n, K):
+    """Refuse n paths at K steps a delay whose bytes exceed PATH_BYTES_BUDGET, before any exists."""
+    need = n * (1024 + 8 * (K + 1) + 48 * DRAW_STEPS + 32 * K)
+    if need > PATH_BYTES_BUDGET:
+        raise MemoryError(f"paths need {need:.4g} bytes at n = {n}, K = {K}; "
+                          f"the path budget is {PATH_BYTES_BUDGET} bytes")
 
 
 def _increments(p, cfg, path_indices):
@@ -175,6 +189,7 @@ def sample_path(p, hist, cfg, path_index=0):
     The slopes for the Hermite dense output are the drifts the stepper
     evaluated at the nodes.
     """
+    _check_budget(1, cfg.K)
     guard = dde._Guard([path_index])
     blocks = _increments(p, cfg, [path_index])
     steps = chain.from_iterable(dw[:, :, 0].tolist() for dw in blocks)
@@ -183,7 +198,6 @@ def sample_path(p, hist, cfg, path_index=0):
         h=p.tau / cfg.K,
         states=states,
         derivs=derivs,
-        history=hist,
         clamp_count=guard.clamp_count,
         warn_count=guard.warn_count,
         min_component=guard.min_component,
@@ -213,10 +227,17 @@ def _window_mask(T, tau, K, window):
     return mask
 
 
-def _deviations(block, ref):
-    """Per node and path of a spent node block its largest |node - ref| component, in place."""
-    block -= ref[..., None]
-    return np.abs(block, out=block).max(axis=1)
+def _reduce_block(j, block, ref, window, sup):
+    """Nodes j, j + 1, ... of a spent (m, 3, n) block as each path's largest |node - ref[j]|.
+
+    Forms the (m, n) deviations in place on the block and folds each path's
+    max over the block's window nodes into its running `sup`.
+    """
+    rows = slice(j, j + len(block))
+    block -= ref[rows, :, None]
+    dev = np.abs(block, out=block).max(axis=1)
+    np.maximum(sup, dev.max(axis=0, where=window[rows, None], initial=0.0), out=sup)
+    return dev
 
 
 def ensemble(p, hist, cfg, n, reference, window):
@@ -227,9 +248,10 @@ def ensemble(p, hist, cfg, n, reference, window):
     `dde.integrate(p, hist, cfg.T, cfg.K)` gives. Its states are compared
     node by node; any other layout raises ConfigurationError. The per-path
     statistic is the sup over window nodes of the largest componentwise
-    deviation. Node blocks are reduced as they are stepped: beside the
-    (n_nodes, n) deviations the percentiles need, a run holds O(n) memory.
+    deviation. Each node block is reduced as it is stepped, to its mean, its
+    deviation percentiles and the running sups, so a run holds O(n) memory.
     """
+    _check_budget(n, cfg.K)
     h = p.tau / cfg.K
     mask = _window_mask(cfg.T, p.tau, cfg.K, window)
     if isinstance(reference, dde.Trajectory):
@@ -242,13 +264,14 @@ def ensemble(p, hist, cfg, n, reference, window):
     ref = np.broadcast_to(np.asarray(reference, dtype=float).reshape(-1, 3), (len(mask), 3))
     paths = range(n)
     guard = dde._Guard(paths)
-    mean, dev = np.empty((len(mask), 3)), np.empty((len(mask), len(paths)))
+    mean, pct, sup_devs = np.empty((len(mask), 3)), np.empty((2, len(mask))), np.zeros(n)
     for j, block in _step_paths(p, hist, cfg, _increments(p, cfg, paths), guard):
-        mean[j:j + len(block)] = block.mean(axis=2)
-        dev[j:j + len(block)] = _deviations(block, ref[j:j + len(block)])
-    sup_devs = dev.max(axis=0, where=mask[:, None], initial=0.0)
-    # in place: each node's row of deviations is only reordered
-    dev_p50, dev_p95 = np.percentile(dev, [50.0, 95.0], axis=1, overwrite_input=True)
+        rows = slice(j, j + len(block))
+        mean[rows] = block.mean(axis=2)
+        dev = _reduce_block(j, block, ref, mask, sup_devs)
+        # in place: each node's row of deviations is only reordered
+        pct[:, rows] = np.percentile(dev, [50.0, 95.0], axis=1, overwrite_input=True)
+    dev_p50, dev_p95 = pct
     return EnsembleStats(
         n_paths=n, times=h * np.arange(len(mask)), mean=mean, dev_p50=dev_p50, dev_p95=dev_p95,
         sup_devs=sup_devs, min_component=guard.min_component, clamp_count=guard.clamp_count,
@@ -325,6 +348,7 @@ def concentration_experiment(
         raise ConfigurationError("need 1 < kappa1 < kappa2")
     if rho <= 0.0:
         raise ConfigurationError("need rho > 0")
+    _check_budget(n, K)  # each row steps its n paths anew
 
     st = equilibria.stability_at_e0(p)
     if st.eta <= 0.0:
@@ -344,14 +368,14 @@ def concentration_experiment(
 
     table = ConcentrationTable(prefactor=c, eta=st.eta)
     cfg = PathConfig(seed=seed, T=t_hi, K=K, scheme=scheme)
-    window = _window_mask(t_hi, p.tau, K, (t_lo, t_hi))[:, None]
+    window = _window_mask(t_hi, p.tau, K, (t_lo, t_hi))
+    ref = np.broadcast_to(e0, (len(window), 3))
     paths = range(n)
     for eps in eps_list:
         sup = np.zeros(len(paths))  # each path's sup over the window, block by block
         increments = _increments(p, cfg, paths)
         for j, block in _step_paths(p.with_eps(eps), hist, cfg, increments, dde._Guard(paths)):
-            rows = window[j:j + len(block)]
-            np.maximum(sup, _deviations(block, e0).max(axis=0, where=rows, initial=0.0), out=sup)
+            _reduce_block(j, block, ref, window, sup)
         exceed = int(np.count_nonzero(sup >= 2.0 * rho))
         lo, hi = wilson_interval(exceed, n)
         table.rows.append(

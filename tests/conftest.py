@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,6 +60,21 @@ def simulate_paths(p, hist, cfg, path_indices):
     blocks = sde._step_paths(p, hist, cfg, sde._increments(p, cfg, path_indices), guard)
     nodes = np.concatenate([block.copy() for _, block in blocks])
     return (p.tau / cfg.K) * np.arange(len(nodes)), nodes, guard
+
+
+def peak_bytes(fn):
+    """The most memory fn held at once beyond what was held before it, by tracemalloc."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 def random_validated_scenario(rng, max_tries=200):

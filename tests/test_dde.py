@@ -30,8 +30,6 @@ class TestBasicIntegration:
 
     def test_starts_on_history(self, hist_standard, traj_star):
         assert traj_star.states[0] == pytest.approx([0.5, 1.0, 10.0], abs=1e-12)
-        # below t0 the dense evaluator serves the history itself
-        assert traj_star.eval(-0.5) == pytest.approx([0.5, 1.0, 10.0], abs=1e-12)
 
     def test_equilibrium_is_a_fixed_point(self, p_star):
         e0 = equilibria.bacteria_free(p_star)
@@ -111,6 +109,12 @@ class TestAccuracy:
     def test_eval_beyond_end_rejected(self, traj_star):
         with pytest.raises(DomainError):
             traj_star.eval(traj_star.t_end + 1.0)
+
+    @pytest.mark.parametrize("t", [-1e-300, -0.5, math.nan])
+    def test_eval_before_start_rejected(self, traj_star, t):
+        # a trajectory holds only its nodes from t = 0
+        with pytest.raises(DomainError, match="outside the trajectory"):
+            traj_star.eval(t)
 
 
 def _loop_monitor(traj, region, atol=1e-9):
@@ -282,11 +286,6 @@ class TestTwoComponentSubsystem:
         assert rate_bound == pytest.approx(1.0, rel=1e-12)
         assert fit.fitted_rate >= 0.8
         assert fit.fitted_rate >= 4.0 * 0.2
-
-    def test_dense_output_history_backing(self, p_star, hist_standard):
-        p = p_star.with_k2(0.0)
-        sub = integrate(p, hist_standard, T=5.0, K=16).sq()
-        assert sub.eval(-0.25) == pytest.approx([0.5, 10.0], abs=1e-12)
 
 
 class _ParentGuard:

@@ -12,8 +12,6 @@ class TestConstruction:
         for t in (-2.0, -1.3, 0.0):
             assert hist.s(t) == pytest.approx(0.5, abs=1e-12)
             assert hist.q(t) == pytest.approx(10.0, abs=1e-12)
-        assert hist.state(-0.7) == pytest.approx([0.5, 1.0, 10.0], abs=1e-12)
-        assert hist.state(-0.7)[::2] == pytest.approx([0.5, 10.0], abs=1e-12)
 
     def test_zero_phage_preset(self):
         hist = History.zero_phage(1.0, 2.0, 0.0)

@@ -19,7 +19,7 @@ from phagesim.dde import MAX_STEPS, integrate
 from phagesim.errors import DomainError, ScenarioError
 from phagesim.scenario import _PARAM_RULES, RunSettings, from_dict, parse_scenario
 
-from conftest import CONCENTRATION_SCENARIO, REFERENCE_SCENARIO
+from conftest import CONCENTRATION_SCENARIO, REFERENCE_SCENARIO, peak_bytes
 
 
 def load_reference_doc():
@@ -516,6 +516,35 @@ class TestCli:
         assert "error:parse: --dense" in capsys.readouterr().err
         assert not (tmp_path / "trajectory.csv").exists()
 
+    def test_simulate_dense_rows_refused_before_integrating(self, tmp_path, capsys, monkeypatch):
+        def no_run(*args):
+            raise AssertionError("the dense rows are counted before integrating")
+
+        monkeypatch.setattr(phagesim.dde, "integrate", no_run)
+        start = time.perf_counter()
+        code = cli.main(
+            ["simulate", REFERENCE_SCENARIO, "--outdir", str(tmp_path), "--dense", "1e-9"]
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert err == ("error:parse: --dense 1e-09 over T = 50 gives 5e+10 rows; "
+                       f"the limit is {MAX_STEPS} rows\n")
+        assert not (tmp_path / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize("dense, code", [(0.125, cli.EXIT_OK), (0.1249, cli.EXIT_IO)])
+    def test_simulate_dense_rows_at_the_limit(self, tmp_path, monkeypatch, dense, code):
+        # T / dense + 1 = 401 rows at 0.125 is the limit; 400 steps keep the run inside it
+        doc = load_reference_doc()
+        doc["run"].update(T=50.0, K=8)
+        path = write_doc(tmp_path, doc)
+        monkeypatch.setattr(phagesim.dde, "MAX_STEPS", 401)
+        out = tmp_path / "out"
+        argv = ["simulate", path, "--outdir", str(out), "--dense", str(dense)]
+        assert cli.main(argv) == code
+        if code == cli.EXIT_OK:
+            assert len(csvio.read_csv(out / "trajectory.csv")[1]) == 401
+
     @pytest.mark.parametrize("paths", ["0", "-3"])
     def test_simulate_sde_bad_path_count(self, tmp_path, capsys, paths):
         code = cli.main(
@@ -717,6 +746,55 @@ class TestCli:
         monkeypatch.setattr(phagesim.History, "__init__", counted)
         assert cli.main([argv[0], path, "--outdir", str(tmp_path), *argv[1:]]) == cli.EXIT_OK
         assert len(built) == 1
+
+    @pytest.mark.parametrize("run, argv", [
+        ({}, ["simulate-sde", "--paths", str(10**6)]),
+        ({}, ["simulate-sde", "--paths", str(10**8)]),
+        (dict(n=10**6), ["mc-concentration"]),
+        (dict(K=10**9, T=1e-5), ["simulate-sde", "--paths", "1"]),
+    ])
+    def test_path_budget_refuses_before_any_path(self, tmp_path, capsys, monkeypatch, run, argv):
+        doc = load_reference_doc()
+        doc["run"].update(run)
+        path = write_doc(tmp_path, doc)
+
+        def no_paths(*args):
+            raise AssertionError("the path budget is checked before any generator or ring")
+
+        for name in ("_increments", "_history_influx", "_step_paths", "_float_path"):
+            monkeypatch.setattr(phagesim.sde, name, no_paths)
+        codes = []
+        start = time.perf_counter()
+        peak = peak_bytes(lambda: codes.append(
+            cli.main([argv[0], path, "--outdir", str(tmp_path / "out"), *argv[1:]])))
+        assert time.perf_counter() - start < 1.0
+        assert peak < 10e6
+        assert codes == [cli.EXIT_IO]
+        err = capsys.readouterr().err
+        assert err.startswith("error:resource: out of memory: paths need ")
+        assert err.endswith(f"; the path budget is {phagesim.sde.PATH_BYTES_BUDGET} bytes\n")
+
+    @pytest.mark.parametrize("command", ["validate", "min-dose", "compare-coinfection", "simulate"])
+    @pytest.mark.parametrize("params, burst, mu_tau", [
+        (dict(mu=1.0, tau=800.0), "0", "800"),
+        # b e^{-mu tau} mu is a subnormal 9.9e-323, but k1 b e^{-mu tau} M is 0.0
+        (dict(mu=1.0, tau=744.0, k1=1e-3, alpha=1e-3), "9.88e-323", "744"),
+    ])
+    def test_burst_underflow_fails_the_hypotheses(self, tmp_path, capsys, command, params,
+                                                  burst, mu_tau):
+        # the thresholds and the region's bounds divide by the burst; compare-coinfection's
+        # k2 = 0 minimal dose would be 0/0. simulate needs the region, so it integrates and
+        # writes nothing.
+        doc = load_reference_doc()
+        doc["parameters"].update(params)
+        doc["run"].update(T=1000.0, K=4096)
+        path = write_doc(tmp_path, doc)
+        assert cli.main([command, path, "--outdir", str(tmp_path)]) == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"error:hypothesis: b e^(-mu tau) = {burst} at mu tau = {mu_tau} "
+            "underflows in the thresholds that divide by it\n"
+        )
+        assert not (tmp_path / "trajectory.csv").exists()
 
     def test_huge_path_count_exits_on_resources(self, tmp_path):
         # 10**12 paths need 45.5 PiB of increments. The child runs under a

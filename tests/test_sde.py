@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +20,9 @@ from phagesim.sde import (
     wilson_interval,
 )
 
-from conftest import CONCENTRATION_SCENARIO, REFERENCE_SCENARIO, simulate_paths, step_all
+from conftest import (
+    CONCENTRATION_SCENARIO, REFERENCE_SCENARIO, peak_bytes, simulate_paths, step_all,
+)
 from model_reference import (
     _drift_terms,
     diffusion,
@@ -127,10 +128,10 @@ def _per_path_loop(p, hist, cfg, path_indices):
     out = np.empty((n_steps + 1, 3, len(path_indices)))
     for col, idx in enumerate(path_indices):
         dw = path_normals(cfg.seed, idx, n_steps) * math.sqrt(h)
-        ys = [hist.state(0.0)]
+        ys = [np.array([hist.s(0.0), hist.i0, hist.q(0.0)])]
 
         def delayed(j):
-            return hist.state(j * h) if j <= 0 else ys[j]
+            return np.array([hist.s(j * h), hist.i0, hist.q(j * h)]) if j <= 0 else ys[j]
 
         for n in range(n_steps):
             y = ys[n]
@@ -588,21 +589,6 @@ def _bits(obj):
              else repr(obj.rows)) for f in dataclasses.fields(obj)]
 
 
-def _peak_bytes(fn):
-    """The most memory fn held at once beyond what was held before it, by tracemalloc."""
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        fn()
-        return tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if not tracing:
-            tracemalloc.stop()
-
-
 class TestTimeBlocks:
     """Ensembles draw and step DRAW_STEPS steps at a time; no result may depend on that length."""
 
@@ -663,20 +649,31 @@ class TestMemory:
         # the full increments and nodes of the row would be 2 134 x 5 x 400 x 8 B, 34 MB
         sc = parse_scenario(CONCENTRATION_SCENARIO)
         r = sc.run
-        peak = _peak_bytes(lambda: concentration_experiment(
+        peak = peak_bytes(lambda: concentration_experiment(
             sc.parameters, sc.history, r.eps_list[:1], r.rho, r.kappa1, r.kappa2, 400,
             r.seed, K=r.K, scheme=r.scheme,
         ))
         assert peak < 8e6
 
     def test_ensemble(self):
-        # the (n_nodes, n) deviations the percentiles need are 3 201 x 400 x 8 B, 10 MB
+        # each block is reduced to its mean, percentiles and sups as it comes; the
+        # (n_nodes, n) deviations of all nodes would be 3 201 x 400 x 8 B, 10 MB
         sc = parse_scenario(REFERENCE_SCENARIO)
         p, r = sc.parameters, sc.run
         cfg = PathConfig(seed=r.seed, T=r.T, K=r.K, scheme=r.scheme)
         det = dde.integrate(p.with_eps(0.0), sc.history, r.T, r.K)
-        peak = _peak_bytes(lambda: ensemble(p, sc.history, cfg, 400, det, (0.0, r.T)))
-        assert peak < 25e6
+        peak = peak_bytes(lambda: ensemble(p, sc.history, cfg, 400, det, (0.0, r.T)))
+        assert peak < 8e6
+
+    def test_path_budget(self):
+        # 1024 + 8 (K + 1) + 48 DRAW_STEPS + 32 K bytes a path: 15 880 at K = 64
+        n_max = sde.PATH_BYTES_BUDGET // 15_880
+        assert 2000 < 100_000 < n_max
+        sde._check_budget(n_max, 64)
+        with pytest.raises(MemoryError, match=f"at n = {n_max + 1}, K = 64; the path budget"):
+            sde._check_budget(n_max + 1, 64)
+        with pytest.raises(MemoryError):  # the K-long history prefix of one path
+            sde._check_budget(1, 10**8)
 
 
 def _row(eps, exceed, n=400):
