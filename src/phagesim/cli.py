@@ -3,9 +3,10 @@
 Exit codes: 0 success, 2 hypothesis validation failure (or a burst b e^{-mu tau}
 that underflows in the thresholds), 3 numeric divergence/positivity failure, 4 IO
 or scenario parse error, or a run over its budget: more than dde.MAX_STEPS = 10**6
-steps of tau/K to reach run.T (refused when parsed) or rows of `simulate --dense`,
-or paths over sde.PATH_BYTES_BUDGET bytes (refused before any is built). A longer
-horizon that mc-concentration derives exits 3 before any path.
+steps of tau/K to reach run.T or history samples (both refused when parsed) or
+rows of `simulate --dense`, or paths over sde.PATH_BYTES_BUDGET bytes (refused
+before any is built). A longer horizon that mc-concentration derives exits 3
+before any path.
 """
 
 import argparse

@@ -24,6 +24,9 @@ _HISTORY_KEYS = {
     "table": {"preset", "s", "q", "i0"},
 }
 _TOP_KEYS = {"parameters", "history", "run"}
+# n_grid intervals hold n_grid + 1 samples, at most dde.MAX_STEPS: a larger grid is
+# refused before its sample arrays exist
+_GRID_RULE = (True, 0.0, False, dde.MAX_STEPS - 1)
 
 
 @dataclass
@@ -130,7 +133,8 @@ def from_dict(doc):
     _reject_unknown(hist, _HISTORY_KEYS[preset], "history")
     _require(hist, sorted(_HISTORY_KEYS[preset] - {"preset", "n_grid"}), "history")
     checked = {key: value if key in ("preset", "s", "q") else
-               _number(value, f"history.{key}", (key == "n_grid", 0.0, False, None))
+               _number(value, f"history.{key}",
+                       _GRID_RULE if key == "n_grid" else (False, 0.0, False, None))
                for key, value in hist.items()}
 
     run_doc = doc.get("run", {})

@@ -8,6 +8,9 @@ All paths of an ensemble advance together on (3, n) arrays, DRAW_STEPS steps
 at a time; a sample path steps on three floats in `_float_path`. Both lanes
 run the same elementwise formulas in the same order, so an ensemble's column
 is bitwise the sample path with the same index, whatever the block length.
+The noise amplitude is a per-column argument of the array lane, so
+`concentration_experiment` steps every eps row in one pass over the paths:
+each path's increments are drawn once and drive its column in every row.
 """
 
 import math
@@ -26,11 +29,13 @@ SCHEME_EULER = "ito-euler-corrected"
 SCHEMES = (SCHEME_HEUN, SCHEME_EULER)
 Z95 = 1.959963984540054  # the standard normal quantile of a two-sided 95% interval
 DRAW_STEPS = 256  # steps per time block: increments drawn and nodes held at once
-# Bytes a run's paths may hold, a quarter of an 8 GB host. A path holds its Philox
-# generator (about 1 KB traced), K + 1 floats of delayed influx, a block of increments
-# (2 floats a step), nodes (3) and deviations (1), and the float lane's K-long list of
-# history influx (32 B an entry): 1024 + 8 (K + 1) + 48 DRAW_STEPS + 32 K bytes,
-# 15.9 KB at K = 64, so about 135 000 paths fit at K = 64.
+# Bytes a run's paths may hold, a quarter of an 8 GB host. A path of E lockstep eps
+# rows (E = 1 but in mc-concentration) holds its Philox generator (about 1 KB traced),
+# K + 1 floats of delayed influx per row, a block of S = _block_steps(E) steps of
+# increments (2 floats a step, shared by the rows), nodes (3 a row) and deviations
+# (1 a row), and the float lane's K-long list of history influx (32 B an entry):
+# 1024 + 8 (K + 1) E + 16 S + 32 S E + 32 K bytes. That is 15.9 KB at K = 64, E = 1
+# (S = 256), so about 135 000 paths fit, and 14.2 KB at E = 3 (S = 85).
 PATH_BYTES_BUDGET = 2**31
 
 
@@ -50,24 +55,30 @@ class PathConfig:
             raise DomainError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
 
 
-def _check_budget(n, K):
-    """Refuse n paths at K steps a delay whose bytes exceed PATH_BYTES_BUDGET, before any exists."""
-    need = n * (1024 + 8 * (K + 1) + 48 * DRAW_STEPS + 32 * K)
+def _block_steps(rows):
+    """Steps a block of `rows` lockstep eps rows: its nodes take the bytes one row's take."""
+    return max(1, DRAW_STEPS // rows)
+
+
+def _check_budget(n, K, rows=1):
+    """Refuse n paths of `rows` eps rows at K steps a delay over the budget, before any exists."""
+    steps = _block_steps(rows)
+    need = n * (1024 + 8 * (K + 1) * rows + 16 * steps + 32 * steps * rows + 32 * K)
     if need > PATH_BYTES_BUDGET:
-        raise MemoryError(f"paths need {need:.4g} bytes at n = {n}, K = {K}; "
-                          f"the path budget is {PATH_BYTES_BUDGET} bytes")
+        raise MemoryError(f"paths need {need:.4g} bytes at n = {n}, K = {K}, {rows} eps "
+                          f"row(s); the path budget is {PATH_BYTES_BUDGET} bytes")
 
 
-def _increments(p, cfg, path_indices):
-    """The paths' increments of W_S and W_Q at h = tau/K, as (m, 2, n) blocks of DRAW_STEPS steps.
+def _increments(p, cfg, path_indices, block_steps):
+    """The paths' increments of W_S and W_Q at h = tau/K, as (m, 2, n) blocks of block_steps steps.
 
     A path's generator lives on between blocks, so its blocks stack to one (n_steps, 2)
     draw times sqrt(h), bit for bit. Each block overwrites the one before.
     """
     n_steps, seed = dde.step_count(cfg.T, p.tau, cfg.K), cfg.seed & 0xFFFFFFFFFFFFFFFF
     gens = [np.random.Generator(np.random.Philox(key=seed | int(j) << 64)) for j in path_indices]
-    dw = np.empty((min(DRAW_STEPS, n_steps), 2, len(gens)))
-    for start in range(0, n_steps, DRAW_STEPS):
+    dw = np.empty((min(block_steps, n_steps), 2, len(gens)))
+    for start in range(0, n_steps, block_steps):
         block = dw[:n_steps - start]
         for j, gen in enumerate(gens):
             block[:, :, j] = gen.standard_normal(block.shape[:2])
@@ -75,12 +86,15 @@ def _increments(p, cfg, path_indices):
         yield block
 
 
-def _stage(y, delayed_influx, p, sigma):
-    """At a (3, n) state: sigma of the S and Q rows clipped at 0, drift, noise amplitude."""
+def _stage(y, delayed_influx, p, sigma, eps):
+    """At a (3, n) state: sigma of the S and Q rows clipped at 0, drift, noise amplitude.
+
+    `eps` is a scalar or one amplitude per column.
+    """
     sig = sigma._values(np.maximum(y[::2], 0.0))
     f = np.array(_rates(y[0], y[1], y[2], sig[1], delayed_influx, p))
     g = np.zeros(y.shape)  # I carries no noise
-    g[::2] = p.eps * sig
+    g[::2] = eps * sig
     return sig, f, g
 
 
@@ -90,13 +104,16 @@ def _history_influx(hist, p, sigma, K):
     return _influx(hist.s(t), sigma(hist.q(t)), p)
 
 
-def _step_paths(p, hist, cfg, increments, guard):
-    """Step paths on (m, 2, n) blocks of increments of W_S and W_Q at h = tau/K.
+def _step_paths(p, hist, cfg, eps, increments, guard):
+    """Step columns on (m, 2, n) blocks of increments of W_S and W_Q at h = tau/K.
 
-    Yields (j, nodes): the guarded nodes j, j + 1, ... as an (m, 3, n) block,
-    node 0 first. `guard.labels` name the n columns. Paths step together on
-    (3, n) arrays into one buffer, a block per increment block; the stepper
-    never reads it back, so a caller may reduce a block in place.
+    `guard.labels` name the N columns, E groups of n: column r n + j takes
+    path j's increments at the noise amplitude eps[r n + j] (`eps` is one
+    scalar or N amplitudes), so E rows share one draw of n paths. Yields
+    (j, nodes): the guarded nodes j, j + 1, ... as an (m, 3, N) block, node 0
+    first. Columns step together on (3, N) arrays into one buffer, a block per
+    increment block; the stepper never reads it back, so a caller may reduce
+    a block in place. `p.eps` is not read.
     """
     n_paths = len(guard.labels)
     if n_paths < 1:
@@ -116,20 +133,22 @@ def _step_paths(p, hist, cfg, increments, guard):
     yield 0, nodes
     inc = np.zeros((3, n_paths))  # I carries no noise
     corr = np.zeros((3, n_paths))  # and no Ito correction
-    hh, half_eps2 = 0.5 * h, 0.5 * p.eps * p.eps
+    hh, half_eps2 = 0.5 * h, 0.5 * eps * eps
     heun = cfg.scheme == SCHEME_HEUN
     n = 0
     for dw in increments:
         if len(nodes) < len(dw):
             nodes = np.empty((len(dw), 3, n_paths))
+        # inc's S and Q rows as (2, E, n): each column group views the same draws
+        noise = inc[::2].reshape(2, -1, dw.shape[2])
         for k in range(len(dw)):
-            sig, f_now, g_now = _stage(y, influx[(n - K) % ring], p, sigma)
+            sig, f_now, g_now = _stage(y, influx[(n - K) % ring], p, sigma, eps)
             influx[n % ring] = _influx(y[0], sig[1], p)
-            inc[::2] = dw[k]
+            noise[...] = dw[k][:, None]
             if heun:
                 # Stratonovich-Heun: the same increment drives predictor and corrector
                 pred = y + h * f_now + g_now * inc
-                _, f_pred, g_pred = _stage(pred, influx[(n + 1 - K) % ring], p, sigma)
+                _, f_pred, g_pred = _stage(pred, influx[(n + 1 - K) % ring], p, sigma, eps)
                 y_next = y + hh * (f_now + f_pred) + 0.5 * (g_now + g_pred) * inc
             else:
                 # Euler-Maruyama on the Ito form: the drift gains the Stratonovich correction
@@ -191,7 +210,7 @@ def sample_path(p, hist, cfg, path_index=0):
     """
     _check_budget(1, cfg.K)
     guard = dde._Guard([path_index])
-    blocks = _increments(p, cfg, [path_index])
+    blocks = _increments(p, cfg, [path_index], DRAW_STEPS)
     steps = chain.from_iterable(dw[:, :, 0].tolist() for dw in blocks)
     states, derivs = _float_path(p, hist, cfg, steps, guard)
     return dde.Trajectory(
@@ -265,7 +284,8 @@ def ensemble(p, hist, cfg, n, reference, window):
     paths = range(n)
     guard = dde._Guard(paths)
     mean, pct, sup_devs = np.empty((len(mask), 3)), np.empty((2, len(mask))), np.zeros(n)
-    for j, block in _step_paths(p, hist, cfg, _increments(p, cfg, paths), guard):
+    increments = _increments(p, cfg, paths, DRAW_STEPS)
+    for j, block in _step_paths(p, hist, cfg, p.eps, increments, guard):
         rows = slice(j, j + len(block))
         mean[rows] = block.mean(axis=2)
         dev = _reduce_block(j, block, ref, mask, sup_devs)
@@ -334,6 +354,23 @@ class ConcentrationTable:
         return float(slope)
 
 
+class _RowPaths:
+    """Guard labels of lockstep eps rows: column c is path c % n of row c // n.
+
+    Each label is made when a message asks for it, so E n columns cost no
+    list of E n tuples.
+    """
+
+    def __init__(self, eps_list, n):
+        self.eps_list, self.n = eps_list, n
+
+    def __len__(self):
+        return len(self.eps_list) * self.n
+
+    def __getitem__(self, c):
+        return self.eps_list[c // self.n], c % self.n
+
+
 def concentration_experiment(
     p, hist, eps_list, rho, kappa1, kappa2, n, seed,
     K=64, scheme=SCHEME_HEUN,
@@ -342,13 +379,19 @@ def concentration_experiment(
 
     The window [k1 ln(c/rho)/eta, k2 ln(c/rho)/eta] uses the deterministic
     decay prefactor as c and the spectral eta; seeds are coupled across the
-    eps values so the exceedance counts are comparable.
+    eps values so the exceedance counts are comparable. One pass over the
+    paths serves every eps row: the E rows step in lockstep on (3, E n)
+    columns, eps-major, on one draw of each path's increments, in blocks of
+    _block_steps(E) steps. A path that fails stops the run at the earliest
+    time any row fails, and the error names it as (eps, path).
     """
     if not (1.0 < kappa1 < kappa2):
         raise ConfigurationError("need 1 < kappa1 < kappa2")
     if rho <= 0.0:
         raise ConfigurationError("need rho > 0")
-    _check_budget(n, K)  # each row steps its n paths anew
+    if len(eps_list) == 0:
+        raise ConfigurationError("need at least one eps value")
+    _check_budget(n, K, len(eps_list))
 
     st = equilibria.stability_at_e0(p)
     if st.eta <= 0.0:
@@ -371,12 +414,15 @@ def concentration_experiment(
     window = _window_mask(t_hi, p.tau, K, (t_lo, t_hi))
     ref = np.broadcast_to(e0, (len(window), 3))
     paths = range(n)
-    for eps in eps_list:
-        sup = np.zeros(len(paths))  # each path's sup over the window, block by block
-        increments = _increments(p, cfg, paths)
-        for j, block in _step_paths(p.with_eps(eps), hist, cfg, increments, dde._Guard(paths)):
-            _reduce_block(j, block, ref, window, sup)
-        exceed = int(np.count_nonzero(sup >= 2.0 * rho))
+    # column r n + j is path j of row r; Parameters checks each amplitude
+    amplitudes = np.repeat([p.with_eps(eps).eps for eps in eps_list], n)
+    sup = np.zeros(len(amplitudes))  # each column's sup over the window, block by block
+    increments = _increments(p, cfg, paths, _block_steps(len(eps_list)))
+    guard = dde._Guard(_RowPaths(eps_list, n))
+    for j, block in _step_paths(p, hist, cfg, amplitudes, increments, guard):
+        _reduce_block(j, block, ref, window, sup)
+    for r, eps in enumerate(eps_list):
+        exceed = int(np.count_nonzero(sup[r * n:(r + 1) * n] >= 2.0 * rho))
         lo, hi = wilson_interval(exceed, n)
         table.rows.append(
             ConcentrationRow(

@@ -50,14 +50,15 @@ def hist_conc(p_conc):
 
 def step_all(p, hist, cfg, dw, path_indices):
     """All nodes of `sde._step_paths` driven by full (n_steps, 2, n) increments as one block."""
-    blocks = sde._step_paths(p, hist, cfg, [dw], dde._Guard(path_indices))
+    blocks = sde._step_paths(p, hist, cfg, p.eps, [dw], dde._Guard(path_indices))
     return np.concatenate([block.copy() for _, block in blocks])
 
 
 def simulate_paths(p, hist, cfg, path_indices):
     """Every node of the paths, stepped together on arrays: (times, nodes, guard)."""
     guard = dde._Guard(path_indices)
-    blocks = sde._step_paths(p, hist, cfg, sde._increments(p, cfg, path_indices), guard)
+    increments = sde._increments(p, cfg, path_indices, sde.DRAW_STEPS)
+    blocks = sde._step_paths(p, hist, cfg, p.eps, increments, guard)
     nodes = np.concatenate([block.copy() for _, block in blocks])
     return (p.tau / cfg.K) * np.arange(len(nodes)), nodes, guard
 

@@ -702,6 +702,20 @@ class TestCli:
         assert err.startswith("error:parse: run.T = ")
         assert f"steps; the limit is {MAX_STEPS} steps" in err
 
+    def test_huge_history_grid_refused_at_parse(self, tmp_path, capsys):
+        # 10**9 intervals would be two 8 GB sample arrays
+        doc = load_reference_doc()
+        doc["history"]["n_grid"] = 10**9
+        path = write_doc(tmp_path, doc)
+        codes = []
+        start = time.perf_counter()
+        peak = peak_bytes(lambda: codes.append(cli.main(["validate", path])))
+        assert time.perf_counter() - start < 1.0
+        assert peak < 1e6
+        assert codes == [cli.EXIT_IO]
+        assert capsys.readouterr().err == (
+            f"error:parse: history.n_grid must be <= {MAX_STEPS - 1}, got {10**9}\n")
+
     @pytest.mark.parametrize("params, run, T", [
         ({}, dict(kappa2=1e20), "T = 1.66674e+21"),  # t_hi
         ({}, dict(kappa2=float("inf")), "T = inf"),  # t_hi
@@ -752,6 +766,8 @@ class TestCli:
         ({}, ["simulate-sde", "--paths", str(10**8)]),
         (dict(n=10**6), ["mc-concentration"]),
         (dict(K=10**9, T=1e-5), ["simulate-sde", "--paths", "1"]),
+        # 2000 lockstep eps rows of 2000 paths: 1 107 088 bytes a path
+        (dict(n=2000, eps_list=[0.01 + 1e-5 * r for r in range(2000)]), ["mc-concentration"]),
     ])
     def test_path_budget_refuses_before_any_path(self, tmp_path, capsys, monkeypatch, run, argv):
         doc = load_reference_doc()

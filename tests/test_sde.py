@@ -575,6 +575,29 @@ class TestConcentrationExperiment:
         # a row strictly inside (0, n) shows a count, not a saturated one
         assert any(0 < r.exceed < n for r in table.rows)
 
+    def test_earliest_failure_of_any_row_is_reported(self, p_conc, hist_conc):
+        # alone, the eps = 1 row fails at t = 5.9 and the eps = 2 row at t = 1.8; the rows
+        # step in lockstep, so the second row's failure stops the run, named (eps, path)
+        def run(eps_list):
+            with pytest.raises(PositivityError) as exc:
+                concentration_experiment(p_conc, hist_conc, eps_list, rho=0.05, kappa1=1.2,
+                                         kappa2=2.0, n=20, seed=7, K=32)
+            return exc.value.t, str(exc.value)
+
+        first, second = run([1.0]), run([2.0])
+        assert second[0] < first[0]
+        assert run([1.0, 2.0]) == second
+        assert second[1].startswith("path (2.0, 15) component")
+
+    def test_needs_an_eps_row(self, p_conc, hist_conc, monkeypatch):
+        def no_paths(*args):
+            raise AssertionError("the rows are checked before any path is drawn")
+
+        monkeypatch.setattr(sde, "_increments", no_paths)
+        with pytest.raises(ConfigurationError, match="need at least one eps value"):
+            concentration_experiment(p_conc, hist_conc, [], rho=0.05, kappa1=1.2,
+                                     kappa2=2.0, n=20, seed=7)
+
     def test_slope_requires_two_nonzero_rows(self, p_conc, hist_conc):
         table = concentration_experiment(
             p_conc, hist_conc, [0.01], rho=0.05, kappa1=1.2, kappa2=2.0,
@@ -592,14 +615,13 @@ def _bits(obj):
 class TestTimeBlocks:
     """Ensembles draw and step DRAW_STEPS steps at a time; no result may depend on that length."""
 
-    def test_increments_equal_one_draw_per_path(self, p_star, monkeypatch):
+    def test_increments_equal_one_draw_per_path(self, p_star):
         # 600 steps, a multiple of neither block length; a seed above 2**63
         cfg = PathConfig(seed=2**64 - 5, T=600 * p_star.tau / 64, K=64)
         paths, h = [0, 5, 2**40], p_star.tau / cfg.K
         expected = np.stack([path_normals(cfg.seed, j, 600) * math.sqrt(h) for j in paths], axis=2)
         for steps in (sde.DRAW_STEPS, 7):
-            monkeypatch.setattr(sde, "DRAW_STEPS", steps)
-            blocks = [block.copy() for block in sde._increments(p_star, cfg, paths)]
+            blocks = [block.copy() for block in sde._increments(p_star, cfg, paths, steps)]
             assert [len(b) for b in blocks] == [steps] * (600 // steps) + [600 % steps]
             assert np.concatenate(blocks).tobytes() == expected.tobytes()
 
@@ -628,9 +650,18 @@ class TestTimeBlocks:
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_concentration_table(self, p_conc, hist_conc, scheme, monkeypatch):
+        # three lockstep rows draw blocks of DRAW_STEPS // 3 steps, at least 1
+        increments, lengths = sde._increments, []
+
+        def recorded(p, cfg, paths, block_steps):
+            lengths.append(block_steps)
+            return increments(p, cfg, paths, block_steps)
+
+        monkeypatch.setattr(sde, "_increments", recorded)
+
         def table():
             return concentration_experiment(
-                p_conc, hist_conc, [0.025, 0.02], rho=0.05, kappa1=1.2, kappa2=2.0,
+                p_conc, hist_conc, [0.025, 0.02, 0.015], rho=0.05, kappa1=1.2, kappa2=2.0,
                 n=20, seed=7, K=32, scheme=scheme,
             )
 
@@ -640,6 +671,7 @@ class TestTimeBlocks:
         for steps in (1, 7, 64, n_steps):
             monkeypatch.setattr(sde, "DRAW_STEPS", steps)
             assert _bits(table()) == _bits(baseline)
+        assert lengths == [256 // 3, 1, 2, 21, n_steps // 3]
 
 
 class TestMemory:
@@ -655,6 +687,18 @@ class TestMemory:
         ))
         assert peak < 8e6
 
+    def test_concentration_rows_in_lockstep(self):
+        # three rows step as 1 200 columns, in blocks of a third of the one row's length,
+        # so they hold no more than one row
+        sc = parse_scenario(CONCENTRATION_SCENARIO)
+        r = sc.run
+        assert len(r.eps_list) == 3
+        peak = peak_bytes(lambda: concentration_experiment(
+            sc.parameters, sc.history, r.eps_list, r.rho, r.kappa1, r.kappa2, 400,
+            r.seed, K=r.K, scheme=r.scheme,
+        ))
+        assert peak < 8e6
+
     def test_ensemble(self):
         # each block is reduced to its mean, percentiles and sups as it comes; the
         # (n_nodes, n) deviations of all nodes would be 3 201 x 400 x 8 B, 10 MB
@@ -666,12 +710,16 @@ class TestMemory:
         assert peak < 8e6
 
     def test_path_budget(self):
-        # 1024 + 8 (K + 1) + 48 DRAW_STEPS + 32 K bytes a path: 15 880 at K = 64
-        n_max = sde.PATH_BYTES_BUDGET // 15_880
+        # 1024 + 8 (K + 1) E + 16 S + 32 S E + 32 K bytes a path of E eps rows in blocks of
+        # S = DRAW_STEPS // E steps: 14 152 at K = 64, E = 3 (S = 85), 15 880 at E = 1
+        n_max = sde.PATH_BYTES_BUDGET // 14_152
         assert 2000 < 100_000 < n_max
-        sde._check_budget(n_max, 64)
-        with pytest.raises(MemoryError, match=f"at n = {n_max + 1}, K = 64; the path budget"):
-            sde._check_budget(n_max + 1, 64)
+        sde._check_budget(n_max, 64, 3)
+        with pytest.raises(MemoryError, match=f"at n = {n_max + 1}, K = 64, 3 eps row"):
+            sde._check_budget(n_max + 1, 64, 3)
+        with pytest.raises(MemoryError, match="K = 64, 1 eps row"):  # one row's longer block
+            sde._check_budget(n_max, 64)
+        sde._check_budget(sde.PATH_BYTES_BUDGET // 15_880, 64)
         with pytest.raises(MemoryError):  # the K-long history prefix of one path
             sde._check_budget(1, 10**8)
 
