@@ -3,8 +3,6 @@
 import csv
 import math
 
-import numpy as np
-
 from .errors import DomainError, PhagesimError
 
 
@@ -66,12 +64,3 @@ def write_concentration(table, path):
         for r in table.rows
     )
     write_csv(header, rows, path)
-
-
-def read_csv(path):
-    """Read back a numeric CSV as (header, float array); used by round-trip checks."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(v) for v in row] for row in reader]
-    return header, np.array(rows) if rows else np.empty((0, len(header)))

@@ -1,7 +1,6 @@
-"""Initial condition on [-tau, 0]: sampled S and Q profiles plus the scalar I0."""
+"""Initial condition on [-tau, 0]: S and Q profiles through uniform samples, plus the scalar I0."""
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PPoly
 
 from .errors import DomainError
 
@@ -10,17 +9,33 @@ _EDGE_SLACK = 1e-9  # tolerated float dust when evaluating at the interval ends
 
 
 def _cubic(grid, samples):
-    """CubicSpline through the samples; for equal samples, its constant without the solve."""
+    """The profile through the samples: their constant if all are equal, else a CubicSpline.
+
+    The constant is the value a spline through equal samples takes, with -0.0
+    read as +0.0 as the spline's Horner sum reads it. scipy is imported only
+    here, so only a sampled table loads it.
+    """
     if np.all(samples == samples[0]):
-        return PPoly(np.array([[0.0], [0.0], [0.0], [samples[0]]]), grid[[0, -1]])
-    return CubicSpline(grid, samples)
+        c = float(samples[0]) + 0.0
+        return lambda t: np.full(np.shape(t), c)
+    from scipy.interpolate import CubicSpline
+
+    f = CubicSpline(grid, samples)
+    # A cubic through nonnegative nodes can undershoot between them;
+    # reject histories whose interpolant dips materially below zero.
+    if f(np.linspace(grid[0], grid[-1], 8 * len(samples))).min() < -1e-12:
+        raise DomainError("history interpolant dips below zero between nodes")
+    return f
 
 
 class History:
-    """Positive functions S0, Q0 on [-tau, 0] (cubic through a uniform grid) and I0.
+    """Positive functions S0, Q0 on [-tau, 0] and I0.
 
-    The infected component has no delayed feedback in the model, so its
-    pre-history is the constant i0.
+    Each of S0 and Q0 is the constant of its samples when they are all
+    equal (the `constant` and `zero-phage` presets), and otherwise the cubic
+    spline through them on the uniform grid (a `table`). The infected
+    component has no delayed feedback in the model, so its pre-history is
+    the constant i0.
     """
 
     def __init__(self, tau, s_samples, q_samples, i0):
@@ -47,14 +62,6 @@ class History:
         self._s = _cubic(self.grid, s_samples)
         self._q = _cubic(self.grid, q_samples)
 
-        # A cubic through nonnegative nodes can undershoot between them;
-        # reject histories whose interpolant dips materially below zero.
-        # A constant cannot.
-        fine = np.linspace(-self.tau, 0.0, 8 * len(s_samples))
-        for f in (self._s, self._q):
-            if isinstance(f, CubicSpline) and f(fine).min() < -1e-12:
-                raise DomainError("history interpolant dips below zero between nodes")
-
     @classmethod
     def constant(cls, tau, s0, q0, i0, n_grid=DEFAULT_GRID):
         n = n_grid + 1
@@ -68,7 +75,8 @@ class History:
 
     def _clamp_t(self, t):
         t = np.asarray(t, dtype=float)
-        if np.any(t < -self.tau - _EDGE_SLACK) or np.any(t > _EDGE_SLACK):
+        # A NaN fails both tests, so it is refused, not read as a constant.
+        if not (np.all(t >= -self.tau - _EDGE_SLACK) and np.all(t <= _EDGE_SLACK)):
             raise DomainError(f"history evaluated outside [-tau, 0]: t={t!r}")
         return np.clip(t, -self.tau, 0.0)
 

@@ -67,9 +67,6 @@ class ValidationReport:
     def passed(self):
         return all(e.passed for e in self.entries if not e.informational)
 
-    def failing_ids(self):
-        return [e.id for e in self.entries if not e.informational and not e.passed]
-
     def to_json(self):
         return json.dumps(
             {

@@ -26,6 +26,7 @@ from phagesim.sde import (
     sample_path,
 )
 
+from artifacts import failing_ids
 from conftest import random_validated_scenario, simulate_paths, step_all
 from model_reference import drift
 
@@ -92,19 +93,19 @@ def test_criterion_2_hypothesis_suite():
 
     low_dose = hypotheses.validate(dataclasses.replace(P_STAR, d=10.0), HIST_STANDARD)
     checks.append(("d=10 fails only the dose bound",
-                   low_dose.failing_ids() == ["dose-threshold"]))
+                   failing_ids(low_dose) == ["dose-threshold"]))
 
     # oversized bacteria: the initial infected mass is raised alongside so the
     # integral precondition keeps holding and only the S-bound clause trips
     big_s = hypotheses.validate(P_STAR, History.constant(P_STAR.tau, 2.0, 10.0, 2.0))
     checks.append(("S0=2 fails only the S-region clause",
-                   big_s.failing_ids() == ["bacteria-cap"]))
+                   failing_ids(big_s) == ["bacteria-cap"]))
 
     # b=1 also drags the (downstream) dose threshold above d; the predicted
     # clause is the effective-burst companion, asserted as the only failure
     # among the sigma/mass/delay checks
     small_b = hypotheses.validate(dataclasses.replace(P_STAR, b=1.0), HIST_STANDARD)
-    pre_dose_failures = [i for i in small_b.failing_ids() if not i.startswith("dose-")]
+    pre_dose_failures = [i for i in failing_ids(small_b) if not i.startswith("dose-")]
     checks.append(("b=1 fails only the burst-viability clause",
                    pre_dose_failures == ["burst-viability"]))
 

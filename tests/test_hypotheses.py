@@ -11,6 +11,8 @@ from phagesim import History, Parameters, SigmaFn, compute_nu, invariant_region,
 from phagesim import equilibria, hypotheses
 from phagesim.errors import EquilibriumExistenceError, PreconditionError
 
+from artifacts import failing_ids
+
 
 def test_nu_reference_value(p_star):
     assert compute_nu(p_star) == pytest.approx(5.8092, abs=5e-5)
@@ -263,7 +265,7 @@ class TestFullReport:
     def test_reference_scenario_all_pass(self, p_star, hist_standard):
         report = hypotheses.validate(p_star, hist_standard)
         assert report.passed
-        assert report.failing_ids() == []
+        assert failing_ids(report) == []
         delay_ids = {
             "init-region", "phage-pressure", "burst-viability",
             "bacteria-cap", "infected-cap",

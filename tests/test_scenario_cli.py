@@ -19,6 +19,7 @@ from phagesim.dde import MAX_STEPS, integrate
 from phagesim.errors import DomainError, ScenarioError
 from phagesim.scenario import _PARAM_RULES, RunSettings, from_dict, parse_scenario
 
+from artifacts import read_csv
 from conftest import CONCENTRATION_SCENARIO, REFERENCE_SCENARIO, peak_bytes
 
 
@@ -325,7 +326,7 @@ class TestCsv:
         path = tmp_path / "t.csv"
         rows = [(0.1, 1.0 / 3.0, 7), (2.0**-40, np.float64(1e300), -3)]
         csvio.write_csv(["a", "b", "c"], rows, path)
-        header, arr = csvio.read_csv(path)
+        header, arr = read_csv(path)
         assert header == ["a", "b", "c"]
         assert arr[0, 1] == 1.0 / 3.0  # exact after a 17-digit round trip
         assert arr[1, 0] == 2.0**-40
@@ -333,7 +334,7 @@ class TestCsv:
     def test_header_only_table(self, tmp_path):
         path = tmp_path / "empty.csv"
         csvio.write_csv(["x", "y"], [], path)
-        header, arr = csvio.read_csv(path)
+        header, arr = read_csv(path)
         assert header == ["x", "y"]
         assert arr.shape == (0, 2)
         assert path.read_text() == "x,y\n"
@@ -347,7 +348,7 @@ class TestCsv:
         traj = integrate(p_star, hist_standard, T=2.0, K=16)
         path = tmp_path / "traj.csv"
         csvio.write_trajectory(traj, path, dense_dt=0.5)
-        header, arr = csvio.read_csv(path)
+        header, arr = read_csv(path)
         assert header == ["t", "S", "I", "Q"]
         assert arr[:, 0] == pytest.approx([0.0, 0.5, 1.0, 1.5, 2.0], abs=1e-12)
         for row in arr:
@@ -464,7 +465,7 @@ class TestCli:
     def test_simulate_writes_trajectory(self, tmp_path, capsys):
         code = cli.main(["simulate", REFERENCE_SCENARIO, "--outdir", str(tmp_path)])
         assert code == cli.EXIT_OK
-        header, arr = csvio.read_csv(tmp_path / "trajectory.csv")
+        header, arr = read_csv(tmp_path / "trajectory.csv")
         assert header == ["t", "S", "I", "Q"]
         assert len(arr) == 64 * 50 + 1
         out = capsys.readouterr().out
@@ -504,7 +505,7 @@ class TestCli:
             ["simulate", REFERENCE_SCENARIO, "--outdir", str(tmp_path), "--dense", "1.0"]
         )
         assert code == cli.EXIT_OK
-        _, arr = csvio.read_csv(tmp_path / "trajectory.csv")
+        _, arr = read_csv(tmp_path / "trajectory.csv")
         assert len(arr) == 51
 
     @pytest.mark.parametrize("dense", ["0", "-1", "nan", "inf"])
@@ -543,7 +544,7 @@ class TestCli:
         argv = ["simulate", path, "--outdir", str(out), "--dense", str(dense)]
         assert cli.main(argv) == code
         if code == cli.EXIT_OK:
-            assert len(csvio.read_csv(out / "trajectory.csv")[1]) == 401
+            assert len(read_csv(out / "trajectory.csv")[1]) == 401
 
     @pytest.mark.parametrize("paths", ["0", "-3"])
     def test_simulate_sde_bad_path_count(self, tmp_path, capsys, paths):
@@ -584,7 +585,7 @@ class TestCli:
             ["simulate-sde", REFERENCE_SCENARIO, "--outdir", str(tmp_path), "--paths", "1"]
         )
         assert code == cli.EXIT_OK
-        header, arr = csvio.read_csv(tmp_path / "sde_path.csv")
+        header, arr = read_csv(tmp_path / "sde_path.csv")
         assert header == ["t", "S", "I", "Q"]
         assert len(arr) == 64 * 50 + 1
 
@@ -593,7 +594,7 @@ class TestCli:
             ["simulate-sde", REFERENCE_SCENARIO, "--outdir", str(tmp_path), "--paths", "20"]
         )
         assert code == cli.EXIT_OK
-        header, arr = csvio.read_csv(tmp_path / "ensemble.csv")
+        header, arr = read_csv(tmp_path / "ensemble.csv")
         assert header == ["t", "mean_S", "mean_I", "mean_Q", "dev_p50", "dev_p95"]
         assert "mean sup-deviation" in capsys.readouterr().out
 
@@ -629,7 +630,7 @@ class TestCli:
         path = write_doc(tmp_path, doc)
         code = cli.main(["mc-concentration", path, "--outdir", str(tmp_path)])
         assert code == cli.EXIT_OK
-        header, arr = csvio.read_csv(tmp_path / "concentration.csv")
+        header, arr = read_csv(tmp_path / "concentration.csv")
         assert header[:2] == ["eps", "rho"]
         assert len(arr) == 3
         p_hats = arr[:, 6]
