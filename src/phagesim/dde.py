@@ -8,11 +8,12 @@ node derivatives.
 
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError, DomainError, PositivityError, WindowError
-from .model import SigmaFn, _influx, _rates
+from .model import SigmaFn, _influx, _rates_for
 
 BLOWUP_LIMIT = 1e12
 CLAMP_TOL = 1e-12  # undershoot treated as floating-point dust
@@ -20,8 +21,8 @@ HARD_NEG = -1e-6  # beyond this the run is declared invalid
 REGION_ATOL = 1e-9  # how far a node may sit outside the invariant box
 AUTO_WINDOW = (0.25, 0.75)  # the fitting window, as fractions of the last resolved time
 DIST_FLOOR = 1e-12  # a distance to the equilibrium at or below this is rounding, not decay
-# Steps of tau/K a run may take to reach T; at 4-8 us and 440 bytes a dde
-# step, `simulate` at the limit takes about 15 s and 0.5 GB (docs/scenario-schema.md)
+# Steps of tau/K a run may take to reach T; at about 3 us and 430 bytes a dde
+# step, `simulate` at the limit takes about 6 s and 0.45 GB (docs/scenario-schema.md)
 MAX_STEPS = 10**6
 
 
@@ -147,9 +148,9 @@ def integrate(p, hist, T, K):
         raise DomainError("horizon T must be positive")
     if K < 8:
         raise DomainError("need at least 8 steps per delay interval")
-    sigma = SigmaFn(p.M)
+    sigma, rates = SigmaFn(p.M), _rates_for(p)
 
-    tau = p.tau
+    tau, M = p.tau, sigma.m_threshold
     h = tau / K
     n_steps = step_count(T, tau, K)
     guard = _Guard()
@@ -171,56 +172,56 @@ def integrate(p, hist, T, K):
     end_hist = f_hist[2 + len(ts):2 + len(ts) + n_end]
 
     s, i, q = float(s_hist[0]), hist.i0, float(q_hist[0])
-    sq = sigma(q)
-    states = [(s, i, q)]
-    derivs = [_rates(s, i, q, sq, f_hist[1], p)]
+    ds1, di1, dq1 = rates(s, i, q, sigma(q), f_hist[1])  # the drift at the current node
+    states, derivs = [(s, i, q)], [(ds1, di1, dq1)]
     node_influx = [f_hist[0]]  # of node j, read as the end value of step j+K-1
+    # the Hermite (S, Q) at the midpoint of step j, in slot j % K, read by step j+K
+    mids = [None] * K
 
     # _hermite's coefficients at theta = 1/2
     hh, h6, c_f0, c_f1 = 0.5 * h, h / 6.0, 0.125 * h, -0.125 * h
     # sigma rejects a negative argument; in this loop that is a stage,
-    # midpoint or node Q below 0, a positivity failure of step n
+    # midpoint or node Q below 0, a positivity failure of step n. Each site
+    # skips the call when sigma is the identity there.
     try:
         for n in range(n_steps):
-            ds1, di1, dq1 = derivs[n]
             if n < n_mid:
                 f_mid = mid_hist[n]
             else:
-                s0, _, q0 = states[n - K]
-                fs0, _, fq0 = derivs[n - K]
-                s1, _, q1 = states[n - K + 1]
-                fs1, _, fq1 = derivs[n - K + 1]
-                s_mid = 0.5 * s0 + c_f0 * fs0 + 0.5 * s1 + c_f1 * fs1
-                q_mid = 0.5 * q0 + c_f0 * fq0 + 0.5 * q1 + c_f1 * fq1
-                f_mid = ka * sigma(q_mid) * s_mid
+                s_mid, q_mid = mids[n % K]
+                f_mid = ka * (q_mid if 0.0 <= q_mid <= M else sigma(q_mid)) * s_mid
             f_end = end_hist[n] if n < n_end else node_influx[n + 1 - K]
 
             s2, i2, q2 = s + hh * ds1, i + hh * di1, q + hh * dq1
-            ds2, di2, dq2 = _rates(s2, i2, q2, sigma(q2), f_mid, p)
+            ds2, di2, dq2 = rates(s2, i2, q2, q2 if 0.0 <= q2 <= M else sigma(q2), f_mid)
             s3, i3, q3 = s + hh * ds2, i + hh * di2, q + hh * dq2
-            ds3, di3, dq3 = _rates(s3, i3, q3, sigma(q3), f_mid, p)
+            ds3, di3, dq3 = rates(s3, i3, q3, q3 if 0.0 <= q3 <= M else sigma(q3), f_mid)
             s4, i4, q4 = s + h * ds3, i + h * di3, q + h * dq3
-            ds4, di4, dq4 = _rates(s4, i4, q4, sigma(q4), f_end, p)
-            s = s + h6 * (ds1 + 2.0 * ds2 + 2.0 * ds3 + ds4)
-            i = i + h6 * (di1 + 2.0 * di2 + 2.0 * di3 + di4)
-            q = q + h6 * (dq1 + 2.0 * dq2 + 2.0 * dq3 + dq4)
+            ds4, di4, dq4 = rates(s4, i4, q4, q4 if 0.0 <= q4 <= M else sigma(q4), f_end)
+            s1 = s + h6 * (ds1 + 2.0 * ds2 + 2.0 * ds3 + ds4)
+            i1 = i + h6 * (di1 + 2.0 * di2 + 2.0 * di3 + di4)
+            q1 = q + h6 * (dq1 + 2.0 * dq2 + 2.0 * dq3 + dq4)
             # comparisons with NaN fail, so a NaN takes the full guard too
-            if not (0.0 <= s <= BLOWUP_LIMIT and 0.0 <= i <= BLOWUP_LIMIT
-                    and 0.0 <= q <= BLOWUP_LIMIT):
-                s, i, q = guard.apply(np.array([[s], [i], [q]]), n * h + h)[:, 0].tolist()
+            if not (0.0 <= s1 <= BLOWUP_LIMIT and 0.0 <= i1 <= BLOWUP_LIMIT
+                    and 0.0 <= q1 <= BLOWUP_LIMIT):
+                s1, i1, q1 = guard.apply(np.array([[s1], [i1], [q1]]), n * h + h)[:, 0].tolist()
 
-            sq = sigma(q)
-            states.append((s, i, q))
-            derivs.append(_rates(s, i, q, sq, f_end, p))
-            node_influx.append(ka * sq * s)
+            sq = q1 if 0.0 <= q1 <= M else sigma(q1)
+            fs, fi, fq = rates(s1, i1, q1, sq, f_end)
+            mids[n % K] = (0.5 * s + c_f0 * ds1 + 0.5 * s1 + c_f1 * fs,
+                           0.5 * q + c_f0 * dq1 + 0.5 * q1 + c_f1 * fq)
+            states.append((s1, i1, q1))
+            derivs.append((fs, fi, fq))
+            node_influx.append(ka * sq * s1)
+            s, i, q, ds1, di1, dq1 = s1, i1, q1, fs, fi, fq
     except DomainError as exc:
         t = n * h + h
         raise PositivityError(f"trajectory Q went negative before t={t:g}: {exc}", t=t) from exc
 
     return Trajectory(
         h=h,
-        states=np.array(states),
-        derivs=np.array(derivs),
+        states=np.fromiter(chain.from_iterable(states), float, 3 * len(states)).reshape(-1, 3),
+        derivs=np.fromiter(chain.from_iterable(derivs), float, 3 * len(derivs)).reshape(-1, 3),
         clamp_count=guard.clamp_count,
         warn_count=guard.warn_count,
         min_component=guard.min_component,

@@ -159,10 +159,15 @@ def _influx(s_tau, sq_tau, p):
     return p.k1 * p.attenuation * sq_tau * s_tau
 
 
-def _rates(s, i, q, sq, lysis_influx, p):
-    """(dS, dI, dQ) from the state, sq = sigma(Q) and the lysis influx."""
-    adsorbed = p.k1 * sq * s
-    ds = (p.alpha - p.k1 * sq) * s
-    di = adsorbed - p.mu * i - lysis_influx
-    dq = p.d - p.m * q - adsorbed - p.k2 * sq * i + p.b * lysis_influx
-    return ds, di, dq
+def _rates_for(p):
+    """rates(s, i, q, sq, lysis_influx) -> (dS, dI, dQ), sq = sigma(Q), with p's constants bound."""
+    alpha, k1, k2, d, m, b, mu = p.alpha, p.k1, p.k2, p.d, p.m, p.b, p.mu
+
+    def rates(s, i, q, sq, lysis_influx):
+        adsorbed = k1 * sq * s
+        ds = (alpha - k1 * sq) * s
+        di = adsorbed - mu * i - lysis_influx
+        dq = d - m * q - adsorbed - k2 * sq * i + b * lysis_influx
+        return ds, di, dq
+
+    return rates

@@ -4,8 +4,8 @@ Paths are driven by per-path Philox streams keyed on (seed, path index), so
 any path is reproducible in isolation and ensembles are order-independent.
 `_step_paths` steps whatever increments it is given, so a convergence test
 can drive the production stepper with Brownian paths of its own.
-All paths of an ensemble advance together on (3, n) arrays, DRAW_STEPS steps
-at a time; a sample path steps on three floats in `_float_path`. Both lanes
+All paths of an ensemble advance together on (3, n) arrays, at most DRAW_STEPS
+steps at a time; a sample path steps on three floats in `_float_path`. Both lanes
 run the same elementwise formulas in the same order, so an ensemble's column
 is bitwise the sample path with the same index, whatever the block length.
 The noise amplitude is a per-column argument of the array lane, so
@@ -22,7 +22,7 @@ import numpy as np
 from . import dde, equilibria
 from .dde import BLOWUP_LIMIT
 from .errors import ConfigurationError, DomainError
-from .model import SigmaFn, _influx, _rates
+from .model import SigmaFn, _influx, _rates_for
 
 SCHEME_HEUN = "stratonovich-heun"
 SCHEME_EULER = "ito-euler-corrected"
@@ -31,11 +31,12 @@ Z95 = 1.959963984540054  # the standard normal quantile of a two-sided 95% inter
 DRAW_STEPS = 256  # steps per time block: increments drawn and nodes held at once
 # Bytes a run's paths may hold, a quarter of an 8 GB host. A path of E lockstep eps
 # rows (E = 1 but in mc-concentration) holds its Philox generator (about 1 KB traced),
-# K + 1 floats of delayed influx per row, a block of S = _block_steps(E) steps of
+# K + 1 floats of delayed influx per row, a block of S = _block_steps(n, E) steps of
 # increments (2 floats a step, shared by the rows), nodes (3 a row) and deviations
 # (1 a row), and the float lane's K-long list of history influx (32 B an entry):
-# 1024 + 8 (K + 1) E + 16 S + 32 S E + 32 K bytes. That is 15.9 KB at K = 64, E = 1
-# (S = 256), so about 135 000 paths fit, and 14.2 KB at E = 3 (S = 85).
+# 1024 + 8 (K + 1) E + 16 S + 32 S E + 32 K bytes: at K = 64, 15.9 KB at E = 1 (S = 256)
+# and 14.2 KB at E = 3 (S = 85) up to n = 21 845. Past that S shrinks, so the blocks
+# hold at most an eighth of the budget: 527 378 paths fit at E = 1 (S = 10), 413 613 at E = 3.
 PATH_BYTES_BUDGET = 2**31
 
 
@@ -55,14 +56,14 @@ class PathConfig:
             raise DomainError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
 
 
-def _block_steps(rows):
-    """Steps a block of `rows` lockstep eps rows: its nodes take the bytes one row's take."""
-    return max(1, DRAW_STEPS // rows)
+def _block_steps(n, rows=1):
+    """Steps a block of n paths of `rows` eps rows: one row's node bytes, at most budget / 8."""
+    return max(1, min(DRAW_STEPS // rows, PATH_BYTES_BUDGET // 8 // (max(n, 1) * (16 + 32 * rows))))
 
 
 def _check_budget(n, K, rows=1):
     """Refuse n paths of `rows` eps rows at K steps a delay over the budget, before any exists."""
-    steps = _block_steps(rows)
+    steps = _block_steps(n, rows)
     need = n * (1024 + 8 * (K + 1) * rows + 16 * steps + 32 * steps * rows + 32 * K)
     if need > PATH_BYTES_BUDGET:
         raise MemoryError(f"paths need {need:.4g} bytes at n = {n}, K = {K}, {rows} eps "
@@ -86,13 +87,13 @@ def _increments(p, cfg, path_indices, block_steps):
         yield block
 
 
-def _stage(y, delayed_influx, p, sigma, eps):
+def _stage(y, delayed_influx, rates, sigma, eps):
     """At a (3, n) state: sigma of the S and Q rows clipped at 0, drift, noise amplitude.
 
-    `eps` is a scalar or one amplitude per column.
+    `rates` is `model._rates_for(p)`; `eps` is a scalar or one amplitude per column.
     """
     sig = sigma._values(np.maximum(y[::2], 0.0))
-    f = np.array(_rates(y[0], y[1], y[2], sig[1], delayed_influx, p))
+    f = np.array(rates(y[0], y[1], y[2], sig[1], delayed_influx))
     g = np.zeros(y.shape)  # I carries no noise
     g[::2] = eps * sig
     return sig, f, g
@@ -118,7 +119,7 @@ def _step_paths(p, hist, cfg, eps, increments, guard):
     n_paths = len(guard.labels)
     if n_paths < 1:
         raise DomainError("need at least one path")
-    sigma = SigmaFn(p.M)
+    sigma, rates = SigmaFn(p.M), _rates_for(p)
     K, h = cfg.K, p.tau / cfg.K
 
     # Lysis influx of node j, in row j % (K + 1): written when node j is the
@@ -142,13 +143,13 @@ def _step_paths(p, hist, cfg, eps, increments, guard):
         # inc's S and Q rows as (2, E, n): each column group views the same draws
         noise = inc[::2].reshape(2, -1, dw.shape[2])
         for k in range(len(dw)):
-            sig, f_now, g_now = _stage(y, influx[(n - K) % ring], p, sigma, eps)
+            sig, f_now, g_now = _stage(y, influx[(n - K) % ring], rates, sigma, eps)
             influx[n % ring] = _influx(y[0], sig[1], p)
             noise[...] = dw[k][:, None]
             if heun:
                 # Stratonovich-Heun: the same increment drives predictor and corrector
                 pred = y + h * f_now + g_now * inc
-                _, f_pred, g_pred = _stage(pred, influx[(n + 1 - K) % ring], p, sigma, eps)
+                _, f_pred, g_pred = _stage(pred, influx[(n + 1 - K) % ring], rates, sigma, eps)
                 y_next = y + hh * (f_now + f_pred) + 0.5 * (g_now + g_pred) * inc
             else:
                 # Euler-Maruyama on the Ito form: the drift gains the Stratonovich correction
@@ -165,11 +166,12 @@ def _float_path(p, hist, cfg, steps, guard):
     Returns the (n_nodes, 3) nodes and the drift at each node, the one each
     step evaluates and then the last node's. `influx[n]` is node n's delayed
     influx: the history's at (n - K) h while n < K, and node n - K's after.
-    `0.0 if x <= 0.0 else x` clips as np.maximum(x, 0.0) does, -0.0 to +0.0.
+    `0.0 if x <= 0.0 else x` clips as np.maximum(x, 0.0) does, -0.0 to +0.0, and a
+    clipped x goes through sigma only past M, where sigma is not the identity.
     The `+ 0.0` on I is the arrays' noise term on I, 0.0 * 0.0.
     """
-    sigma = SigmaFn(p.M)
-    K, h = cfg.K, p.tau / cfg.K
+    sigma, rates = SigmaFn(p.M), _rates_for(p)
+    K, h, M = cfg.K, p.tau / cfg.K, sigma.m_threshold
     eps, ka, hh, half_eps2 = p.eps, p.k1 * p.attenuation, 0.5 * h, 0.5 * p.eps * p.eps
     heun = cfg.scheme == SCHEME_HEUN
     influx = _history_influx(hist, p, sigma, K).tolist()
@@ -177,15 +179,16 @@ def _float_path(p, hist, cfg, steps, guard):
     nodes, drifts = [(s, i, q)], []
     for n, (ws, wq) in enumerate(steps):
         cs, cq = 0.0 if s <= 0.0 else s, 0.0 if q <= 0.0 else q
-        sig_s, sig_q = sigma(cs), sigma(cq)
-        fs, fi, fq = _rates(s, i, q, sig_q, influx[n], p)
+        sig_s, sig_q = cs if cs <= M else sigma(cs), cq if cq <= M else sigma(cq)
+        fs, fi, fq = rates(s, i, q, sig_q, influx[n])
         drifts.append((fs, fi, fq))
         gs, gq = eps * sig_s, eps * sig_q
         influx.append(ka * sig_q * s)
         if heun:
             ps, pi, pq = s + h * fs + gs * ws, i + h * fi + 0.0, q + h * fq + gq * wq
-            sig_ps, sig_pq = sigma(0.0 if ps <= 0.0 else ps), sigma(0.0 if pq <= 0.0 else pq)
-            fps, fpi, fpq = _rates(ps, pi, pq, sig_pq, influx[n + 1], p)
+            cps, cpq = 0.0 if ps <= 0.0 else ps, 0.0 if pq <= 0.0 else pq
+            sig_ps, sig_pq = cps if cps <= M else sigma(cps), cpq if cpq <= M else sigma(cpq)
+            fps, fpi, fpq = rates(ps, pi, pq, sig_pq, influx[n + 1])
             s = s + hh * (fs + fps) + 0.5 * (gs + eps * sig_ps) * ws
             i = i + hh * (fi + fpi) + 0.0
             q = q + hh * (fq + fpq) + 0.5 * (gq + eps * sig_pq) * wq
@@ -198,7 +201,8 @@ def _float_path(p, hist, cfg, steps, guard):
                 and 0.0 <= q <= BLOWUP_LIMIT):
             s, i, q = guard.apply(np.array([[s], [i], [q]]), n * h + h)[:, 0].tolist()
         nodes.append((s, i, q))
-    drifts.append(_rates(s, i, q, sigma(0.0 if q <= 0.0 else q), influx[len(nodes) - 1], p))
+    cq = 0.0 if q <= 0.0 else q
+    drifts.append(rates(s, i, q, cq if cq <= M else sigma(cq), influx[len(nodes) - 1]))
     return np.array(nodes), np.array(drifts)
 
 
@@ -284,7 +288,7 @@ def ensemble(p, hist, cfg, n, reference, window):
     paths = range(n)
     guard = dde._Guard(paths)
     mean, pct, sup_devs = np.empty((len(mask), 3)), np.empty((2, len(mask))), np.zeros(n)
-    increments = _increments(p, cfg, paths, DRAW_STEPS)
+    increments = _increments(p, cfg, paths, _block_steps(n))
     for j, block in _step_paths(p, hist, cfg, p.eps, increments, guard):
         rows = slice(j, j + len(block))
         mean[rows] = block.mean(axis=2)
@@ -382,7 +386,7 @@ def concentration_experiment(
     eps values so the exceedance counts are comparable. One pass over the
     paths serves every eps row: the E rows step in lockstep on (3, E n)
     columns, eps-major, on one draw of each path's increments, in blocks of
-    _block_steps(E) steps. A path that fails stops the run at the earliest
+    _block_steps(n, E) steps. A path that fails stops the run at the earliest
     time any row fails, and the error names it as (eps, path).
     """
     if not (1.0 < kappa1 < kappa2):
@@ -417,7 +421,7 @@ def concentration_experiment(
     # column r n + j is path j of row r; Parameters checks each amplitude
     amplitudes = np.repeat([p.with_eps(eps).eps for eps in eps_list], n)
     sup = np.zeros(len(amplitudes))  # each column's sup over the window, block by block
-    increments = _increments(p, cfg, paths, _block_steps(len(eps_list)))
+    increments = _increments(p, cfg, paths, _block_steps(n, len(eps_list)))
     guard = dde._Guard(_RowPaths(eps_list, n))
     for j, block in _step_paths(p, hist, cfg, amplitudes, increments, guard):
         _reduce_block(j, block, ref, window, sup)

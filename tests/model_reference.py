@@ -1,10 +1,11 @@
 """Reference formulas the tests check the engines against, kept out of the package.
 
-The package steps the model through `model._rates`, `model._influx` and
-`SigmaFn` only. The functions here spell the same right-hand sides, noise
-amplitudes, noise streams, step kernels and characteristic matrix out on
-their own, in the arithmetic the package had before they moved, so a test
-built from them is independent of the production kernels.
+The package steps the model through `model._rates_for`, `model._influx` and
+`SigmaFn` only. The functions here spell the same right-hand sides, lysis
+influx, noise amplitudes, noise streams, step kernels and characteristic
+matrix out on their own, in the arithmetic the package had before they
+moved, so a test built from them is independent of the production kernels;
+only sigma is the package's.
 """
 
 import math
@@ -12,7 +13,6 @@ import math
 import numpy as np
 
 from phagesim.errors import DomainError
-from phagesim.model import _influx, _rates
 
 S, I, Q = 0, 1, 2
 
@@ -29,7 +29,13 @@ def path_normals(seed, path_index, n_steps):
 
 def _drift_terms(s, i, q, s_tau, q_tau, p, sigma):
     """Elementwise right-hand side of the coinfection system; returns (dS, dI, dQ)."""
-    return _rates(s, i, q, sigma(q), _influx(s_tau, sigma(q_tau), p), p)
+    sq = sigma(q)
+    lysis_influx = p.k1 * math.exp(-p.mu * p.tau) * sigma(q_tau) * s_tau
+    adsorbed = p.k1 * sq * s
+    ds = (p.alpha - p.k1 * sq) * s
+    di = adsorbed - p.mu * i - lysis_influx
+    dq = p.d - p.m * q - adsorbed - p.k2 * sq * i + p.b * lysis_influx
+    return ds, di, dq
 
 
 def _require_finite(values, what):

@@ -441,6 +441,28 @@ class TestParentLoop:
             _parent_integrate(p, hist, 3.0, 16)
         assert new.value.t == old.value.t
 
+    def test_unread_negative_midpoint(self):
+        # the Hermite Q at the midpoint of step 16 is -2.88, but only step 24 reads it;
+        # a stage Q of step 17 goes to -19.04 first. Sigma of a midpoint is taken by the
+        # step that reads it, so the run fails at step 17, as the parent loop does.
+        p = Parameters(alpha=3.1083749610555245, k1=0.37251218892822213, k2=0.770341549388862,
+                       d=4.380605930061192, m=0.9795003880230945, b=16.79385934324882,
+                       mu=0.3178833207280794, tau=0.9176594066234001, M=100.0)
+        hist = History.constant(p.tau, 4.291277458592439, 1.8066747693548275, 1.0725755202694103)
+        h = p.tau / 8
+        with pytest.raises(PositivityError, match=r"before t=2\.06473: sigma is only defined "
+                           r"for x >= 0, got -19\.0379") as new:
+            integrate(p, hist, T=5.0, K=8)
+        assert new.value.t == 18 * h
+        assert isinstance(new.value.__cause__, DomainError)
+        # the parent loop raises sigma's DomainError itself: through step 16 it runs,
+        # and step 17 fails on the same value
+        _parent_integrate(p, hist, 17 * h, 8)
+        with pytest.raises(DomainError) as old:
+            _parent_integrate(p, hist, 18 * h, 8)
+        value = float(str(new.value.__cause__).rsplit("got ", 1)[1])
+        assert repr(value) in str(old.value).rsplit("got ", 1)[1]
+
 
 class _IndexOnly:
     """Path labels that can be indexed but not listed, like range(10**12)."""

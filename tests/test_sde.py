@@ -673,6 +673,28 @@ class TestTimeBlocks:
             assert _bits(table()) == _bits(baseline)
         assert lengths == [256 // 3, 1, 2, 21, n_steps // 3]
 
+    def test_budget_shortens_blocks(self, p_conc, hist_conc, monkeypatch):
+        # 20 paths of three rows take 20 (16 + 32 * 3) = 2 240 bytes a block step, so an
+        # eighth of a budget of 2 240 * 8 * 9 bytes holds blocks of 9 steps, not 256 // 3
+        increments, lengths = sde._increments, []
+
+        def recorded(p, cfg, paths, block_steps):
+            lengths.append(block_steps)
+            return increments(p, cfg, paths, block_steps)
+
+        monkeypatch.setattr(sde, "_increments", recorded)
+
+        def table():
+            return concentration_experiment(
+                p_conc, hist_conc, [0.025, 0.02, 0.015], rho=0.05, kappa1=1.2, kappa2=2.0,
+                n=20, seed=7, K=32,
+            )
+
+        baseline = table()
+        monkeypatch.setattr(sde, "PATH_BYTES_BUDGET", 2_240 * 8 * 9)
+        assert _bits(table()) == _bits(baseline)
+        assert lengths == [256 // 3, 9]
+
 
 class TestMemory:
     """A Monte Carlo row holds its nodes and increments one time block at a time."""
@@ -711,15 +733,17 @@ class TestMemory:
 
     def test_path_budget(self):
         # 1024 + 8 (K + 1) E + 16 S + 32 S E + 32 K bytes a path of E eps rows in blocks of
-        # S = DRAW_STEPS // E steps: 14 152 at K = 64, E = 3 (S = 85), 15 880 at E = 1
-        n_max = sde.PATH_BYTES_BUDGET // 14_152
-        assert 2000 < 100_000 < n_max
-        sde._check_budget(n_max, 64, 3)
-        with pytest.raises(MemoryError, match=f"at n = {n_max + 1}, K = 64, 3 eps row"):
-            sde._check_budget(n_max + 1, 64, 3)
-        with pytest.raises(MemoryError, match="K = 64, 1 eps row"):  # one row's longer block
-            sde._check_budget(n_max, 64)
-        sde._check_budget(sde.PATH_BYTES_BUDGET // 15_880, 64)
+        # S = max(1, min(DRAW_STEPS // E, (2**31 // 8) // (n (16 + 32 E)))) steps; at K = 64,
+        # 14 152 at E = 3 (S = 85) and 15 880 at E = 1 (S = 256) up to n = 21 845, then
+        # 5 192 at E = 3 and n = 413 613 (S = 5), 4 072 at E = 1 and n = 527 378 (S = 10)
+        assert [sde._block_steps(n, rows) for n in (2000, 21_845) for rows in (1, 3)] == [
+            256, 85, 256, 85]
+        assert (sde._block_steps(21_846), sde._block_steps(10**9, 3)) == (255, 1)
+        for n_max, rows, steps in ((413_613, 3, 5), (527_378, 1, 10)):
+            assert sde._block_steps(n_max, rows) == steps
+            sde._check_budget(n_max, 64, rows)
+            with pytest.raises(MemoryError, match=f"at n = {n_max + 1}, K = 64, {rows} eps row"):
+                sde._check_budget(n_max + 1, 64, rows)
         with pytest.raises(MemoryError):  # the K-long history prefix of one path
             sde._check_budget(1, 10**8)
 
