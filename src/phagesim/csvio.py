@@ -3,7 +3,7 @@
 import csv
 import math
 
-from .errors import DomainError, PhagesimError
+from .errors import DomainError
 
 
 def write_csv(header, rows, path):
@@ -15,13 +15,10 @@ def write_csv(header, rows, path):
     the csv module.
     """
     line = ",".join(["%.17g"] * len(header)) + "\n"
-    try:
-        with open(path, "w", newline="") as fh:
-            csv.writer(fh, lineterminator="\n").writerow(header)
-            for row in rows:
-                fh.write(line % row)
-    except OSError as exc:
-        raise PhagesimError(f"cannot write {path}: {exc}") from exc
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        for row in rows:
+            fh.write(line % row)
 
 
 def trajectory_rows(traj, dense_dt=None):

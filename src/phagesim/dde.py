@@ -7,6 +7,7 @@ node derivatives.
 """
 
 import math
+from collections import deque
 from dataclasses import dataclass, replace
 from itertools import chain
 
@@ -21,8 +22,8 @@ HARD_NEG = -1e-6  # beyond this the run is declared invalid
 REGION_ATOL = 1e-9  # how far a node may sit outside the invariant box
 AUTO_WINDOW = (0.25, 0.75)  # the fitting window, as fractions of the last resolved time
 DIST_FLOOR = 1e-12  # a distance to the equilibrium at or below this is rounding, not decay
-# Steps of tau/K a run may take to reach T; at about 3 us and 430 bytes a dde
-# step, `simulate` at the limit takes about 6 s and 0.45 GB (docs/scenario-schema.md)
+# Steps of tau/K a run may take to reach T; at about 3 us and 390 bytes a dde
+# step, `simulate` at the limit takes about 6 s and 0.4 GB (docs/scenario-schema.md)
 MAX_STEPS = 10**6
 
 
@@ -157,26 +158,22 @@ def integrate(p, hist, T, K):
     ka = p.k1 * p.attenuation  # the lysis influx is ka * sigma(Q) * S, as in model._influx
 
     # Step n reads the delayed (S, Q) at its midpoint t_n + h/2 - tau and its
-    # end t_{n+1} - tau: the history while that time is <= 0, otherwise the
-    # midpoint n-K+1/2 or the node n+1-K. The history part is one vectorised
-    # lookup at t = 0, -tau and the delayed times of the first steps.
+    # influx at its end t_{n+1} - tau: the history's for the first K steps,
+    # then midpoint n-K+1/2 and node n+1-K. The history part is one vectorised
+    # lookup at t = 0, -tau and the delayed times of the first steps; it seeds
+    # two queues, and each step pops their fronts and appends its own midpoint
+    # and node influx at the backs. An end time that rounds above 0 reads the
+    # history at 0, node 0's value.
     ts = np.arange(min(n_steps, K)) * h
-    td_mid = ts + 0.5 * h - tau
-    td_end = ts + h - tau
-    td = np.concatenate(([0.0, -tau], td_mid, np.minimum(td_end, 0.0)))
+    td = np.concatenate(([0.0, -tau], ts + 0.5 * h - tau, np.minimum(ts + h - tau, 0.0)))
     s_hist, q_hist = hist.s(td), hist.q(td)
     f_hist = _influx(s_hist, sigma(q_hist), p).tolist()
-    n_mid = int(np.count_nonzero(td_mid <= 0.0))
-    n_end = int(np.count_nonzero(td_end <= 0.0))
-    mid_hist = f_hist[2:2 + n_mid]
-    end_hist = f_hist[2 + len(ts):2 + len(ts) + n_end]
+    mids = deque(zip(s_hist[2:2 + len(ts)].tolist(), q_hist[2:2 + len(ts)].tolist()))
+    ends = deque(f_hist[2 + len(ts):])
 
     s, i, q = float(s_hist[0]), hist.i0, float(q_hist[0])
     ds1, di1, dq1 = rates(s, i, q, sigma(q), f_hist[1])  # the drift at the current node
     states, derivs = [(s, i, q)], [(ds1, di1, dq1)]
-    node_influx = [f_hist[0]]  # of node j, read as the end value of step j+K-1
-    # the Hermite (S, Q) at the midpoint of step j, in slot j % K, read by step j+K
-    mids = [None] * K
 
     # _hermite's coefficients at theta = 1/2
     hh, h6, c_f0, c_f1 = 0.5 * h, h / 6.0, 0.125 * h, -0.125 * h
@@ -185,12 +182,9 @@ def integrate(p, hist, T, K):
     # skips the call when sigma is the identity there.
     try:
         for n in range(n_steps):
-            if n < n_mid:
-                f_mid = mid_hist[n]
-            else:
-                s_mid, q_mid = mids[n % K]
-                f_mid = ka * (q_mid if 0.0 <= q_mid <= M else sigma(q_mid)) * s_mid
-            f_end = end_hist[n] if n < n_end else node_influx[n + 1 - K]
+            s_mid, q_mid = mids.popleft()
+            f_mid = ka * (q_mid if 0.0 <= q_mid <= M else sigma(q_mid)) * s_mid
+            f_end = ends.popleft()
 
             s2, i2, q2 = s + hh * ds1, i + hh * di1, q + hh * dq1
             ds2, di2, dq2 = rates(s2, i2, q2, q2 if 0.0 <= q2 <= M else sigma(q2), f_mid)
@@ -208,11 +202,11 @@ def integrate(p, hist, T, K):
 
             sq = q1 if 0.0 <= q1 <= M else sigma(q1)
             fs, fi, fq = rates(s1, i1, q1, sq, f_end)
-            mids[n % K] = (0.5 * s + c_f0 * ds1 + 0.5 * s1 + c_f1 * fs,
-                           0.5 * q + c_f0 * dq1 + 0.5 * q1 + c_f1 * fq)
+            mids.append((0.5 * s + c_f0 * ds1 + 0.5 * s1 + c_f1 * fs,
+                         0.5 * q + c_f0 * dq1 + 0.5 * q1 + c_f1 * fq))
             states.append((s1, i1, q1))
             derivs.append((fs, fi, fq))
-            node_influx.append(ka * sq * s1)
+            ends.append(ka * sq * s1)
             s, i, q, ds1, di1, dq1 = s1, i1, q1, fs, fi, fq
     except DomainError as exc:
         t = n * h + h

@@ -85,7 +85,8 @@ class SigmaFn:
 
     The bridge on (M, M+1) is a quintic in u = x - M with coefficients
     (a1, a3, a4, a5); the quadratic term is always zero so curvature
-    vanishes at the left joint.
+    vanishes at the left joint. Called, or through prime, on a scalar or a
+    0-d array it returns a float; on an array, a new array.
     """
 
     def __init__(self, m_threshold, bridge=DEFAULT_BRIDGE):
@@ -94,45 +95,25 @@ class SigmaFn:
         self.m_threshold = float(m_threshold)
         self.bridge = tuple(float(c) for c in bridge)
 
-    def _bridge(self, u):
-        a1, a3, a4, a5 = self.bridge
-        return self.m_threshold + u * (a1 + u * u * (a3 + u * (a4 + a5 * u)))
-
-    def _bridge_slope(self, u):
-        a1, a3, a4, a5 = self.bridge
-        return a1 + u * u * (3.0 * a3 + u * (4.0 * a4 + 5.0 * a5 * u))
-
     def __call__(self, x):
-        m = self.m_threshold
-        # isinstance first: np.isscalar costs about half of a scalar call
-        if isinstance(x, float) or np.isscalar(x):
-            if x < 0.0:
-                raise DomainError(f"sigma is only defined for x >= 0, got {x!r}")
-            if x <= m:
-                return x
-            if x >= m + 1.0:
-                return m + 1.0
-            return self._bridge(x - m)
-        x = np.asarray(x, dtype=float)
-        if np.any(x < 0.0):
-            raise DomainError("sigma is only defined for x >= 0")
+        x = self._domain(x, "sigma")
         out = self._values(x)
+        if x.ndim == 0:
+            return float(out)
         return x.copy() if out is x else out
 
     def prime(self, x):
-        m = self.m_threshold
-        if isinstance(x, float) or np.isscalar(x):
-            if x < 0.0:
-                raise DomainError(f"sigma' is only defined for x >= 0, got {x!r}")
-            if x <= m:
-                return 1.0
-            if x >= m + 1.0:
-                return 0.0
-            return self._bridge_slope(x - m)
+        x = self._domain(x, "sigma'")
+        out = self._slopes(x)
+        return float(out) if x.ndim == 0 else out
+
+    @staticmethod
+    def _domain(x, name):
         x = np.asarray(x, dtype=float)
-        if np.any(x < 0.0):
-            raise DomainError("sigma' is only defined for x >= 0")
-        return self._slopes(x)
+        if (x < 0.0).any():
+            got = f", got {float(x)!r}" if x.ndim == 0 else ""
+            raise DomainError(f"{name} is only defined for x >= 0{got}")
+        return x
 
     # Unchecked array kernels for x >= 0. Both skip the bridge when no entry
     # exceeds M; _values then returns x itself, so callers must not mutate
@@ -143,14 +124,18 @@ class SigmaFn:
         m = self.m_threshold
         if x.size and x.max() <= m:
             return x
-        bridge = self._bridge(np.clip(x - m, 0.0, 1.0))
+        a1, a3, a4, a5 = self.bridge
+        u = np.clip(x - m, 0.0, 1.0)
+        bridge = m + u * (a1 + u * u * (a3 + u * (a4 + a5 * u)))
         return np.where(x <= m, x, np.where(x >= m + 1.0, m + 1.0, bridge))
 
     def _slopes(self, x):
         m = self.m_threshold
         if x.size and x.max() <= m:
             return np.ones_like(x)
-        slope = self._bridge_slope(np.clip(x - m, 0.0, 1.0))
+        a1, a3, a4, a5 = self.bridge
+        u = np.clip(x - m, 0.0, 1.0)
+        slope = a1 + u * u * (3.0 * a3 + u * (4.0 * a4 + 5.0 * a5 * u))
         return np.where(x <= m, 1.0, np.where(x >= m + 1.0, 0.0, slope))
 
 

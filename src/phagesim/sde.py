@@ -167,7 +167,7 @@ def _float_path(p, hist, cfg, steps, guard):
     step evaluates and then the last node's. `influx[n]` is node n's delayed
     influx: the history's at (n - K) h while n < K, and node n - K's after.
     `0.0 if x <= 0.0 else x` clips as np.maximum(x, 0.0) does, -0.0 to +0.0, and a
-    clipped x goes through sigma only past M, where sigma is not the identity.
+    clipped x goes through sigma or sigma' only past M, where sigma is not the identity.
     The `+ 0.0` on I is the arrays' noise term on I, 0.0 * 0.0.
     """
     sigma, rates = SigmaFn(p.M), _rates_for(p)
@@ -193,9 +193,9 @@ def _float_path(p, hist, cfg, steps, guard):
             i = i + hh * (fi + fpi) + 0.0
             q = q + hh * (fq + fpq) + 0.5 * (gq + eps * sig_pq) * wq
         else:
-            s = s + h * (fs + half_eps2 * sig_s * sigma.prime(cs)) + gs * ws
+            s = s + h * (fs + half_eps2 * sig_s * (1.0 if cs <= M else sigma.prime(cs))) + gs * ws
             i = i + h * (fi + 0.0) + 0.0  # I's Ito correction is 0.0 too
-            q = q + h * (fq + half_eps2 * sig_q * sigma.prime(cq)) + gq * wq
+            q = q + h * (fq + half_eps2 * sig_q * (1.0 if cq <= M else sigma.prime(cq))) + gq * wq
         # comparisons with NaN fail, so a NaN takes the full guard too
         if not (0.0 <= s <= BLOWUP_LIMIT and 0.0 <= i <= BLOWUP_LIMIT
                 and 0.0 <= q <= BLOWUP_LIMIT):

@@ -54,6 +54,30 @@ class TestSigma:
         with pytest.raises(DomainError):
             sigma(np.array([1.0, -2.0]))
 
+    @pytest.mark.parametrize("kind", [float, np.float64, np.asarray])
+    def test_negative_scalar_message(self, sigma, kind):
+        with pytest.raises(DomainError, match=r"^sigma is only defined for x >= 0, got -0\.5$"):
+            sigma(kind(-0.5))
+        with pytest.raises(DomainError, match=r"^sigma' is only defined for x >= 0, got -0\.5$"):
+            sigma.prime(kind(-0.5))
+        with pytest.raises(DomainError, match=r"^sigma is only defined for x >= 0$"):
+            sigma(np.array([kind(-0.5)]))
+
+    @pytest.mark.parametrize("m", [1e-3, 0.3, 1.0, 12.0, 100.0, 1e6, 1e8])
+    def test_scalars_are_the_array_kernels(self, m):
+        # a scalar or 0-d argument goes through the array kernels and returns their float
+        sig = SigmaFn(m)
+        top = m + 1.0
+        points = [m, np.nextafter(m, 0.0), np.nextafter(m, np.inf),
+                  top, np.nextafter(top, 0.0), np.nextafter(top, np.inf),
+                  m + 0.25, m + 0.5, m + 0.75, top + 1.0, 2.0 * top, 0.0, -0.0]
+        for x in points:
+            for arg in (float(x), np.float64(x), np.asarray(x)):
+                for got, kernel in ((sig(arg), sig._values), (sig.prime(arg), sig._slopes)):
+                    want = float(kernel(np.asarray(x)))
+                    assert type(got) is float
+                    assert np.float64(got).tobytes() == np.float64(want).tobytes(), (x, arg)
+
     def test_small_threshold(self):
         sig = SigmaFn(1.0)
         xs = np.arange(0.0, 3.0, 1e-4)

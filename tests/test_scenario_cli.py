@@ -660,6 +660,36 @@ class TestCli:
             assert code == cli.EXIT_NUMERIC
             assert "error:numeric" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, name", [
+        (["simulate"], "trajectory.csv"),
+        (["simulate-sde", "--paths", "1"], "sde_path.csv"),
+        (["simulate-sde", "--paths", "3"], "ensemble.csv"),
+        (["mc-concentration"], "concentration.csv"),
+    ])
+    def test_unwritable_csv_exit_code(self, tmp_path, capsys, argv, name):
+        # a directory where the CSV goes: the OSError is an IO failure, exit 4
+        doc = load_reference_doc()
+        doc["run"].update(T=5.0, n=4, eps_list=[0.01])
+        path = write_doc(tmp_path, doc)
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        assert cli.main([argv[0], path, "--outdir", str(out), *argv[1:]]) == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error:io: ") and name in err
+
+    def test_simulate_memory_follows_the_step_count(self, tmp_path, capsys):
+        # K = 10**7 and T = 1e-6 are 10 steps: the delayed state holds the
+        # history of those steps, not K slots (80 MB of pointers at this K)
+        doc = load_reference_doc()
+        doc["run"].update(K=10**7, T=1e-6)
+        path = write_doc(tmp_path, doc)
+        codes = []
+        peak = peak_bytes(lambda: codes.append(
+            cli.main(["simulate", path, "--outdir", str(tmp_path)])))
+        assert codes == [cli.EXIT_OK]
+        assert peak < 16e6
+        assert len(read_csv(tmp_path / "trajectory.csv")[1]) == 11
+
     def test_json_digit_limit_exit_code(self, tmp_path, capsys):
         path = tmp_path / "long.json"
         path.write_text('{"parameters": {"alpha": ' + "1" * 5000 + "}}")
