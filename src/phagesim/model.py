@@ -96,6 +96,9 @@ class SigmaFn:
         self.bridge = tuple(float(c) for c in bridge)
 
     def __call__(self, x):
+        if isinstance(x, float) and x >= 0.0:  # a float at float cost; the rest checked
+            x, m = float(x), self.m_threshold
+            return x if x <= m else m + 1.0 if x >= m + 1.0 else m + self._rise(min(x - m, 1.0))
         x = self._domain(x, "sigma")
         out = self._values(x)
         if x.ndim == 0:
@@ -103,6 +106,9 @@ class SigmaFn:
         return x.copy() if out is x else out
 
     def prime(self, x):
+        if isinstance(x, float) and x >= 0.0:
+            x, m = float(x), self.m_threshold
+            return 1.0 if x <= m else 0.0 if x >= m + 1.0 else self._rise_slope(min(x - m, 1.0))
         x = self._domain(x, "sigma'")
         out = self._slopes(x)
         return float(out) if x.ndim == 0 else out
@@ -115,6 +121,15 @@ class SigmaFn:
             raise DomainError(f"{name} is only defined for x >= 0{got}")
         return x
 
+    # the bridge's rise above M and its slope at u = x - M in [0, 1], on floats or arrays
+    def _rise(self, u):
+        a1, a3, a4, a5 = self.bridge
+        return u * (a1 + u * u * (a3 + u * (a4 + a5 * u)))
+
+    def _rise_slope(self, u):
+        a1, a3, a4, a5 = self.bridge
+        return a1 + u * u * (3.0 * a3 + u * (4.0 * a4 + 5.0 * a5 * u))
+
     # Unchecked array kernels for x >= 0. Both skip the bridge when no entry
     # exceeds M; _values then returns x itself, so callers must not mutate
     # the result. The plateau keeps its own where: u = clip(x - M) reaches 1
@@ -124,18 +139,14 @@ class SigmaFn:
         m = self.m_threshold
         if x.size and x.max() <= m:
             return x
-        a1, a3, a4, a5 = self.bridge
-        u = np.clip(x - m, 0.0, 1.0)
-        bridge = m + u * (a1 + u * u * (a3 + u * (a4 + a5 * u)))
-        return np.where(x <= m, x, np.where(x >= m + 1.0, m + 1.0, bridge))
+        rise = self._rise(np.clip(x - m, 0.0, 1.0))
+        return np.where(x <= m, x, np.where(x >= m + 1.0, m + 1.0, m + rise))
 
     def _slopes(self, x):
         m = self.m_threshold
         if x.size and x.max() <= m:
             return np.ones_like(x)
-        a1, a3, a4, a5 = self.bridge
-        u = np.clip(x - m, 0.0, 1.0)
-        slope = a1 + u * u * (3.0 * a3 + u * (4.0 * a4 + 5.0 * a5 * u))
+        slope = self._rise_slope(np.clip(x - m, 0.0, 1.0))
         return np.where(x <= m, 1.0, np.where(x >= m + 1.0, 0.0, slope))
 
 
@@ -149,8 +160,9 @@ def _rates_for(p):
     alpha, k1, k2, d, m, b, mu = p.alpha, p.k1, p.k2, p.d, p.m, p.b, p.mu
 
     def rates(s, i, q, sq, lysis_influx):
-        adsorbed = k1 * sq * s
-        ds = (alpha - k1 * sq) * s
+        k1_sq = k1 * sq
+        adsorbed = k1_sq * s
+        ds = (alpha - k1_sq) * s
         di = adsorbed - mu * i - lysis_influx
         dq = d - m * q - adsorbed - k2 * sq * i + b * lysis_influx
         return ds, di, dq

@@ -5,9 +5,10 @@ any path is reproducible in isolation and ensembles are order-independent.
 `_step_paths` steps whatever increments it is given, so a convergence test
 can drive the production stepper with Brownian paths of its own.
 All paths of an ensemble advance together on (3, n) arrays, at most DRAW_STEPS
-steps at a time; a sample path steps on three floats in `_float_path`. Both lanes
-run the same elementwise formulas in the same order, so an ensemble's column
-is bitwise the sample path with the same index, whatever the block length.
+steps at a time, each path drawing into its own row and each stage writing into
+buffers made once; a sample path steps on three floats in `_float_path`. Both lanes
+run the same elementwise formulas in the same order, so an ensemble's column is
+bitwise the sample path with the same index, whatever the block length.
 The noise amplitude is a per-column argument of the array lane, so
 `concentration_experiment` steps every eps row in one pass over the paths:
 each path's increments are drawn once and drive its column in every row.
@@ -33,10 +34,11 @@ DRAW_STEPS = 256  # steps per time block: increments drawn and nodes held at onc
 # rows (E = 1 but in mc-concentration) holds its Philox generator (about 1 KB traced),
 # K + 1 floats of delayed influx per row, a block of S = _block_steps(n, E) steps of
 # increments (2 floats a step, shared by the rows), nodes (3 a row) and deviations
-# (1 a row), and the float lane's K-long list of history influx (32 B an entry):
-# 1024 + 8 (K + 1) E + 16 S + 32 S E + 32 K bytes: at K = 64, 15.9 KB at E = 1 (S = 256)
-# and 14.2 KB at E = 3 (S = 85) up to n = 21 845. Past that S shrinks, so the blocks
-# hold at most an eighth of the budget: 527 378 paths fit at E = 1 (S = 10), 413 613 at E = 3.
+# (1 a row), the stepper's six (3, E n) per-step buffers (144 B a row) and the float
+# lane's K-long list of history influx (32 B an entry):
+# 1024 + 8 (K + 1) E + 16 S + 32 S E + 144 E + 32 K bytes: at K = 64, 16.0 KB at E = 1
+# (S = 256) and 14.6 KB at E = 3 (S = 85) up to n = 21 845. Past that S shrinks, so the
+# blocks hold at most an eighth of the budget: 509 365 paths fit at E = 1, 374 386 at E = 3.
 PATH_BYTES_BUDGET = 2**31
 
 
@@ -64,7 +66,7 @@ def _block_steps(n, rows=1):
 def _check_budget(n, K, rows=1):
     """Refuse n paths of `rows` eps rows at K steps a delay over the budget, before any exists."""
     steps = _block_steps(n, rows)
-    need = n * (1024 + 8 * (K + 1) * rows + 16 * steps + 32 * steps * rows + 32 * K)
+    need = n * (1024 + 8 * (K + 1) * rows + 16 * steps + 32 * steps * rows + 144 * rows + 32 * K)
     if need > PATH_BYTES_BUDGET:
         raise MemoryError(f"paths need {need:.4g} bytes at n = {n}, K = {K}, {rows} eps "
                           f"row(s); the path budget is {PATH_BYTES_BUDGET} bytes")
@@ -73,30 +75,31 @@ def _check_budget(n, K, rows=1):
 def _increments(p, cfg, path_indices, block_steps):
     """The paths' increments of W_S and W_Q at h = tau/K, as (m, 2, n) blocks of block_steps steps.
 
-    A path's generator lives on between blocks, so its blocks stack to one (n_steps, 2)
-    draw times sqrt(h), bit for bit. Each block overwrites the one before.
+    A block is the transposed view of one (n, m, 2) buffer, each path's draw in its own
+    contiguous row. A path's generator lives on between blocks, so its blocks stack to
+    one (n_steps, 2) draw times sqrt(h), bit for bit. Each block overwrites the one before.
     """
     n_steps, seed = dde.step_count(cfg.T, p.tau, cfg.K), cfg.seed & 0xFFFFFFFFFFFFFFFF
     gens = [np.random.Generator(np.random.Philox(key=seed | int(j) << 64)) for j in path_indices]
-    dw = np.empty((min(block_steps, n_steps), 2, len(gens)))
+    draws = np.empty((len(gens), min(block_steps, n_steps), 2))
     for start in range(0, n_steps, block_steps):
-        block = dw[:n_steps - start]
+        block = draws[:, :n_steps - start]
         for j, gen in enumerate(gens):
-            block[:, :, j] = gen.standard_normal(block.shape[:2])
+            gen.standard_normal(out=block[j])
         block *= math.sqrt(p.tau / cfg.K)
-        yield block
+        yield block.transpose(1, 2, 0)
 
 
-def _stage(y, delayed_influx, rates, sigma, eps):
-    """At a (3, n) state: sigma of the S and Q rows clipped at 0, drift, noise amplitude.
+def _stage(y, delayed_influx, rates, sigma, eps, g):
+    """At a (3, n) state: the S and Q rows clipped at 0, their sigma, and the drift.
 
-    `rates` is `model._rates_for(p)`; `eps` is a scalar or one amplitude per column.
+    The noise amplitudes go into g's S and Q rows. `rates` is `model._rates_for(p)`;
+    `eps` is a scalar or one amplitude per column.
     """
-    sig = sigma._values(np.maximum(y[::2], 0.0))
-    f = np.array(rates(y[0], y[1], y[2], sig[1], delayed_influx))
-    g = np.zeros(y.shape)  # I carries no noise
-    g[::2] = eps * sig
-    return sig, f, g
+    clipped = np.maximum(y[::2], 0.0)
+    sig = sigma._values(clipped)
+    np.multiply(eps, sig, out=g[::2])
+    return clipped, sig, np.array(rates(y[0], y[1], y[2], sig[1], delayed_influx))
 
 
 def _history_influx(hist, p, sigma, K):
@@ -132,9 +135,9 @@ def _step_paths(p, hist, cfg, eps, increments, guard):
     y = np.repeat(np.array(y0)[:, None], n_paths, axis=1)
     nodes = y[None].copy()
     yield 0, nodes
-    inc = np.zeros((3, n_paths))  # I carries no noise
-    corr = np.zeros((3, n_paths))  # and no Ito correction
-    hh, half_eps2 = 0.5 * h, 0.5 * eps * eps
+    # every per-step array; I's rows stay 0, as I carries no noise and no Ito correction
+    g_now, g_pred, inc, corr, pred, tmp = np.zeros((6, 3, n_paths))
+    ka, hh, half_eps2 = p.k1 * p.attenuation, 0.5 * h, 0.5 * eps * eps
     heun = cfg.scheme == SCHEME_HEUN
     n = 0
     for dw in increments:
@@ -143,20 +146,30 @@ def _step_paths(p, hist, cfg, eps, increments, guard):
         # inc's S and Q rows as (2, E, n): each column group views the same draws
         noise = inc[::2].reshape(2, -1, dw.shape[2])
         for k in range(len(dw)):
-            sig, f_now, g_now = _stage(y, influx[(n - K) % ring], rates, sigma, eps)
-            influx[n % ring] = _influx(y[0], sig[1], p)
+            clipped, sig, f_now = _stage(y, influx[(n - K) % ring], rates, sigma, eps, g_now)
+            np.multiply(ka * sig[1], y[0], out=influx[n % ring])  # model._influx's order
             noise[...] = dw[k][:, None]
             if heun:
-                # Stratonovich-Heun: the same increment drives predictor and corrector
-                pred = y + h * f_now + g_now * inc
-                _, f_pred, g_pred = _stage(pred, influx[(n + 1 - K) % ring], rates, sigma, eps)
-                y_next = y + hh * (f_now + f_pred) + 0.5 * (g_now + g_pred) * inc
+                # Stratonovich-Heun: the same increment drives predictor and corrector;
+                # pred = y + h f + g inc, then y + hh (f + f_pred) + 0.5 (g + g_pred) inc
+                np.add(y, np.multiply(h, f_now, out=pred), out=pred)
+                pred += np.multiply(g_now, inc, out=tmp)
+                _, _, f_pred = _stage(pred, influx[(n + 1 - K) % ring], rates, sigma, eps, g_pred)
+                np.multiply(hh, np.add(f_now, f_pred, out=f_now), out=f_now)
+                np.multiply(0.5, np.add(g_now, g_pred, out=g_now), out=g_now)
             else:
-                # Euler-Maruyama on the Ito form: the drift gains the Stratonovich correction
-                corr[::2] = half_eps2 * sig * sigma._slopes(np.maximum(y[::2], 0.0))
-                y_next = y + h * (f_now + corr) + g_now * inc
-            y = nodes[k] = guard.apply(y_next, n * h + h)  # nodes[k] is a copy callers may change
+                # Euler-Maruyama on the Ito form, y + h (f + corr) + g inc: corr is Stratonovich's
+                np.multiply(half_eps2, sig, out=corr[::2])
+                if sig is not clipped:  # sigma' is 1 where sigma is the identity
+                    corr[::2] *= sigma._slopes(clipped)
+                np.multiply(h, np.add(f_now, corr, out=f_now), out=f_now)
+            node = np.add(y, f_now, out=nodes[k])
+            node += np.multiply(g_now, inc, out=g_now)
+            y = guard.apply(node, n * h + h)
+            if y is not node:  # clamped
+                node[...] = y
             n += 1
+        y = y.copy()  # callers may change the block
         yield n + 1 - len(dw), nodes[:len(dw)]
 
 

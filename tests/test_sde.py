@@ -286,6 +286,61 @@ class TestFloatLane:
         assert (floats.value.t, str(floats.value)) == (arrays.value.t, str(arrays.value))
         assert floats.value.t == 4 * p.tau / cfg.K and str(floats.value).endswith(" = nan)")
 
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_past_m_floats_skip_the_kernels(self, p_star, scheme, monkeypatch):
+        # every node's Q sits past M = 2, so each stage takes sigma past M; after the
+        # one vectorised history lookup that seeds a loop, sigma runs on floats only
+        p = dataclasses.replace(p_star, M=2.0, d=1.5, eps=0.05)
+        hist = History.constant(p.tau, 0.5, 50.0, 1.0)
+        calls = []
+        for name in ("_values", "_slopes"):
+            kernel = getattr(SigmaFn, name)
+
+            def counted(self, x, kernel=kernel, name=name):
+                calls.append(name)
+                return kernel(self, x)
+
+            monkeypatch.setattr(SigmaFn, name, counted)
+        det = dde.integrate(p, hist, 100.0, 64)
+        assert det.states[:, 2].min() > p.M + 1.0 and calls == ["_values"]
+        calls.clear()
+        path = sample_path(p, hist, PathConfig(seed=7, T=100.0, K=64, scheme=scheme))
+        assert path.states[:, 2].min() > p.M + 1.0 and calls == ["_values"]
+
+
+class TestLockstepRows:
+    """mc-concentration's E eps rows step as E n columns, one amplitude each.
+
+    Column r n + j must be path j's sample path at eps_r, to the bit.
+    """
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("case", ["standard", "clamp"])
+    def test_columns_are_sample_paths(self, p_star, hist_standard, case, scheme):
+        if case == "clamp":
+            p, eps_list = dataclasses.replace(p_star, M=0.5), [3.0, 2.0, 1.0]
+            hist = History.constant(p.tau, 1e-13, 10.0, 1.0)
+        else:
+            p, eps_list, hist = p_star, [0.05, 0.02, 0.01], hist_standard
+        n, cfg = 4, PathConfig(seed=7, T=2.0, K=16, scheme=scheme)
+        guard = dde._Guard(sde._RowPaths(eps_list, n))
+        # blocks of 5 of the 32 steps; each block is spoilt once read, as callers may
+        increments = sde._increments(p, cfg, range(n), 5)
+        blocks = []
+        for _, block in sde._step_paths(p, hist, cfg, np.repeat(eps_list, n), increments, guard):
+            blocks.append(block.copy())
+            block[...] = np.nan
+        nodes = np.concatenate(blocks)
+        clamps = 0
+        for r, eps in enumerate(eps_list):
+            for j in range(n):
+                path = sample_path(p.with_eps(eps), hist, cfg, path_index=j)
+                column = np.ascontiguousarray(nodes[:, :, r * n + j])
+                assert path.states.tobytes() == column.tobytes()
+                clamps += path.clamp_count
+        assert guard.clamp_count == clamps
+        assert case == "standard" or clamps > 0
+
 
 class TestGeometricNoiseOracle:
     """Strong convergence of the S row against S0*exp(a*t + eps*W(t)) with shared Brownian paths.
@@ -732,14 +787,15 @@ class TestMemory:
         assert peak < 8e6
 
     def test_path_budget(self):
-        # 1024 + 8 (K + 1) E + 16 S + 32 S E + 32 K bytes a path of E eps rows in blocks of
-        # S = max(1, min(DRAW_STEPS // E, (2**31 // 8) // (n (16 + 32 E)))) steps; at K = 64,
-        # 14 152 at E = 3 (S = 85) and 15 880 at E = 1 (S = 256) up to n = 21 845, then
-        # 5 192 at E = 3 and n = 413 613 (S = 5), 4 072 at E = 1 and n = 527 378 (S = 10)
+        # 1024 + 8 (K + 1) E + 16 S + 32 S E + 144 E + 32 K bytes a path of E eps rows in
+        # blocks of S = max(1, min(DRAW_STEPS // E, (2**31 // 8) // (n (16 + 32 E)))) steps;
+        # at K = 64, 14 584 at E = 3 (S = 85) and 16 024 at E = 1 (S = 256) up to
+        # n = 21 845, then 5 736 at E = 3 and n = 374 386 (S = 6), 4 216 at E = 1 and
+        # n = 509 365 (S = 10)
         assert [sde._block_steps(n, rows) for n in (2000, 21_845) for rows in (1, 3)] == [
             256, 85, 256, 85]
         assert (sde._block_steps(21_846), sde._block_steps(10**9, 3)) == (255, 1)
-        for n_max, rows, steps in ((413_613, 3, 5), (527_378, 1, 10)):
+        for n_max, rows, steps in ((374_386, 3, 6), (509_365, 1, 10)):
             assert sde._block_steps(n_max, rows) == steps
             sde._check_budget(n_max, 64, rows)
             with pytest.raises(MemoryError, match=f"at n = {n_max + 1}, K = 64, {rows} eps row"):
