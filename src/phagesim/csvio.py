@@ -3,7 +3,11 @@
 import csv
 import math
 
+import numpy as np
+
 from .errors import DomainError
+
+ROW_CHUNK = 2**12  # trajectory rows evaluated and formatted at once
 
 
 def write_csv(header, rows, path):
@@ -22,24 +26,21 @@ def write_csv(header, rows, path):
 
 
 def trajectory_rows(traj, dense_dt=None):
-    """(t, S, I, Q) rows at node resolution, optionally resampled at dense_dt.
+    """(t, S, I, Q) rows at node resolution, or resampled at dense_dt, ROW_CHUNK at a time.
 
-    The dense grid is k*dense_dt, so it does not drift and a grid
-    point that lands on the end is exactly t_end.
+    Row k is Trajectory.eval at k*step, step h or dense_dt, while at most t_end + 1e-12, and
+    clipped to t_end: the grid does not drift, and a point on the end is exactly t_end.
     """
-    if dense_dt is None:
-        for t, y in zip(traj.times.tolist(), traj.states.tolist()):
-            yield (t, *y)
-        return
-    if not (math.isfinite(dense_dt) and dense_dt > 0.0):
-        raise DomainError(f"dense step must be positive and finite, got {dense_dt!r}")
-    k = 0
-    t = 0.0
-    while t <= traj.t_end + 1e-12:
-        t = min(t, traj.t_end)
-        yield (t, *traj.eval(t).tolist())
-        k += 1
-        t = k * dense_dt
+    step, last = traj.h, len(traj)
+    if dense_dt is not None:
+        if not (math.isfinite(dense_dt) and dense_dt > 0.0):
+            raise DomainError(f"dense step must be positive and finite, got {dense_dt!r}")
+        # k*dense_dt may round to within the bound at k = floor(bound/dense_dt) + 1, not past it
+        step, last = dense_dt, int((traj.t_end + 1e-12) / dense_dt) + 2
+    for k in range(0, last, ROW_CHUNK):
+        ts = np.arange(k, min(k + ROW_CHUNK, last)) * step
+        ts = np.minimum(ts[ts <= traj.t_end + 1e-12], traj.t_end)
+        yield from zip(ts.tolist(), *traj.eval(ts).T.tolist())
 
 
 def write_trajectory(traj, path, dense_dt=None):

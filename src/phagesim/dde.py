@@ -7,9 +7,9 @@ node derivatives.
 """
 
 import math
+from array import array
 from collections import deque
 from dataclasses import dataclass, replace
-from itertools import chain
 
 import numpy as np
 
@@ -22,8 +22,8 @@ HARD_NEG = -1e-6  # beyond this the run is declared invalid
 REGION_ATOL = 1e-9  # how far a node may sit outside the invariant box
 AUTO_WINDOW = (0.25, 0.75)  # the fitting window, as fractions of the last resolved time
 DIST_FLOOR = 1e-12  # a distance to the equilibrium at or below this is rounding, not decay
-# Steps of tau/K a run may take to reach T; at about 3 us and 390 bytes a dde
-# step, `simulate` at the limit takes about 6 s and 0.4 GB (docs/scenario-schema.md)
+# Steps of tau/K a run may take to reach T; at about 5 us and 48 bytes a dde
+# step, `simulate` at the limit takes about 10 s and 150 MB (docs/scenario-schema.md)
 MAX_STEPS = 10**6
 
 
@@ -69,24 +69,34 @@ class Trajectory:
         """The (S, Q) columns. Of a k2 = 0 run, this is the system without coinfection."""
         return replace(self, states=self.states[:, ::2], derivs=self.derivs[:, ::2])
 
+    @classmethod
+    def from_buffers(cls, h, states, derivs, guard):
+        """Nodes and drifts viewed, not copied, from flat array('d') buffers; the guard's counts."""
+        return cls(h, *(np.frombuffer(b).reshape(-1, 3) for b in (states, derivs)),
+                   guard.clamp_count, guard.warn_count, guard.min_component)
+
     def eval(self, t):
-        """Dense state at scalar time t in [0, t_end]; exact at nodes."""
-        x = t / self.h
-        n_last = len(self.states) - 1
-        if not (0.0 <= x <= n_last + 1e-9):  # a NaN fails too
-            raise DomainError(f"time {t:g} outside the trajectory [0, {self.t_end:g}]")
-        # t/h of a node time h*j need not round to j exactly
-        j = round(x)
-        if j <= n_last and t == self.h * j:
-            return self.states[j].copy()
-        j = min(int(x), n_last - 1) if n_last > 0 else 0
+        """Dense state at a time t in [0, t_end], (dim,), or at a 1-d array of them, (len(t), dim).
+
+        Exact at nodes. A time outside raises DomainError, for an array naming the first.
+        """
+        ts = np.atleast_1d(np.asarray(t, dtype=float))
+        x, n_last = ts / self.h, len(self.states) - 1
+        outside = ~((0.0 <= x) & (x <= n_last + 1e-9))  # a NaN is outside too
+        if outside.any():
+            raise DomainError(f"time {ts[outside.argmax()]:g} outside the trajectory "
+                              f"[0, {self.t_end:g}]")
+        # t/h of a node time h*j need not round to j exactly; np.rint rounds half to even
+        near = np.rint(x)
+        node = ts == self.h * near
+        j = np.where(node, near, np.minimum(np.floor(x), max(n_last - 1, 0))).astype(np.intp)
         theta = x - j
-        if theta <= 0.0:
-            return self.states[j].copy()
-        return _hermite(
-            self.states[j], self.derivs[j], self.states[j + 1], self.derivs[j + 1],
-            theta, self.h,
-        )
+        out = self.states[j]
+        inner = ~node & (theta > 0.0)  # the others take node j's state
+        k = j[inner]
+        out[inner] = _hermite(self.states[k], self.derivs[k], self.states[k + 1],
+                              self.derivs[k + 1], theta[inner, None], self.h)
+        return out if np.ndim(t) else out[0]
 
 
 def _hermite(y0, f0, y1, f1, theta, h):
@@ -173,7 +183,7 @@ def integrate(p, hist, T, K):
 
     s, i, q = float(s_hist[0]), hist.i0, float(q_hist[0])
     ds1, di1, dq1 = rates(s, i, q, sigma(q), f_hist[1])  # the drift at the current node
-    states, derivs = [(s, i, q)], [(ds1, di1, dq1)]
+    states, derivs = array("d", (s, i, q)), array("d", (ds1, di1, dq1))
 
     # _hermite's coefficients at theta = 1/2
     hh, h6, c_f0, c_f1 = 0.5 * h, h / 6.0, 0.125 * h, -0.125 * h
@@ -204,22 +214,15 @@ def integrate(p, hist, T, K):
             fs, fi, fq = rates(s1, i1, q1, sq, f_end)
             mids.append((0.5 * s + c_f0 * ds1 + 0.5 * s1 + c_f1 * fs,
                          0.5 * q + c_f0 * dq1 + 0.5 * q1 + c_f1 * fq))
-            states.append((s1, i1, q1))
-            derivs.append((fs, fi, fq))
+            states.extend((s1, i1, q1))
+            derivs.extend((fs, fi, fq))
             ends.append(ka * sq * s1)
             s, i, q, ds1, di1, dq1 = s1, i1, q1, fs, fi, fq
     except DomainError as exc:
         t = n * h + h
         raise PositivityError(f"trajectory Q went negative before t={t:g}: {exc}", t=t) from exc
 
-    return Trajectory(
-        h=h,
-        states=np.fromiter(chain.from_iterable(states), float, 3 * len(states)).reshape(-1, 3),
-        derivs=np.fromiter(chain.from_iterable(derivs), float, 3 * len(derivs)).reshape(-1, 3),
-        clamp_count=guard.clamp_count,
-        warn_count=guard.warn_count,
-        min_component=guard.min_component,
-    )
+    return Trajectory.from_buffers(h, states, derivs, guard)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ each path's increments are drawn once and drive its column in every row.
 """
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -32,13 +33,12 @@ Z95 = 1.959963984540054  # the standard normal quantile of a two-sided 95% inter
 DRAW_STEPS = 256  # steps per time block: increments drawn and nodes held at once
 # Bytes a run's paths may hold, a quarter of an 8 GB host. A path of E lockstep eps
 # rows (E = 1 but in mc-concentration) holds its Philox generator (about 1 KB traced),
-# K + 1 floats of delayed influx per row, a block of S = _block_steps(n, E) steps of
-# increments (2 floats a step, shared by the rows), nodes (3 a row) and deviations
-# (1 a row), the stepper's six (3, E n) per-step buffers (144 B a row) and the float
-# lane's K-long list of history influx (32 B an entry):
-# 1024 + 8 (K + 1) E + 16 S + 32 S E + 144 E + 32 K bytes: at K = 64, 16.0 KB at E = 1
-# (S = 256) and 14.6 KB at E = 3 (S = 85) up to n = 21 845. Past that S shrinks, so the
-# blocks hold at most an eighth of the budget: 509 365 paths fit at E = 1, 374 386 at E = 3.
+# K + 1 floats of delayed influx per row, blocks of increments (2 floats a step, shared
+# by the rows), nodes (3 a row) and deviations (1 a row), the stepper's six (3, E n)
+# per-step buffers (144 B a row) and the float lane's K history influxes, which pass
+# through a list (32 B an entry). At K = 64 that is 16.0 KB a path at E = 1 up to
+# n = 21 845 and 14.6 KB at E = 3 up to n = 28 197; past that the blocks count an
+# eighth of the budget (_check_budget): 502 957 paths fit at E = 1, 371 060 at E = 3.
 PATH_BYTES_BUDGET = 2**31
 
 
@@ -64,9 +64,15 @@ def _block_steps(n, rows=1):
 
 
 def _check_budget(n, K, rows=1):
-    """Refuse n paths of `rows` eps rows at K steps a delay over the budget, before any exists."""
-    steps = _block_steps(n, rows)
-    need = n * (1024 + 8 * (K + 1) * rows + 16 * steps + 32 * steps * rows + 144 * rows + 32 * K)
+    """Refuse n paths of `rows` eps rows at K steps a delay over the budget, before any exists.
+
+    The blocks count as r = n (16 + 32 rows) bytes a step for max(1, DRAW_STEPS // rows) steps,
+    at most max(r, budget / 8): at least _block_steps' blocks, and rising with n. dde.MAX_STEPS
+    bounds a float lane's nodes, drifts and influx (56 B a step, not counted) to about 60 MB.
+    """
+    row = n * (16 + 32 * rows)
+    blocks = min(row * max(1, DRAW_STEPS // rows), max(row, PATH_BYTES_BUDGET // 8))
+    need = n * (1024 + 8 * (K + 1) * rows + 144 * rows + 32 * K) + blocks
     if need > PATH_BYTES_BUDGET:
         raise MemoryError(f"paths need {need:.4g} bytes at n = {n}, K = {K}, {rows} eps "
                           f"row(s); the path budget is {PATH_BYTES_BUDGET} bytes")
@@ -176,9 +182,9 @@ def _step_paths(p, hist, cfg, eps, increments, guard):
 def _float_path(p, hist, cfg, steps, guard):
     """The (3, n) step above for one path, written out on floats; `steps` yields (dW_S, dW_Q).
 
-    Returns the (n_nodes, 3) nodes and the drift at each node, the one each
-    step evaluates and then the last node's. `influx[n]` is node n's delayed
-    influx: the history's at (n - K) h while n < K, and node n - K's after.
+    Returns its Trajectory on flat array('d') buffers of the nodes and of the drift the
+    step evaluates at each, then the last node's. `influx[n]`, a third buffer, is node n's
+    delayed influx: the history's at (n - K) h while n < K, and node n - K's after.
     `0.0 if x <= 0.0 else x` clips as np.maximum(x, 0.0) does, -0.0 to +0.0, and a
     clipped x goes through sigma or sigma' only past M, where sigma is not the identity.
     The `+ 0.0` on I is the arrays' noise term on I, 0.0 * 0.0.
@@ -187,14 +193,14 @@ def _float_path(p, hist, cfg, steps, guard):
     K, h, M = cfg.K, p.tau / cfg.K, sigma.m_threshold
     eps, ka, hh, half_eps2 = p.eps, p.k1 * p.attenuation, 0.5 * h, 0.5 * p.eps * p.eps
     heun = cfg.scheme == SCHEME_HEUN
-    influx = _history_influx(hist, p, sigma, K).tolist()
+    influx = array("d", _history_influx(hist, p, sigma, K).tolist())
     s, i, q = hist.s(0.0), hist.i0, hist.q(0.0)
-    nodes, drifts = [(s, i, q)], []
+    nodes, drifts = array("d", (s, i, q)), array("d")
     for n, (ws, wq) in enumerate(steps):
         cs, cq = 0.0 if s <= 0.0 else s, 0.0 if q <= 0.0 else q
         sig_s, sig_q = cs if cs <= M else sigma(cs), cq if cq <= M else sigma(cq)
         fs, fi, fq = rates(s, i, q, sig_q, influx[n])
-        drifts.append((fs, fi, fq))
+        drifts.extend((fs, fi, fq))
         gs, gq = eps * sig_s, eps * sig_q
         influx.append(ka * sig_q * s)
         if heun:
@@ -213,31 +219,21 @@ def _float_path(p, hist, cfg, steps, guard):
         if not (0.0 <= s <= BLOWUP_LIMIT and 0.0 <= i <= BLOWUP_LIMIT
                 and 0.0 <= q <= BLOWUP_LIMIT):
             s, i, q = guard.apply(np.array([[s], [i], [q]]), n * h + h)[:, 0].tolist()
-        nodes.append((s, i, q))
+        nodes.extend((s, i, q))
     cq = 0.0 if q <= 0.0 else q
-    drifts.append(rates(s, i, q, cq if cq <= M else sigma(cq), influx[len(nodes) - 1]))
-    return np.array(nodes), np.array(drifts)
+    drifts.extend(rates(s, i, q, cq if cq <= M else sigma(cq), influx[len(nodes) // 3 - 1]))
+    return dde.Trajectory.from_buffers(h, nodes, drifts, guard)
 
 
 def sample_path(p, hist, cfg, path_index=0):
     """One sample path as a dense Trajectory (noise off reproduces the deterministic run).
 
-    The slopes for the Hermite dense output are the drifts the stepper
-    evaluated at the nodes.
+    Its Hermite slopes are the drifts the stepper evaluated at the nodes.
     """
     _check_budget(1, cfg.K)
-    guard = dde._Guard([path_index])
     blocks = _increments(p, cfg, [path_index], DRAW_STEPS)
     steps = chain.from_iterable(dw[:, :, 0].tolist() for dw in blocks)
-    states, derivs = _float_path(p, hist, cfg, steps, guard)
-    return dde.Trajectory(
-        h=p.tau / cfg.K,
-        states=states,
-        derivs=derivs,
-        clamp_count=guard.clamp_count,
-        warn_count=guard.warn_count,
-        min_component=guard.min_component,
-    )
+    return _float_path(p, hist, cfg, steps, dde._Guard([path_index]))
 
 
 @dataclass

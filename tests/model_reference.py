@@ -102,3 +102,46 @@ def characteristic_determinant(lam, p):
         ]
     )
     return float(np.linalg.det(mat))
+
+
+def scalar_eval(traj, t):
+    """A trajectory's dense state at one time, node by node as `Trajectory.eval` once read it.
+
+    A node time is its stored state; elsewhere the cubic Hermite interpolant of
+    the interval's end states and slopes, written out on the scalar theta.
+    """
+    x = t / traj.h
+    n_last = len(traj.states) - 1
+    if not (0.0 <= x <= n_last + 1e-9):  # a NaN fails too
+        raise DomainError(f"time {t:g} outside the trajectory [0, {traj.t_end:g}]")
+    j = round(x)
+    if j <= n_last and t == traj.h * j:
+        return traj.states[j].copy()
+    j = min(int(x), n_last - 1) if n_last > 0 else 0
+    theta = x - j
+    if theta <= 0.0:
+        return traj.states[j].copy()
+    t2 = theta * theta
+    t3 = t2 * theta
+    return (
+        (2.0 * t3 - 3.0 * t2 + 1.0) * traj.states[j]
+        + (t3 - 2.0 * t2 + theta) * traj.h * traj.derivs[j]
+        + (-2.0 * t3 + 3.0 * t2) * traj.states[j + 1]
+        + (t3 - t2) * traj.h * traj.derivs[j + 1]
+    )
+
+
+def dense_times(t_end, dt):
+    """The resampled CSV's times: k*dt while at most t_end + 1e-12, clipped to t_end."""
+    k = 0
+    t = 0.0
+    while t <= t_end + 1e-12:
+        yield min(t, t_end)
+        k += 1
+        t = k * dt
+
+
+def dense_rows(traj, dt):
+    """The resampled CSV's rows, one scalar evaluation each."""
+    for t in dense_times(traj.t_end, dt):
+        yield (t, *scalar_eval(traj, t).tolist())

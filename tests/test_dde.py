@@ -14,7 +14,7 @@ from phagesim.dde import (
 )
 from phagesim.errors import DivergenceError, DomainError, PositivityError, WindowError
 
-from model_reference import _drift_terms
+from model_reference import _drift_terms, scalar_eval
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +116,54 @@ class TestAccuracy:
         with pytest.raises(DomainError, match="outside the trajectory"):
             traj_star.eval(t)
 
+
+    def test_array_eval_is_the_scalar_eval(self, p_star, traj_star):
+        # h = 0.3/13 is not dyadic: (t - t0)/h is not an integer at some nodes
+        p = dataclasses.replace(p_star, tau=0.3)
+        odd = integrate(p, History.constant(p.tau, 0.5, 10.0, 1.0), T=5.0, K=13)
+        rng = np.random.default_rng(23)
+        for traj in (traj_star, traj_star.sq(), odd, odd.sq()):
+            ts = np.concatenate([
+                traj.times[::7], traj.times[:-1:11] + 0.5 * traj.h, rng.uniform(0.0, traj.t_end, 300),
+                [traj.t_end, np.nextafter(traj.t_end, np.inf), np.nextafter(traj.h, 0.0)],
+            ])
+            values = traj.eval(ts)
+            assert values.shape == (len(ts), traj.dim)
+            for t, row in zip(ts.tolist(), values):
+                assert np.array_equal(row, traj.eval(t))
+                assert np.array_equal(row, scalar_eval(traj, t))
+            assert traj.eval(np.array([])).shape == (0, traj.dim)
+        assert np.any(odd.times / odd.h != np.arange(len(odd)))
+
+    def test_scalar_eval_is_a_new_array(self, traj_star):
+        y = traj_star.eval(traj_star.times[9])
+        assert y.shape == (3,)
+        y[:] = -1.0
+        assert np.all(traj_star.states[9] >= 0.0)
+
+    @pytest.mark.parametrize("t", [-0.5, math.nan, 51.0])
+    def test_eval_messages_are_the_scalar_reference(self, traj_star, t):
+        with pytest.raises(DomainError) as ref:
+            scalar_eval(traj_star, t)
+        with pytest.raises(DomainError) as new:
+            traj_star.eval(t)
+        assert str(new.value) == str(ref.value)
+        # an array names its first bad time
+        with pytest.raises(DomainError) as first:
+            traj_star.eval(np.array([1.0, t, -2.0, 3.0]))
+        assert str(first.value) == str(ref.value)
+
+    def test_eval_leaves_non_finite_nodes_out_of_the_interpolant(self):
+        # a node that is inf or NaN is returned as stored; the Hermite rows never touch it
+        states = np.array([[0.0, 1.0, 2.0], [math.inf, math.nan, -math.inf], [1.0, 1.0, 1.0],
+                           [2.0, 2.0, 2.0]])
+        traj = dde.Trajectory(h=0.5, states=states, derivs=np.ones_like(states))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = traj.eval(np.array([0.0, 0.5, 1.25, 1.5]))
+        assert np.array_equal(out[:2], states[:2], equal_nan=True)
+        assert np.array_equal(out[2], scalar_eval(traj, 1.25))
+        assert np.array_equal(out[3], states[3])
 
 def _loop_monitor(traj, region, atol=1e-9):
     """The node-by-node loop that monitor_region vectorises, kept as its reference."""

@@ -21,6 +21,7 @@ from phagesim.scenario import _PARAM_RULES, RunSettings, from_dict, parse_scenar
 
 from artifacts import read_csv
 from conftest import CONCENTRATION_SCENARIO, REFERENCE_SCENARIO, peak_bytes
+from model_reference import dense_rows, dense_times, scalar_eval
 
 
 def load_reference_doc():
@@ -408,6 +409,53 @@ class TestCsvBytes:
         csvio.write_trajectory(traj, path, dense_dt=0.3)
         rows = [(t, *traj.eval(t)) for t in [min(k * 0.3, traj.t_end) for k in range(7)]]
         assert path.read_bytes() == _csv_writer_bytes(["t", "S", "I", "Q"], rows)
+
+    @pytest.mark.parametrize("dt, chunk", [
+        (0.01, csvio.ROW_CHUNK),  # divides T = 50: 5 001 rows, two chunks
+        (0.0123, csvio.ROW_CHUNK),  # does not divide T
+        (0.3, 7),  # does not divide T: 167 rows in chunks of 7
+        (0.3, 167),  # the second chunk holds only k = 167, whose 50.1 is past T
+        (100.0, csvio.ROW_CHUNK),  # past T: the one row at t = 0
+    ])
+    def test_dense_rows_are_the_scalar_loop(self, p_star, hist_standard, tmp_path, monkeypatch,
+                                            dt, chunk):
+        # the array rows against one scalar evaluation a row, on three and two columns
+        monkeypatch.setattr(csvio, "ROW_CHUNK", chunk)
+        traj = integrate(p_star, hist_standard, T=50.0, K=64)
+        for table, header in ((traj, ["t", "S", "I", "Q"]), (traj.sq(), ["t", "S", "Q"])):
+            csvio.write_trajectory(table, tmp_path / "rows.csv", dense_dt=dt)
+            csvio.write_csv(header, dense_rows(table, dt), tmp_path / "ref.csv")
+            assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_dense_rows_past_a_rounded_quotient(self, p_star, hist_standard):
+        # (1 + 1e-12) / dt rounds to 44.99999999999999, yet 45 dt rounds to within the
+        # bound: the candidates run to floor(bound / dt) + 1
+        traj = integrate(p_star, hist_standard, T=1.0, K=64)
+        dt = 0.02222222222224445
+        rows = list(csvio.trajectory_rows(traj, dt))
+        assert rows == list(dense_rows(traj, dt))
+        assert len(rows) == 46 and rows[-1][0] == traj.t_end
+
+    def test_node_rows_are_the_states(self, p_star, hist_standard, tmp_path, monkeypatch):
+        # eval at the node times is each node's state, across chunk boundaries too
+        monkeypatch.setattr(csvio, "ROW_CHUNK", 1000)
+        traj = integrate(p_star, hist_standard, T=50.0, K=64)
+        csvio.write_trajectory(traj, tmp_path / "rows.csv")
+        rows = zip(traj.times.tolist(), *traj.states.T.tolist())
+        csvio.write_csv(["t", "S", "I", "Q"], rows, tmp_path / "ref.csv")
+        assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_dense_rows_at_the_row_limit(self, p_star, hist_standard):
+        # T / dt + 1 = MAX_STEPS rows, the most `simulate --dense` writes: every time
+        # is the scalar loop's, and every 997th row and the last are its states
+        traj = integrate(p_star, hist_standard, T=50.0, K=64)
+        dt = traj.t_end / (MAX_STEPS - 1)
+        pairs = itertools.zip_longest(csvio.trajectory_rows(traj, dt), dense_times(traj.t_end, dt))
+        for k, (row, t) in enumerate(pairs):
+            assert row is not None and row[0] == t
+            if k % 997 == 0 or t == traj.t_end:
+                assert row[1:] == tuple(scalar_eval(traj, t).tolist())
+        assert k + 1 == MAX_STEPS and t == traj.t_end
 
     def test_ensemble_table(self, tmp_path):
         n = 5

@@ -787,21 +787,60 @@ class TestMemory:
         assert peak < 8e6
 
     def test_path_budget(self):
-        # 1024 + 8 (K + 1) E + 16 S + 32 S E + 144 E + 32 K bytes a path of E eps rows in
-        # blocks of S = max(1, min(DRAW_STEPS // E, (2**31 // 8) // (n (16 + 32 E)))) steps;
-        # at K = 64, 14 584 at E = 3 (S = 85) and 16 024 at E = 1 (S = 256) up to
-        # n = 21 845, then 5 736 at E = 3 and n = 374 386 (S = 6), 4 216 at E = 1 and
-        # n = 509 365 (S = 10)
+        # n (1024 + 8 (K + 1) E + 144 E + 32 K) + B bytes for n paths of E eps rows, where
+        # the blocks count B = min(r max(1, DRAW_STEPS // E), max(r, 2**31 // 8)) bytes with
+        # r = n (16 + 32 E): at K = 64, 14 584 a path at E = 3 (85 steps) and 16 024 at E = 1
+        # (256 steps) up to n = 21 845; past that B = 2**28, so n (3 736 + 1 528 (E - 1))
+        # fits in 7/8 of the budget up to n = 371 060 at E = 3 and 502 957 at E = 1
         assert [sde._block_steps(n, rows) for n in (2000, 21_845) for rows in (1, 3)] == [
             256, 85, 256, 85]
         assert (sde._block_steps(21_846), sde._block_steps(10**9, 3)) == (255, 1)
-        for n_max, rows, steps in ((374_386, 3, 6), (509_365, 1, 10)):
-            assert sde._block_steps(n_max, rows) == steps
+        for n_max, rows in ((371_060, 3), (502_957, 1)):
             sde._check_budget(n_max, 64, rows)
             with pytest.raises(MemoryError, match=f"at n = {n_max + 1}, K = 64, {rows} eps row"):
                 sde._check_budget(n_max + 1, 64, rows)
         with pytest.raises(MemoryError):  # the K-long history prefix of one path
             sde._check_budget(1, 10**8)
+
+    @pytest.mark.parametrize("rows", [1, 3, 4])
+    def test_path_budget_refuses_every_larger_n(self, rows):
+        # _block_steps drops a step at each n past 2**28 / (S (16 + 32 E)). Counting the
+        # blocks at S steps refused n = 503 632 to 508 400 at E = 1 (S = 11) and accepted
+        # 508 401 (S = 10), and did so at E = 4 from n = 372 828; a bound that rises with n
+        # refuses every n past the first.
+        def refused(n):
+            try:
+                sde._check_budget(n, 64, rows)
+            except MemoryError:
+                return True
+            return False
+
+        row = 16 + 32 * rows
+        for steps in range(sde.DRAW_STEPS // rows, 1, -1):
+            drop = (sde.PATH_BYTES_BUDGET // 8) // (row * steps) + 1
+            assert sde._block_steps(drop - 1, rows) >= steps > sde._block_steps(drop, rows)
+            verdicts = [refused(n) for n in range(drop - 3, drop + 3)]
+            assert verdicts == sorted(verdicts), f"n = {drop} at {steps} steps"
+        assert refused(503_632) and refused(508_401)
+
+    @pytest.mark.parametrize("lane", ["integrate", SCHEME_HEUN, SCHEME_EULER])
+    def test_float_lane_holds_a_float_buffer_a_step(self, p_star, hist_standard, lane):
+        # 2 * 10**4 steps of h = 1/8 hold each node and its drift, 48 B a step, and a sample
+        # path its delayed influx too, 56 B. The 256 KB over that is for the buffers' growth
+        # slack (array('d') allocates up to 1/16 ahead, at most 70 KB here), the delayed
+        # queues and the increment blocks; lists of 3-tuples took about 340 B a step.
+        # Tracing runs these loops some 30 times slower, hence the short run.
+        n_steps = 2 * 10**4
+
+        def run(T):
+            if lane == "integrate":
+                return dde.integrate(p_star, hist_standard, T, 8)
+            return sample_path(p_star.with_eps(0.01), hist_standard,
+                               PathConfig(seed=5, T=T, K=8, scheme=lane))
+
+        assert len(run(n_steps / 8)) == n_steps + 1  # also pays the one-time costs
+        per_step = 48 if lane == "integrate" else 56
+        assert peak_bytes(lambda: run(n_steps / 8)) <= per_step * n_steps + 256 * 1024
 
 
 def _row(eps, exceed, n=400):
