@@ -35,8 +35,12 @@ def trajectory_rows(traj, dense_dt=None):
     if dense_dt is not None:
         if not (math.isfinite(dense_dt) and dense_dt > 0.0):
             raise DomainError(f"dense step must be positive and finite, got {dense_dt!r}")
-        # k*dense_dt may round to within the bound at k = floor(bound/dense_dt) + 1, not past it
-        step, last = dense_dt, int((traj.t_end + 1e-12) / dense_dt) + 2
+        span = (traj.t_end + 1e-12) / dense_dt
+        if not math.isfinite(span):  # a subnormal step
+            raise DomainError(f"dense step {dense_dt!r} over t_end = {traj.t_end:g} gives "
+                              f"more rows than a float counts")
+        # k*dense_dt may round to within t_end + 1e-12 at k = floor(span) + 1, not past it
+        step, last = dense_dt, int(span) + 2
     for k in range(0, last, ROW_CHUNK):
         ts = np.arange(k, min(k + ROW_CHUNK, last)) * step
         ts = np.minimum(ts[ts <= traj.t_end + 1e-12], traj.t_end)

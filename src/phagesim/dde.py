@@ -23,7 +23,7 @@ REGION_ATOL = 1e-9  # how far a node may sit outside the invariant box
 AUTO_WINDOW = (0.25, 0.75)  # the fitting window, as fractions of the last resolved time
 DIST_FLOOR = 1e-12  # a distance to the equilibrium at or below this is rounding, not decay
 # Steps of tau/K a run may take to reach T; at about 5 us and 48 bytes a dde
-# step, `simulate` at the limit takes about 10 s and 150 MB (docs/scenario-schema.md)
+# step, `simulate` at the limit takes about 10 s and 115 MB (docs/scenario-schema.md)
 MAX_STEPS = 10**6
 
 
@@ -116,18 +116,18 @@ class _Guard:
     A component in [-CLAMP_TOL, 0) is float dust and becomes 0; -0.0 keeps
     its sign. One down to HARD_NEG stays and counts as a warning. Lower
     raises PositivityError; non-finite or past BLOWUP_LIMIT raises
-    DivergenceError. Messages name column j as path labels[j], or as the
-    trajectory when there are no labels.
+    DivergenceError. Messages name column c as path name(c), or as the
+    trajectory when there is no name function.
     """
 
-    def __init__(self, labels=None):
-        self.labels = labels
+    def __init__(self, name=None):
+        self.name = name
         self.clamp_count = 0
         self.warn_count = 0
         self.min_component = 0.0
 
     def _who(self, col):
-        return "trajectory" if self.labels is None else f"path {self.labels[int(col)]}"
+        return "trajectory" if self.name is None else f"path {self.name(int(col))}"
 
     def apply(self, y, t):
         low, high = y.min(), y.max()
@@ -250,7 +250,7 @@ def monitor_region(traj, region):
     j, k = divmod(int(outside.argmax()), 4)  # the first True, node by node
     component, col, bound = (("S", 0, region.s_max), ("I", 1, region.i_max),
                              ("Q", 2, region.q_min), ("Q", 2, region.q_max))[k]
-    return RegionExit(float(traj.times[j]), component, float(traj.states[j, col]), bound)
+    return RegionExit(traj.h * j, component, float(traj.states[j, col]), bound)
 
 
 @dataclass(frozen=True)
@@ -260,14 +260,13 @@ class DecayFit:
     prefactor: float
     fitted_rate: float
     window: tuple
-    bound_residual: float
     rate_ok: bool
 
 
-def distances(traj, target):
-    """Euclidean node distances to a fixed point."""
-    target = np.asarray(target, dtype=float)
-    return np.linalg.norm(traj.states - target, axis=1)
+def _window_nodes(times, window):
+    """Which of the node times lie in the window [t_a, t_b], each end widened by 1e-12."""
+    t_a, t_b = window
+    return (times >= t_a - 1e-12) & (times <= t_b + 1e-12)
 
 
 def fit_decay(traj, e0, eta, window=None):
@@ -280,8 +279,11 @@ def fit_decay(traj, e0, eta, window=None):
     past the floor the distance is rounding, whose product with e^{eta t}
     would grow without bound.
     """
+    # the Euclidean distances to E0, squared in place: bitwise np.linalg.norm(axis=1)
+    sq = traj.states - e0
+    dist = np.sqrt(np.multiply(sq, sq, out=sq).sum(axis=1))
+    del sq
     times = traj.times
-    dist = distances(traj, e0)
     alive = np.nonzero(dist > DIST_FLOOR)[0]
     if window is None:
         if len(alive) < 4:
@@ -291,7 +293,7 @@ def fit_decay(traj, e0, eta, window=None):
     t_a, t_b = window
     if t_a < -1e-12 or t_b / traj.h - 1e-9 > len(traj) - 1 or t_b <= t_a:
         raise WindowError(f"window [{t_a:g}, {t_b:g}] not inside the trajectory")
-    mask = (times >= t_a - 1e-12) & (times <= t_b + 1e-12)
+    mask = _window_nodes(times, window)
     if mask.sum() < 2:
         raise WindowError("window contains fewer than two nodes")
     if np.any(dist[mask] < 1e-14):
@@ -307,12 +309,10 @@ def fit_decay(traj, e0, eta, window=None):
     log_env = np.log(dist[alive]) + eta * times[alive]
     top = alive[log_env >= log_env.max() - 1e-9]
     prefactor = float(np.max(dist[top] * np.exp(eta * times[top])))
-    bound_residual = float(np.max(dist[alive] - prefactor * np.exp(-eta * times[alive])))
     return DecayFit(
         prefactor=prefactor,
         fitted_rate=fitted_rate,
         window=(float(t_a), float(t_b)),
-        bound_residual=bound_residual,
         rate_ok=fitted_rate >= 0.95 * eta,
     )
 

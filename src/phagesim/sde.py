@@ -100,7 +100,7 @@ def _stage(y, delayed_influx, rates, sigma, eps, g):
     """At a (3, n) state: the S and Q rows clipped at 0, their sigma, and the drift.
 
     The noise amplitudes go into g's S and Q rows. `rates` is `model._rates_for(p)`;
-    `eps` is a scalar or one amplitude per column.
+    `eps` holds one amplitude per column.
     """
     clipped = np.maximum(y[::2], 0.0)
     sig = sigma._values(clipped)
@@ -117,15 +117,14 @@ def _history_influx(hist, p, sigma, K):
 def _step_paths(p, hist, cfg, eps, increments, guard):
     """Step columns on (m, 2, n) blocks of increments of W_S and W_Q at h = tau/K.
 
-    `guard.labels` name the N columns, E groups of n: column r n + j takes
-    path j's increments at the noise amplitude eps[r n + j] (`eps` is one
-    scalar or N amplitudes), so E rows share one draw of n paths. Yields
-    (j, nodes): the guarded nodes j, j + 1, ... as an (m, 3, N) block, node 0
-    first. Columns step together on (3, N) arrays into one buffer, a block per
-    increment block; the stepper never reads it back, so a caller may reduce
-    a block in place. `p.eps` is not read.
+    `eps` holds the noise amplitudes of the N columns, E groups of n: column
+    r n + j takes path j's increments at amplitude eps[r n + j], so E rows
+    share one draw of n paths. Yields (j, nodes): the guarded nodes j, j + 1,
+    ... as an (m, 3, N) block, node 0 first. Columns step together on (3, N)
+    arrays into one buffer, a block per increment block; the stepper never
+    reads it back, so a caller may reduce a block in place. `p.eps` is not read.
     """
-    n_paths = len(guard.labels)
+    n_paths = len(eps)
     if n_paths < 1:
         raise DomainError("need at least one path")
     sigma, rates = SigmaFn(p.M), _rates_for(p)
@@ -233,7 +232,7 @@ def sample_path(p, hist, cfg, path_index=0):
     _check_budget(1, cfg.K)
     blocks = _increments(p, cfg, [path_index], DRAW_STEPS)
     steps = chain.from_iterable(dw[:, :, 0].tolist() for dw in blocks)
-    return _float_path(p, hist, cfg, steps, dde._Guard([path_index]))
+    return _float_path(p, hist, cfg, steps, dde._Guard(lambda c: path_index))
 
 
 @dataclass
@@ -251,11 +250,9 @@ class EnsembleStats:
 
 def _window_mask(T, tau, K, window):
     """The window's nodes, known from the node count before any path is drawn."""
-    times = (tau / K) * np.arange(dde.step_count(T, tau, K) + 1)
-    t_a, t_b = window
-    mask = (times >= t_a - 1e-12) & (times <= t_b + 1e-12)
+    mask = dde._window_nodes((tau / K) * np.arange(dde.step_count(T, tau, K) + 1), window)
     if not np.any(mask):
-        raise ConfigurationError(f"window [{t_a:g}, {t_b:g}] contains no nodes")
+        raise ConfigurationError(f"window [{window[0]:g}, {window[1]:g}] contains no nodes")
     return mask
 
 
@@ -295,10 +292,10 @@ def ensemble(p, hist, cfg, n, reference, window):
         reference = reference.states
     ref = np.broadcast_to(np.asarray(reference, dtype=float).reshape(-1, 3), (len(mask), 3))
     paths = range(n)
-    guard = dde._Guard(paths)
+    guard = dde._Guard(paths.__getitem__)
     mean, pct, sup_devs = np.empty((len(mask), 3)), np.empty((2, len(mask))), np.zeros(n)
     increments = _increments(p, cfg, paths, _block_steps(n))
-    for j, block in _step_paths(p, hist, cfg, p.eps, increments, guard):
+    for j, block in _step_paths(p, hist, cfg, np.full(n, p.eps), increments, guard):
         rows = slice(j, j + len(block))
         mean[rows] = block.mean(axis=2)
         dev = _reduce_block(j, block, ref, mask, sup_devs)
@@ -367,23 +364,6 @@ class ConcentrationTable:
         return float(slope)
 
 
-class _RowPaths:
-    """Guard labels of lockstep eps rows: column c is path c % n of row c // n.
-
-    Each label is made when a message asks for it, so E n columns cost no
-    list of E n tuples.
-    """
-
-    def __init__(self, eps_list, n):
-        self.eps_list, self.n = eps_list, n
-
-    def __len__(self):
-        return len(self.eps_list) * self.n
-
-    def __getitem__(self, c):
-        return self.eps_list[c // self.n], c % self.n
-
-
 def concentration_experiment(
     p, hist, eps_list, rho, kappa1, kappa2, n, seed,
     K=64, scheme=SCHEME_HEUN,
@@ -431,7 +411,7 @@ def concentration_experiment(
     amplitudes = np.repeat([p.with_eps(eps).eps for eps in eps_list], n)
     sup = np.zeros(len(amplitudes))  # each column's sup over the window, block by block
     increments = _increments(p, cfg, paths, _block_steps(n, len(eps_list)))
-    guard = dde._Guard(_RowPaths(eps_list, n))
+    guard = dde._Guard(lambda c: (eps_list[c // n], c % n))
     for j, block in _step_paths(p, hist, cfg, amplitudes, increments, guard):
         _reduce_block(j, block, ref, window, sup)
     for r, eps in enumerate(eps_list):

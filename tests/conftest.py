@@ -50,15 +50,16 @@ def hist_conc(p_conc):
 
 def step_all(p, hist, cfg, dw, path_indices):
     """All nodes of `sde._step_paths` driven by full (n_steps, 2, n) increments as one block."""
-    blocks = sde._step_paths(p, hist, cfg, p.eps, [dw], dde._Guard(path_indices))
+    eps, guard = np.full(len(path_indices), p.eps), dde._Guard(path_indices.__getitem__)
+    blocks = sde._step_paths(p, hist, cfg, eps, [dw], guard)
     return np.concatenate([block.copy() for _, block in blocks])
 
 
 def simulate_paths(p, hist, cfg, path_indices):
     """Every node of the paths, stepped together on arrays: (times, nodes, guard)."""
-    guard = dde._Guard(path_indices)
+    guard = dde._Guard(path_indices.__getitem__)
     increments = sde._increments(p, cfg, path_indices, sde.DRAW_STEPS)
-    blocks = sde._step_paths(p, hist, cfg, p.eps, increments, guard)
+    blocks = sde._step_paths(p, hist, cfg, np.full(len(path_indices), p.eps), increments, guard)
     nodes = np.concatenate([block.copy() for _, block in blocks])
     return (p.tau / cfg.K) * np.arange(len(nodes)), nodes, guard
 

@@ -356,7 +356,7 @@ class TestCsv:
             assert row[1:] == pytest.approx(traj.eval(row[0]), rel=1e-15)
 
 
-    @pytest.mark.parametrize("dt", [0.0, -0.5, float("nan"), float("inf")])
+    @pytest.mark.parametrize("dt", [0.0, -0.5, float("nan"), float("inf"), 5e-324, 1e-310])
     def test_trajectory_rows_rejects_bad_step(self, p_star, hist_standard, dt):
         traj = integrate(p_star, hist_standard, T=1.0, K=16)
         with pytest.raises(DomainError, match="dense"):

@@ -323,7 +323,7 @@ class TestLockstepRows:
         else:
             p, eps_list, hist = p_star, [0.05, 0.02, 0.01], hist_standard
         n, cfg = 4, PathConfig(seed=7, T=2.0, K=16, scheme=scheme)
-        guard = dde._Guard(sde._RowPaths(eps_list, n))
+        guard = dde._Guard(lambda c: (eps_list[c // n], c % n))
         # blocks of 5 of the 32 steps; each block is spoilt once read, as callers may
         increments = sde._increments(p, cfg, range(n), 5)
         blocks = []
