@@ -19,6 +19,7 @@ import sys
 from . import csvio, dde, equilibria, hypotheses, sde
 from .errors import (
     DivergenceError,
+    DomainError,
     HypothesisError,
     PhagesimError,
     PositivityError,
@@ -65,12 +66,12 @@ def cmd_equilibria(args):
 
 
 def cmd_simulate(args):
-    if args.dense is not None and not (math.isfinite(args.dense) and args.dense > 0.0):
-        raise ScenarioError(f"--dense must be a positive finite time step, got {args.dense!r}")
     sc, p, hist = _load(args)
-    if args.dense is not None and (rows := sc.run.T / args.dense + 1.0) > dde.MAX_STEPS:
-        raise ScenarioError(f"--dense {args.dense:g} over T = {sc.run.T:g} gives {rows:.7g} "
-                            f"rows; the limit is {dde.MAX_STEPS} rows")
+    if args.dense is not None:
+        try:  # before anything is integrated
+            csvio.check_dense(sc.run.T, args.dense)
+        except DomainError as exc:
+            raise ScenarioError(str(exc)) from None
     # without E0 and its region nothing can be fitted or monitored, so nothing is integrated
     e0 = equilibria.bacteria_free(p)
     st = equilibria.stability_at_e0(p)
@@ -109,9 +110,8 @@ def cmd_simulate_sde(args):
         csvio.write_trajectory(traj, path)
         print(f"sample path written to {path}")
         return EXIT_OK
-    reference = dde.integrate(p, hist, sc.run.T, sc.run.K)
     window = tuple(sc.run.window) if sc.run.window else (0.0, sc.run.T)
-    stats = sde.ensemble(p, hist, cfg, n, reference, window)
+    stats = sde.ensemble(p, hist, cfg, n, window)
     path = _outpath(sc, args, "ensemble.csv")
     csvio.write_ensemble(stats, path)
     print(

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 
+from . import dde
 from .errors import DomainError
 
 ROW_CHUNK = 2**12  # trajectory rows evaluated and formatted at once
@@ -25,6 +26,16 @@ def write_csv(header, rows, path):
             fh.write(line % row)
 
 
+def check_dense(t_end, dense_dt):
+    """Refuse, with DomainError, a `simulate --dense` step that is not positive and finite,
+    or that resamples [0, t_end] into more than dde.MAX_STEPS rows, t_end / dense_dt + 1."""
+    if not (math.isfinite(dense_dt) and dense_dt > 0.0):
+        raise DomainError(f"--dense must be a positive finite time step, got {dense_dt!r}")
+    if (rows := t_end / dense_dt + 1.0) > dde.MAX_STEPS:
+        raise DomainError(f"--dense {dense_dt:g} over T = {t_end:g} gives {rows:.7g} rows; "
+                          f"the limit is {dde.MAX_STEPS} rows")
+
+
 def trajectory_rows(traj, dense_dt=None):
     """(t, S, I, Q) rows at node resolution, or resampled at dense_dt, ROW_CHUNK at a time.
 
@@ -33,12 +44,8 @@ def trajectory_rows(traj, dense_dt=None):
     """
     step, last = traj.h, len(traj)
     if dense_dt is not None:
-        if not (math.isfinite(dense_dt) and dense_dt > 0.0):
-            raise DomainError(f"dense step must be positive and finite, got {dense_dt!r}")
+        check_dense(traj.t_end, dense_dt)
         span = (traj.t_end + 1e-12) / dense_dt
-        if not math.isfinite(span):  # a subnormal step
-            raise DomainError(f"dense step {dense_dt!r} over t_end = {traj.t_end:g} gives "
-                              f"more rows than a float counts")
         # k*dense_dt may round to within t_end + 1e-12 at k = floor(span) + 1, not past it
         step, last = dense_dt, int(span) + 2
     for k in range(0, last, ROW_CHUNK):

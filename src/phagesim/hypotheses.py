@@ -151,11 +151,21 @@ def check_sigma(sigma):
     The lattice is i * _SCAN_STEP on [max(0, M-1), M+2], the points of a
     scan of [0, M+2] that hold the bridge with a unit of each side. Below it
     sigma returns x and past it M+1 by construction, so a longer scan adds
-    no coverage, only memory that grows with M.
+    no coverage, only memory that grows with M. From M = 2**52 float64 holds
+    no point inside the bridge (M, M+1): the scan is the floats M-1 to M+2,
+    where sigma is x and then M+1, and the three entries pass, as rounding
+    is all its difference quotients see.
     """
     m = sigma.m_threshold
-    n_end = math.ceil((m + 2.0 + _SCAN_STEP) / _SCAN_STEP)  # len(np.arange(0, m+2+step, step))
-    xs = np.arange(int(max(0.0, m - 1.0) / _SCAN_STEP), n_end) * _SCAN_STEP
+    if m < 2.0**52:
+        n_end = math.ceil((m + 2.0 + _SCAN_STEP) / _SCAN_STEP)  # len(np.arange(0, m+2+step, step))
+        start = int(max(0.0, m - 1.0) / _SCAN_STEP)
+        # i passes int64 from M of about 9.2e14: the float nearest `start` plus i's offset
+        # from it rounds once, to the float that numpy's int64 conversion gives i
+        base = int(float(start))
+        xs = (float(base) + np.arange(start - base, n_end - base)) * _SCAN_STEP
+    else:
+        xs = np.array([m - 1.0, m, m + 1.0, m + 2.0])
     vals = sigma(xs)
     primes = sigma.prime(xs)
 
@@ -170,7 +180,7 @@ def check_sigma(sigma):
     # xs and vals near M+2 are rounded to about spacing(M+2), which the
     # difference quotient divides by 2*_SCAN_STEP: from M of about 1e6 that
     # alone exceeds 1e-6
-    fd_bound = 1e-6 + 4.0 * float(np.spacing(m + 2.0)) / (2.0 * _SCAN_STEP)
+    fd_bound = 1e-6 + 4.0 * math.ulp(m + 2.0) / (2.0 * _SCAN_STEP)
 
     # Not _check entries: the identity margin is -err, which is -0.0 on a pass
     # where 0.0 - err would be +0.0, and its verdict fails on a NaN in either

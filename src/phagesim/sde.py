@@ -58,24 +58,22 @@ class PathConfig:
             raise DomainError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
 
 
-def _block_steps(n, rows=1):
-    """Steps a block of n paths of `rows` eps rows: one row's node bytes, at most budget / 8."""
-    return max(1, min(DRAW_STEPS // rows, PATH_BYTES_BUDGET // 8 // (max(n, 1) * (16 + 32 * rows))))
-
-
 def _check_budget(n, K, rows=1):
-    """Refuse n paths of `rows` eps rows at K steps a delay over the budget, before any exists.
+    """The block length, in steps, of n paths of `rows` eps rows at K steps a delay.
 
-    The blocks count as r = n (16 + 32 rows) bytes a step for max(1, DRAW_STEPS // rows) steps,
-    at most max(r, budget / 8): at least _block_steps' blocks, and rising with n. dde.MAX_STEPS
+    A block step is r = n (16 + 32 rows) bytes, and a block S = max(1, DRAW_STEPS // rows)
+    steps, fewer where it would pass budget / 8 bytes, but one at least. Refuses paths over
+    the budget with MemoryError, before any exists: the need counts the blocks as
+    min(r S, max(r, budget / 8)) bytes, at least the block's and rising with n. dde.MAX_STEPS
     bounds a float lane's nodes, drifts and influx (56 B a step, not counted) to about 60 MB.
     """
-    row = n * (16 + 32 * rows)
-    blocks = min(row * max(1, DRAW_STEPS // rows), max(row, PATH_BYTES_BUDGET // 8))
-    need = n * (1024 + 8 * (K + 1) * rows + 144 * rows + 32 * K) + blocks
+    row, steps = max(n, 1) * (16 + 32 * rows), max(1, DRAW_STEPS // rows)
+    need = n * (1024 + 8 * (K + 1) * rows + 144 * rows + 32 * K)
+    need += min(row * steps, max(row, PATH_BYTES_BUDGET // 8))
     if need > PATH_BYTES_BUDGET:
         raise MemoryError(f"paths need {need:.4g} bytes at n = {n}, K = {K}, {rows} eps "
                           f"row(s); the path budget is {PATH_BYTES_BUDGET} bytes")
+    return max(1, min(steps, PATH_BYTES_BUDGET // 8 // row))
 
 
 def _increments(p, cfg, path_indices, block_steps):
@@ -229,15 +227,13 @@ def sample_path(p, hist, cfg, path_index=0):
 
     Its Hermite slopes are the drifts the stepper evaluated at the nodes.
     """
-    _check_budget(1, cfg.K)
-    blocks = _increments(p, cfg, [path_index], DRAW_STEPS)
+    blocks = _increments(p, cfg, [path_index], _check_budget(1, cfg.K))
     steps = chain.from_iterable(dw[:, :, 0].tolist() for dw in blocks)
     return _float_path(p, hist, cfg, steps, dde._Guard(lambda c: path_index))
 
 
 @dataclass
 class EnsembleStats:
-    n_paths: int
     times: np.ndarray
     mean: np.ndarray  # (n_nodes, 3)
     dev_p50: np.ndarray  # per-node median of max-component deviation
@@ -269,42 +265,31 @@ def _reduce_block(j, block, ref, window, sup):
     return dev
 
 
-def ensemble(p, hist, cfg, n, reference, window):
-    """Run n paths and aggregate deviation statistics against a reference.
+def ensemble(p, hist, cfg, n, window):
+    """Run n paths and aggregate their deviations from the deterministic run.
 
-    `reference` is either a fixed point or a Trajectory on the ensemble's
-    nodes, the same h = tau/K and node count as
-    `dde.integrate(p, hist, cfg.T, cfg.K)` gives. Its states are compared
-    node by node; any other layout raises ConfigurationError. The per-path
-    statistic is the sup over window nodes of the largest componentwise
-    deviation. Each node block is reduced as it is stepped, to its mean, its
-    deviation percentiles and the running sups, so a run holds O(n) memory.
+    The reference is `dde.integrate(p, hist, cfg.T, cfg.K)`, on the paths' own nodes; it is
+    integrated once the budget and the window are checked, so a refused run integrates nothing.
+    The per-path statistic is the sup over window nodes of the largest componentwise deviation.
+    Each node block is reduced as it is stepped, to its mean, its deviation percentiles and the
+    running sups, so a run holds O(n) memory.
     """
-    _check_budget(n, cfg.K)
-    h = p.tau / cfg.K
+    block_steps = _check_budget(n, cfg.K)
     mask = _window_mask(cfg.T, p.tau, cfg.K, window)
-    if isinstance(reference, dde.Trajectory):
-        if (reference.h, len(reference)) != (h, len(mask)):
-            raise ConfigurationError(
-                f"reference (h={reference.h:g}, {len(reference)} nodes) is "
-                f"not on the ensemble's nodes (h={h:g}, {len(mask)} nodes)"
-            )
-        reference = reference.states
-    ref = np.broadcast_to(np.asarray(reference, dtype=float).reshape(-1, 3), (len(mask), 3))
+    det = dde.integrate(p, hist, cfg.T, cfg.K)
     paths = range(n)
     guard = dde._Guard(paths.__getitem__)
-    mean, pct, sup_devs = np.empty((len(mask), 3)), np.empty((2, len(mask))), np.zeros(n)
-    increments = _increments(p, cfg, paths, _block_steps(n))
+    mean, pct, sup_devs = np.empty((len(det), 3)), np.empty((2, len(det))), np.zeros(n)
+    increments = _increments(p, cfg, paths, block_steps)
     for j, block in _step_paths(p, hist, cfg, np.full(n, p.eps), increments, guard):
         rows = slice(j, j + len(block))
         mean[rows] = block.mean(axis=2)
-        dev = _reduce_block(j, block, ref, mask, sup_devs)
+        dev = _reduce_block(j, block, det.states, mask, sup_devs)
         # in place: each node's row of deviations is only reordered
         pct[:, rows] = np.percentile(dev, [50.0, 95.0], axis=1, overwrite_input=True)
-    dev_p50, dev_p95 = pct
     return EnsembleStats(
-        n_paths=n, times=h * np.arange(len(mask)), mean=mean, dev_p50=dev_p50, dev_p95=dev_p95,
-        sup_devs=sup_devs, min_component=guard.min_component, clamp_count=guard.clamp_count,
+        times=det.times, mean=mean, dev_p50=pct[0], dev_p95=pct[1], sup_devs=sup_devs,
+        min_component=guard.min_component, clamp_count=guard.clamp_count,
         warn_count=guard.warn_count,
     )
 
@@ -375,8 +360,8 @@ def concentration_experiment(
     eps values so the exceedance counts are comparable. One pass over the
     paths serves every eps row: the E rows step in lockstep on (3, E n)
     columns, eps-major, on one draw of each path's increments, in blocks of
-    _block_steps(n, E) steps. A path that fails stops the run at the earliest
-    time any row fails, and the error names it as (eps, path).
+    the length _check_budget(n, K, E) returns. A path that fails stops the run
+    at the earliest time any row fails, and the error names it as (eps, path).
     """
     if not (1.0 < kappa1 < kappa2):
         raise ConfigurationError("need 1 < kappa1 < kappa2")
@@ -384,7 +369,7 @@ def concentration_experiment(
         raise ConfigurationError("need rho > 0")
     if len(eps_list) == 0:
         raise ConfigurationError("need at least one eps value")
-    _check_budget(n, K, len(eps_list))
+    block_steps = _check_budget(n, K, len(eps_list))
 
     st = equilibria.stability_at_e0(p)
     if st.eta <= 0.0:
@@ -410,7 +395,7 @@ def concentration_experiment(
     # column r n + j is path j of row r; Parameters checks each amplitude
     amplitudes = np.repeat([p.with_eps(eps).eps for eps in eps_list], n)
     sup = np.zeros(len(amplitudes))  # each column's sup over the window, block by block
-    increments = _increments(p, cfg, paths, _block_steps(n, len(eps_list)))
+    increments = _increments(p, cfg, paths, block_steps)
     guard = dde._Guard(lambda c: (eps_list[c // n], c % n))
     for j, block in _step_paths(p, hist, cfg, amplitudes, increments, guard):
         _reduce_block(j, block, ref, window, sup)

@@ -304,10 +304,7 @@ def test_criterion_9_positivity():
                    worst_random >= -1e-6))
 
     cfg = PathConfig(seed=13, T=50.0, K=64)
-    stats = ensemble(
-        P_STAR.with_eps(0.01), HIST_STANDARD, cfg, 200,
-        equilibria.bacteria_free(P_STAR), (0.0, 50.0),
-    )
+    stats = ensemble(P_STAR.with_eps(0.01), HIST_STANDARD, cfg, 200, (0.0, 50.0))
     checks.append(("stochastic (eps=0.01, 200 paths) >= -1e-6",
                    stats.min_component >= -1e-6))
 

@@ -356,7 +356,9 @@ class TestCsv:
             assert row[1:] == pytest.approx(traj.eval(row[0]), rel=1e-15)
 
 
-    @pytest.mark.parametrize("dt", [0.0, -0.5, float("nan"), float("inf"), 5e-324, 1e-310])
+    # the last two pass the row limit of `simulate --dense`: 1e300 rows and MAX_STEPS + 1
+    @pytest.mark.parametrize("dt", [0.0, -0.5, float("nan"), float("inf"), 5e-324, 1e-310,
+                                    1e-300, 1.0 / MAX_STEPS])
     def test_trajectory_rows_rejects_bad_step(self, p_star, hist_standard, dt):
         traj = integrate(p_star, hist_standard, T=1.0, K=16)
         with pytest.raises(DomainError, match="dense"):
@@ -495,6 +497,18 @@ class TestCli:
         assert code == cli.EXIT_OK
         doc = json.loads(report_path.read_text())
         assert doc["passed"] is True
+
+    @pytest.mark.parametrize("M", [1e15, 1e17, 1e300])
+    def test_validate_scans_sigma_at_a_large_M(self, tmp_path, capsys, M):
+        # the scan's lattice index passes int64 from M of about 9.2e14, and from M = 2**52
+        # float64 holds no point inside the bridge; the sigma entries pass at any M
+        doc = load_reference_doc()
+        doc["parameters"]["M"] = M
+        report = tmp_path / "report.json"
+        code = cli.main(["validate", write_doc(tmp_path, doc), "--json", str(report)])
+        checks = json.loads(report.read_text())["checks"]
+        sigma = [c["pass"] for c in checks if c["id"].startswith("sigma-")]
+        assert code in (cli.EXIT_OK, cli.EXIT_VALIDATION) and sigma == [True] * 3
 
     def test_validate_failure_exit_code(self, tmp_path, capsys):
         doc = load_reference_doc()
@@ -854,10 +868,11 @@ class TestCli:
         path = write_doc(tmp_path, doc)
 
         def no_paths(*args):
-            raise AssertionError("the path budget is checked before any generator or ring")
+            raise AssertionError("the path budget is checked before any generator, ring or run")
 
         for name in ("_increments", "_history_influx", "_step_paths", "_float_path"):
             monkeypatch.setattr(phagesim.sde, name, no_paths)
+        monkeypatch.setattr(phagesim.dde, "integrate", no_paths)
         codes = []
         start = time.perf_counter()
         peak = peak_bytes(lambda: codes.append(

@@ -427,13 +427,10 @@ class TestDelayedStrongOrder:
 
 class TestEnsemble:
     def test_deviation_scales_with_eps(self, p_star, hist_standard):
-        det = dde.integrate(p_star, hist_standard, T=10.0, K=32)
         means = {}
         for eps in (0.01, 0.05):
             cfg = PathConfig(seed=5, T=10.0, K=32)
-            stats = ensemble(
-                p_star.with_eps(eps), hist_standard, cfg, 100, det, (0.0, 10.0)
-            )
+            stats = ensemble(p_star.with_eps(eps), hist_standard, cfg, 100, (0.0, 10.0))
             means[eps] = float(stats.sup_devs.mean())
         assert means[0.05] > means[0.01]  # coupled seeds: strictly larger spread
         assert means[0.01] < 60 * 0.01
@@ -442,12 +439,10 @@ class TestEnsemble:
     def test_mean_tracks_deterministic_solution(self, p_star, hist_standard):
         det = dde.integrate(p_star, hist_standard, T=10.0, K=32)
         cfg = PathConfig(seed=5, T=10.0, K=32)
-        stats = ensemble(
-            p_star.with_eps(0.01), hist_standard, cfg, 100, det, (0.0, 10.0)
-        )
+        stats = ensemble(p_star.with_eps(0.01), hist_standard, cfg, 100, (0.0, 10.0))
         gap = np.abs(stats.mean - det.states).max()
         assert gap < 0.05
-        assert stats.n_paths == 100
+        assert len(stats.sup_devs) == 100 and np.array_equal(stats.times, det.times)
         assert np.all(stats.dev_p50 <= stats.dev_p95 + 1e-15)
 
     def test_cross_scheme_mean_agreement(self, p_star, hist_standard):
@@ -472,7 +467,7 @@ class TestEnsemble:
         hist = History.constant(p.tau, 1e-13, 10.0, 1.0)
         cfg = PathConfig(seed=5, T=2.0, K=16, scheme=SCHEME_EULER)
         _, _, guard = simulate_paths(p, hist, cfg, list(range(20)))
-        stats = ensemble(p, hist, cfg, 20, np.zeros(3), (0.0, 2.0))
+        stats = ensemble(p, hist, cfg, 20, (0.0, 2.0))
         assert guard.clamp_count > 0 and guard.warn_count > 0
         assert stats.clamp_count == guard.clamp_count
         assert stats.warn_count == guard.warn_count
@@ -489,66 +484,42 @@ class TestEnsemble:
             p = dataclasses.replace(p_star, tau=tau, eps=0.05)
             hist = History.constant(tau, 0.5, 10.0, 1.0)
             cfg = PathConfig(seed=9, T=5.0, K=K, scheme=scheme)
-            det = dde.integrate(p.with_eps(0.0), hist, T=5.0, K=K)
-            for reference in (det, equilibria.bacteria_free(p)):
-                times, nodes, _ = simulate_paths(p, hist, cfg, list(range(n)))
-                if isinstance(reference, dde.Trajectory):
-                    ref = np.array([reference.eval(t) for t in times])
-                else:
-                    ref = np.tile(reference, (len(times), 1))
-                dev = np.abs(nodes - ref[:, :, None]).max(axis=1)
-                mask = (times >= 1.0 - 1e-12) & (times <= 4.0 + 1e-12)
-                sup_devs = dev[mask].max(axis=0)
-                stats = ensemble(p, hist, cfg, n, reference, (1.0, 4.0))
-                assert np.array_equal(stats.mean, nodes.mean(axis=2))
-                assert np.array_equal(stats.sup_devs, sup_devs)
-                assert np.array_equal(stats.dev_p50, np.percentile(dev, 50.0, axis=1))
-                assert np.array_equal(stats.dev_p95, np.percentile(dev, 95.0, axis=1))
-                if n == 1:
-                    assert np.array_equal(stats.dev_p50, dev[:, 0])
-
-    @pytest.mark.parametrize("T, K", [(5.0, 16), (4.0, 32), (6.0, 32)])
-    def test_reference_on_other_nodes_rejected(self, p_star, hist_standard, T, K, monkeypatch):
-        cfg = PathConfig(seed=5, T=5.0, K=32)
-        det = dde.integrate(p_star, hist_standard, T=T, K=K)
-
-        def no_paths(*args):
-            raise AssertionError("the layout is checked before any path is drawn")
-
-        monkeypatch.setattr(sde, "_increments", no_paths)
-        with pytest.raises(ConfigurationError):
-            ensemble(p_star.with_eps(0.01), hist_standard, cfg, 2, det, (0.0, 5.0))
+            det = dde.integrate(p, hist, T=5.0, K=K)
+            times, nodes, _ = simulate_paths(p, hist, cfg, list(range(n)))
+            ref = np.array([det.eval(t) for t in times])
+            dev = np.abs(nodes - ref[:, :, None]).max(axis=1)
+            mask = (times >= 1.0 - 1e-12) & (times <= 4.0 + 1e-12)
+            sup_devs = dev[mask].max(axis=0)
+            stats = ensemble(p, hist, cfg, n, (1.0, 4.0))
+            assert np.array_equal(stats.mean, nodes.mean(axis=2))
+            assert np.array_equal(stats.sup_devs, sup_devs)
+            assert np.array_equal(stats.dev_p50, np.percentile(dev, 50.0, axis=1))
+            assert np.array_equal(stats.dev_p95, np.percentile(dev, 95.0, axis=1))
+            if n == 1:
+                assert np.array_equal(stats.dev_p50, dev[:, 0])
 
     def test_empty_window_rejected_before_any_path(self, p_star, hist_standard, monkeypatch):
         # h = 1/64: the nodes next to the window are 10 and 10.015625
         cfg = PathConfig(seed=5, T=50.0, K=64)
-        det = dde.integrate(p_star, hist_standard, T=50.0, K=64)
 
-        def no_paths(*args):
-            raise AssertionError("the window is checked before any path is drawn")
+        def no_run(*args):
+            raise AssertionError("the window is checked before anything is integrated or drawn")
 
-        monkeypatch.setattr(sde, "_increments", no_paths)
-        for reference in (det, equilibria.bacteria_free(p_star)):
-            with pytest.raises(ConfigurationError,
-                               match=r"window \[10.001, 10.002\] contains no nodes"):
-                ensemble(p_star.with_eps(0.01), hist_standard, cfg, 400, reference,
-                         (10.001, 10.002))
+        monkeypatch.setattr(sde, "_increments", no_run)
+        monkeypatch.setattr(dde, "integrate", no_run)
+        with pytest.raises(ConfigurationError,
+                           match=r"window \[10.001, 10.002\] contains no nodes"):
+            ensemble(p_star.with_eps(0.01), hist_standard, cfg, 400, (10.001, 10.002))
 
     def test_empty_window_rejected(self, p_star, hist_standard):
         cfg = PathConfig(seed=5, T=5.0, K=32)
         with pytest.raises(ConfigurationError):
-            ensemble(
-                p_star.with_eps(0.01), hist_standard, cfg, 2,
-                equilibria.bacteria_free(p_star), (100.0, 200.0),
-            )
+            ensemble(p_star.with_eps(0.01), hist_standard, cfg, 2, (100.0, 200.0))
 
     def test_needs_at_least_one_path(self, p_star, hist_standard):
         cfg = PathConfig(seed=5, T=5.0, K=32)
         with pytest.raises(DomainError):
-            ensemble(
-                p_star.with_eps(0.01), hist_standard, cfg, 0,
-                equilibria.bacteria_free(p_star), (0.0, 5.0),
-            )
+            ensemble(p_star.with_eps(0.01), hist_standard, cfg, 0, (0.0, 5.0))
 
 
 class TestWilsonInterval:
@@ -683,25 +654,22 @@ class TestTimeBlocks:
     @pytest.mark.parametrize("n", [1, 24])
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_ensemble_stats(self, p_star, hist_standard, n, scheme, monkeypatch):
-        # the third run clamps and warns, so the guard counters count too
-        p = p_star.with_eps(0.05)
-        det = dde.integrate(p.with_eps(0.0), hist_standard, T=5.0, K=64)  # 320 steps
+        # the second run clamps and warns, so the guard counters count too
         clamping = Parameters(alpha=0.5, k1=0.1, k2=0.05, d=20.0, m=1.0, b=10.0,
                               mu=0.2, tau=1.0, M=0.5, eps=3.0)
-        runs = [
-            (p, hist_standard, PathConfig(seed=3, T=5.0, K=64, scheme=scheme), det, (1.0, 4.0)),
-            (p, hist_standard, PathConfig(seed=3, T=5.0, K=64, scheme=scheme),
-             equilibria.bacteria_free(p), (0.0, 5.0)),
+        runs = [  # 320 steps, then 32
+            (p_star.with_eps(0.05), hist_standard,
+             PathConfig(seed=3, T=5.0, K=64, scheme=scheme), (1.0, 4.0)),
             (clamping, History.constant(1.0, 1e-13, 10.0, 1.0),
-             PathConfig(seed=5, T=2.0, K=16, scheme=SCHEME_EULER), np.zeros(3), (0.5, 2.0)),
+             PathConfig(seed=5, T=2.0, K=16, scheme=SCHEME_EULER), (0.5, 2.0)),
         ]
-        stats = [ensemble(p, hist, cfg, n, ref, w) for p, hist, cfg, ref, w in runs]
-        assert n == 1 or (stats[2].clamp_count > 0 and stats[2].warn_count > 0)
+        stats = [ensemble(p, hist, cfg, n, w) for p, hist, cfg, w in runs]
+        assert n == 1 or (stats[1].clamp_count > 0 and stats[1].warn_count > 0)
         baseline = [_bits(s) for s in stats]
         for steps in (1, 7, 64, 320):
             monkeypatch.setattr(sde, "DRAW_STEPS", steps)
-            for (p, hist, cfg, ref, w), base in zip(runs, baseline):
-                assert _bits(ensemble(p, hist, cfg, n, ref, w)) == base
+            for (p, hist, cfg, w), base in zip(runs, baseline):
+                assert _bits(ensemble(p, hist, cfg, n, w)) == base
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_concentration_table(self, p_conc, hist_conc, scheme, monkeypatch):
@@ -781,22 +749,23 @@ class TestMemory:
         # (n_nodes, n) deviations of all nodes would be 3 201 x 400 x 8 B, 10 MB
         sc = parse_scenario(REFERENCE_SCENARIO)
         p, r = sc.parameters, sc.run
-        cfg = PathConfig(seed=r.seed, T=r.T, K=r.K, scheme=r.scheme)
-        det = dde.integrate(p.with_eps(0.0), sc.history, r.T, r.K)
-        peak = peak_bytes(lambda: ensemble(p, sc.history, cfg, 400, det, (0.0, r.T)))
-        assert peak < 8e6
+        args = (p, sc.history, PathConfig(seed=r.seed, T=r.T, K=r.K, scheme=r.scheme), 400,
+                (0.0, r.T))
+        ensemble(*args)  # pays the one-time costs: its np.percentile imports numpy.ma, 1.8 MB
+        assert peak_bytes(lambda: ensemble(*args)) < 8e6
 
     def test_path_budget(self):
         # n (1024 + 8 (K + 1) E + 144 E + 32 K) + B bytes for n paths of E eps rows, where
         # the blocks count B = min(r max(1, DRAW_STEPS // E), max(r, 2**31 // 8)) bytes with
         # r = n (16 + 32 E): at K = 64, 14 584 a path at E = 3 (85 steps) and 16 024 at E = 1
         # (256 steps) up to n = 21 845; past that B = 2**28, so n (3 736 + 1 528 (E - 1))
-        # fits in 7/8 of the budget up to n = 371 060 at E = 3 and 502 957 at E = 1
-        assert [sde._block_steps(n, rows) for n in (2000, 21_845) for rows in (1, 3)] == [
+        # fits in 7/8 of the budget up to n = 371 060 at E = 3 and 502 957 at E = 1; the
+        # returned block length is that many steps of r bytes, at most 2**28 bytes
+        assert [sde._check_budget(n, 64, rows) for n in (2000, 21_845) for rows in (1, 3)] == [
             256, 85, 256, 85]
-        assert (sde._block_steps(21_846), sde._block_steps(10**9, 3)) == (255, 1)
-        for n_max, rows in ((371_060, 3), (502_957, 1)):
-            sde._check_budget(n_max, 64, rows)
+        assert (sde._check_budget(21_846, 64), sde._check_budget(1, 64, 300)) == (255, 1)
+        for n_max, rows, steps in ((371_060, 3, 6), (502_957, 1, 11)):
+            assert sde._check_budget(n_max, 64, rows) == steps
             with pytest.raises(MemoryError, match=f"at n = {n_max + 1}, K = 64, {rows} eps row"):
                 sde._check_budget(n_max + 1, 64, rows)
         with pytest.raises(MemoryError):  # the K-long history prefix of one path
@@ -804,24 +773,24 @@ class TestMemory:
 
     @pytest.mark.parametrize("rows", [1, 3, 4])
     def test_path_budget_refuses_every_larger_n(self, rows):
-        # _block_steps drops a step at each n past 2**28 / (S (16 + 32 E)). Counting the
+        # The block length drops a step at each n past 2**28 / (S (16 + 32 E)). Counting the
         # blocks at S steps refused n = 503 632 to 508 400 at E = 1 (S = 11) and accepted
         # 508 401 (S = 10), and did so at E = 4 from n = 372 828; a bound that rises with n
         # refuses every n past the first.
-        def refused(n):
+        def block(n):  # the block length admitted, or None for a refusal
             try:
-                sde._check_budget(n, 64, rows)
+                return sde._check_budget(n, 64, rows)
             except MemoryError:
-                return True
-            return False
+                return None
 
         row = 16 + 32 * rows
         for steps in range(sde.DRAW_STEPS // rows, 1, -1):
             drop = (sde.PATH_BYTES_BUDGET // 8) // (row * steps) + 1
-            assert sde._block_steps(drop - 1, rows) >= steps > sde._block_steps(drop, rows)
-            verdicts = [refused(n) for n in range(drop - 3, drop + 3)]
+            blocks = [block(n) for n in range(drop - 3, drop + 3)]  # blocks[3] is n = drop
+            assert (blocks[2] or steps) >= steps > (blocks[3] or 0)  # where admitted
+            verdicts = [b is None for b in blocks]
             assert verdicts == sorted(verdicts), f"n = {drop} at {steps} steps"
-        assert refused(503_632) and refused(508_401)
+        assert block(503_632) is None and block(508_401) is None
 
     @pytest.mark.parametrize("lane", ["integrate", SCHEME_HEUN, SCHEME_EULER])
     def test_float_lane_holds_a_float_buffer_a_step(self, p_star, hist_standard, lane):
