@@ -68,8 +68,10 @@ def cmd_equilibria(args):
 def cmd_simulate(args):
     sc, p, hist = _load(args)
     if args.dense is not None:
+        # the rows run to the trajectory's end, Trajectory.t_end, up to a step h past T
+        t_end = dde.step_count(sc.run.T, p.tau, sc.run.K) * (p.tau / sc.run.K)
         try:  # before anything is integrated
-            csvio.check_dense(sc.run.T, args.dense)
+            csvio.check_dense(t_end, args.dense)
         except DomainError as exc:
             raise ScenarioError(str(exc)) from None
     # without E0 and its region nothing can be fitted or monitored, so nothing is integrated

@@ -4,11 +4,14 @@ Paths are driven by per-path Philox streams keyed on (seed, path index), so
 any path is reproducible in isolation and ensembles are order-independent.
 `_step_paths` steps whatever increments it is given, so a convergence test
 can drive the production stepper with Brownian paths of its own.
-All paths of an ensemble advance together on (3, n) arrays, at most DRAW_STEPS
-steps at a time, each path drawing into its own row and each stage writing into
-buffers made once; a sample path steps on three floats in `_float_path`. Both lanes
-run the same elementwise formulas in the same order, so an ensemble's column is
-bitwise the sample path with the same index, whatever the block length.
+All paths of an ensemble advance together on (3, n) arrays, each stage writing into
+buffers made once. Their increments are drawn in blocks of S steps (the length
+_check_budget returns, at most DRAW_STEPS), each path into its own row, and each
+draw block is stepped in node blocks of at most NODE_BLOCK_BYTES, which the caller
+reduces while they are still in cache; a sample path steps on three floats in
+`_float_path`. Both lanes run the same elementwise formulas in the same order, so an
+ensemble's column is bitwise the sample path with the same index, whatever either
+block length.
 The noise amplitude is a per-column argument of the array lane, so
 `concentration_experiment` steps every eps row in one pass over the paths:
 each path's increments are drawn once and drive its column in every row.
@@ -30,13 +33,19 @@ SCHEME_HEUN = "stratonovich-heun"
 SCHEME_EULER = "ito-euler-corrected"
 SCHEMES = (SCHEME_HEUN, SCHEME_EULER)
 Z95 = 1.959963984540054  # the standard normal quantile of a two-sided 95% interval
-DRAW_STEPS = 256  # steps per time block: increments drawn and nodes held at once
+DRAW_STEPS = 256  # steps of increments drawn at once, at most: a draw block is S steps
+# Bytes of nodes a node block holds, and so of the deviations a caller forms on it: a
+# draw block of N columns is stepped max(1, NODE_BLOCK_BYTES // (24 N)) steps at a time,
+# a node being 24 N bytes, so only runs of more than about 43 000 columns hold more
+NODE_BLOCK_BYTES = 2**20
 # Bytes a run's paths may hold, a quarter of an 8 GB host. A path of E lockstep eps
 # rows (E = 1 but in mc-concentration) holds its Philox generator (about 1 KB traced),
 # K + 1 floats of delayed influx per row, blocks of increments (2 floats a step, shared
 # by the rows), nodes (3 a row) and deviations (1 a row), the stepper's six (3, E n)
 # per-step buffers (144 B a row) and the float lane's K history influxes, which pass
-# through a list (32 B an entry). At K = 64 that is 16.0 KB a path at E = 1 up to
+# through a list (32 B an entry). Nodes and deviations are counted at the draw block's
+# S steps, an upper bound: they are held NODE_BLOCK_BYTES at a time, or one step where
+# a step is more. At K = 64 that is 16.0 KB a path at E = 1 up to
 # n = 21 845 and 14.6 KB at E = 3 up to n = 28 197; past that the blocks count an
 # eighth of the budget (_check_budget): 502 957 paths fit at E = 1, 371 060 at E = 3.
 PATH_BYTES_BUDGET = 2**31
@@ -59,13 +68,15 @@ class PathConfig:
 
 
 def _check_budget(n, K, rows=1):
-    """The block length, in steps, of n paths of `rows` eps rows at K steps a delay.
+    """The draw block length, in steps, of n paths of `rows` eps rows at K steps a delay.
 
     A block step is r = n (16 + 32 rows) bytes, and a block S = max(1, DRAW_STEPS // rows)
     steps, fewer where it would pass budget / 8 bytes, but one at least. Refuses paths over
     the budget with MemoryError, before any exists: the need counts the blocks as
-    min(r S, max(r, budget / 8)) bytes, at least the block's and rising with n. dde.MAX_STEPS
-    bounds a float lane's nodes, drifts and influx (56 B a step, not counted) to about 60 MB.
+    min(r S, max(r, budget / 8)) bytes, at least the block's and rising with n. That counts
+    nodes and deviations at S steps too, an upper bound, as _step_paths holds them in node
+    blocks of at most max(NODE_BLOCK_BYTES, 24 n rows) bytes. dde.MAX_STEPS bounds a float
+    lane's nodes, drifts and influx (56 B a step, not counted) to about 60 MB.
     """
     row, steps = max(n, 1) * (16 + 32 * rows), max(1, DRAW_STEPS // rows)
     need = n * (1024 + 8 * (K + 1) * rows + 144 * rows + 32 * K)
@@ -119,8 +130,10 @@ def _step_paths(p, hist, cfg, eps, increments, guard):
     r n + j takes path j's increments at amplitude eps[r n + j], so E rows
     share one draw of n paths. Yields (j, nodes): the guarded nodes j, j + 1,
     ... as an (m, 3, N) block, node 0 first. Columns step together on (3, N)
-    arrays into one buffer, a block per increment block; the stepper never
-    reads it back, so a caller may reduce a block in place. `p.eps` is not read.
+    arrays into one buffer, an increment block at a time in views of at most
+    max(1, NODE_BLOCK_BYTES // (24 N)) steps, so a node block stays in cache;
+    the stepper never reads it back, so a caller may reduce a block in place.
+    `p.eps` is not read.
     """
     n_paths = len(eps)
     if n_paths < 1:
@@ -142,8 +155,8 @@ def _step_paths(p, hist, cfg, eps, increments, guard):
     g_now, g_pred, inc, corr, pred, tmp = np.zeros((6, 3, n_paths))
     ka, hh, half_eps2 = p.k1 * p.attenuation, 0.5 * h, 0.5 * eps * eps
     heun = cfg.scheme == SCHEME_HEUN
-    n = 0
-    for dw in increments:
+    span, n = max(1, NODE_BLOCK_BYTES // (24 * n_paths)), 0  # steps a node block holds
+    for dw in (block[a:a + span] for block in increments for a in range(0, len(block), span)):
         if len(nodes) < len(dw):
             nodes = np.empty((len(dw), 3, n_paths))
         # inc's S and Q rows as (2, E, n): each column group views the same draws
@@ -359,9 +372,10 @@ def concentration_experiment(
     decay prefactor as c and the spectral eta; seeds are coupled across the
     eps values so the exceedance counts are comparable. One pass over the
     paths serves every eps row: the E rows step in lockstep on (3, E n)
-    columns, eps-major, on one draw of each path's increments, in blocks of
-    the length _check_budget(n, K, E) returns. A path that fails stops the run
-    at the earliest time any row fails, and the error names it as (eps, path).
+    columns, eps-major, on one draw of each path's increments, drawn in blocks
+    of the length _check_budget(n, K, E) returns; a node block with no window
+    node is not reduced. A path that fails stops the run at the earliest time
+    any row fails, and the error names it as (eps, path).
     """
     if not (1.0 < kappa1 < kappa2):
         raise ConfigurationError("need 1 < kappa1 < kappa2")
@@ -398,7 +412,8 @@ def concentration_experiment(
     increments = _increments(p, cfg, paths, block_steps)
     guard = dde._Guard(lambda c: (eps_list[c // n], c % n))
     for j, block in _step_paths(p, hist, cfg, amplitudes, increments, guard):
-        _reduce_block(j, block, ref, window, sup)
+        if window[j:j + len(block)].any():
+            _reduce_block(j, block, ref, window, sup)
     for r, eps in enumerate(eps_list):
         exceed = int(np.count_nonzero(sup[r * n:(r + 1) * n] >= 2.0 * rho))
         lo, hi = wilson_interval(exceed, n)

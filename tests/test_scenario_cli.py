@@ -595,6 +595,25 @@ class TestCli:
                        f"the limit is {MAX_STEPS} rows\n")
         assert not (tmp_path / "trajectory.csv").exists()
 
+    def test_simulate_dense_rows_counted_to_the_trajectory_end(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # T = 50.001 is off the lattice of h = 1/64, so the rows run to 3 201 h = 50.015625:
+        # 1 000 000 rows from T, 1 000 292 to the end, where the CSV is written to
+        def no_run(*args):
+            raise AssertionError("the dense rows are counted before integrating")
+
+        doc = load_reference_doc()
+        doc["run"]["T"] = 50.001
+        path = write_doc(tmp_path, doc)
+        monkeypatch.setattr(phagesim.dde, "integrate", no_run)
+        out = tmp_path / "out"
+        code = cli.main(["simulate", path, "--outdir", str(out), "--dense", str(50.001 / 999999)])
+        assert code == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error:parse: --dense")
+        assert "over T = 50.0156 gives 1000292 rows" in err
+        assert not (out / "trajectory.csv").exists()
+
     @pytest.mark.parametrize("dense, code", [(0.125, cli.EXIT_OK), (0.1249, cli.EXIT_IO)])
     def test_simulate_dense_rows_at_the_limit(self, tmp_path, monkeypatch, dense, code):
         # T / dense + 1 = 401 rows at 0.125 is the limit; 400 steps keep the run inside it

@@ -639,7 +639,8 @@ def _bits(obj):
 
 
 class TestTimeBlocks:
-    """Ensembles draw and step DRAW_STEPS steps at a time; no result may depend on that length."""
+    """Ensembles draw DRAW_STEPS steps at a time and step NODE_BLOCK_BYTES of nodes at a time;
+    no result may depend on either length."""
 
     def test_increments_equal_one_draw_per_path(self, p_star):
         # 600 steps, a multiple of neither block length; a seed above 2**63
@@ -666,8 +667,12 @@ class TestTimeBlocks:
         stats = [ensemble(p, hist, cfg, n, w) for p, hist, cfg, w in runs]
         assert n == 1 or (stats[1].clamp_count > 0 and stats[1].warn_count > 0)
         baseline = [_bits(s) for s in stats]
-        for steps in (1, 7, 64, 320):
+        # node blocks of 1 step, of 7 steps of n columns (24 n bytes a step), and of a draw block
+        blocks = [(steps, sde.NODE_BLOCK_BYTES) for steps in (1, 7, 64, 320)]
+        blocks += [(sde.DRAW_STEPS, node_bytes) for node_bytes in (1, 7 * 24 * n, 2**40)]
+        for steps, node_bytes in blocks:
             monkeypatch.setattr(sde, "DRAW_STEPS", steps)
+            monkeypatch.setattr(sde, "NODE_BLOCK_BYTES", node_bytes)
             for (p, hist, cfg, w), base in zip(runs, baseline):
                 assert _bits(ensemble(p, hist, cfg, n, w)) == base
 
@@ -691,10 +696,37 @@ class TestTimeBlocks:
         baseline = table()
         assert any(0 < r.exceed < r.n for r in baseline.rows)
         n_steps = dde.step_count(baseline.rows[0].t_hi, p_conc.tau, 32)
-        for steps in (1, 7, 64, n_steps):
+        # 20 paths of three rows step as 60 columns, 24 * 60 bytes a node step
+        blocks = [(steps, sde.NODE_BLOCK_BYTES) for steps in (1, 7, 64, n_steps)]
+        blocks += [(sde.DRAW_STEPS, node_bytes) for node_bytes in (1, 7 * 24 * 60, 2**40)]
+        for steps, node_bytes in blocks:
             monkeypatch.setattr(sde, "DRAW_STEPS", steps)
+            monkeypatch.setattr(sde, "NODE_BLOCK_BYTES", node_bytes)
             assert _bits(table()) == _bits(baseline)
-        assert lengths == [256 // 3, 1, 2, 21, n_steps // 3]
+        assert lengths == [256 // 3, 1, 2, 21, n_steps // 3] + [256 // 3] * 3
+
+    @pytest.mark.parametrize("node_bytes", [1, 7 * 24 * 60, sde.NODE_BLOCK_BYTES, 2**40])
+    def test_node_blocks_hold_at_most_node_block_bytes(self, p_conc, hist_conc, node_bytes,
+                                                      monkeypatch):
+        # 20 paths of three rows step as N = 60 columns in draw blocks of 256 // 3 steps; a
+        # node block holds max(1, node_bytes // (24 N)) steps of one, node 0 a block alone
+        step_paths, lengths = sde._step_paths, []
+
+        def recorded(p, hist, cfg, eps, increments, guard):
+            for j, block in step_paths(p, hist, cfg, eps, increments, guard):
+                assert block.shape[1:] == (3, 60)
+                assert block.nbytes <= max(24 * 60, node_bytes)
+                lengths.append(len(block))
+                yield j, block
+
+        monkeypatch.setattr(sde, "_step_paths", recorded)
+        monkeypatch.setattr(sde, "NODE_BLOCK_BYTES", node_bytes)
+        table = concentration_experiment(
+            p_conc, hist_conc, [0.025, 0.02, 0.015], rho=0.05, kappa1=1.2, kappa2=2.0,
+            n=20, seed=7, K=32,
+        )
+        assert sum(lengths) == dde.step_count(table.rows[0].t_hi, p_conc.tau, 32) + 1
+        assert max(lengths) == min(max(1, node_bytes // (24 * 60)), 256 // 3)
 
     def test_budget_shortens_blocks(self, p_conc, hist_conc, monkeypatch):
         # 20 paths of three rows take 20 (16 + 32 * 3) = 2 240 bytes a block step, so an
@@ -743,6 +775,20 @@ class TestMemory:
             r.seed, K=r.K, scheme=r.scheme,
         ))
         assert peak < 8e6
+
+    def test_concentration_rows_at_2000_paths(self):
+        # 6 000 columns step in node blocks of 2**20 // (24 * 6 000) = 7 steps, 1.0 MB, not
+        # in the 85-step draw blocks, whose nodes would be 12.2 MB and their deviations 4.1 MB
+        # more; run alone, nodes held a draw block at a time peaked at 26.0 MB, in node
+        # blocks at 11.0 MB
+        sc = parse_scenario(CONCENTRATION_SCENARIO)
+        r = sc.run
+        assert len(r.eps_list) == 3
+        peak = peak_bytes(lambda: concentration_experiment(
+            sc.parameters, sc.history, r.eps_list, r.rho, r.kappa1, r.kappa2, 2000,
+            r.seed, K=r.K, scheme=r.scheme,
+        ))
+        assert peak < 14e6
 
     def test_ensemble(self):
         # each block is reduced to its mean, percentiles and sups as it comes; the
