@@ -11,6 +11,7 @@ before any path.
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -186,7 +187,9 @@ def cmd_compare_coinfection(args):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
+    """The parser, built by the first call and reused: it keeps the cmd_* functions bound then."""
     parser = argparse.ArgumentParser(
         prog="phagesim",
         description="Simulation and analysis of the delayed phage-coinfection model.",

@@ -32,8 +32,8 @@ def check_dense(t_end, dense_dt):
     if not (math.isfinite(dense_dt) and dense_dt > 0.0):
         raise DomainError(f"--dense must be a positive finite time step, got {dense_dt!r}")
     if (rows := t_end / dense_dt + 1.0) > dde.MAX_STEPS:
-        raise DomainError(f"--dense {dense_dt:g} over T = {t_end:g} gives {rows:.7g} rows; "
-                          f"the limit is {dde.MAX_STEPS} rows")
+        raise DomainError(f"--dense {dense_dt:g} to the trajectory's end t = {t_end:g} gives "
+                          f"{rows:.7g} rows; the limit is {dde.MAX_STEPS} rows")
 
 
 def trajectory_rows(traj, dense_dt=None):

@@ -22,8 +22,8 @@ HARD_NEG = -1e-6  # beyond this the run is declared invalid
 REGION_ATOL = 1e-9  # how far a node may sit outside the invariant box
 AUTO_WINDOW = (0.25, 0.75)  # the fitting window, as fractions of the last resolved time
 DIST_FLOOR = 1e-12  # a distance to the equilibrium at or below this is rounding, not decay
-# Steps of tau/K a run may take to reach T; at about 5 us and 48 bytes a dde
-# step, `simulate` at the limit takes about 10 s and 115 MB (docs/scenario-schema.md)
+# Steps of tau/K a run may take to reach T; at about 4 us and 48 bytes a dde
+# step, `simulate` at the limit takes about 8 s and 115 MB (docs/scenario-schema.md)
 MAX_STEPS = 10**6
 
 
@@ -159,7 +159,7 @@ def integrate(p, hist, T, K):
         raise DomainError("horizon T must be positive")
     if K < 8:
         raise DomainError("need at least 8 steps per delay interval")
-    sigma, rates = SigmaFn(p.M), _rates_for(p)
+    sigma, alpha, k1, k2, d, m, b, mu = SigmaFn(p.M), p.alpha, p.k1, p.k2, p.d, p.m, p.b, p.mu
 
     tau, M = p.tau, sigma.m_threshold
     h = tau / K
@@ -182,26 +182,35 @@ def integrate(p, hist, T, K):
     ends = deque(f_hist[2 + len(ts):])
 
     s, i, q = float(s_hist[0]), hist.i0, float(q_hist[0])
-    ds1, di1, dq1 = rates(s, i, q, sigma(q), f_hist[1])  # the drift at the current node
+    ds1, di1, dq1 = _rates_for(p)(s, i, q, sigma(q), f_hist[1])  # the drift at the current node
     states, derivs = array("d", (s, i, q)), array("d", (ds1, di1, dq1))
 
     # _hermite's coefficients at theta = 1/2
     hh, h6, c_f0, c_f1 = 0.5 * h, h / 6.0, 0.125 * h, -0.125 * h
-    # sigma rejects a negative argument; in this loop that is a stage,
-    # midpoint or node Q below 0, a positivity failure of step n. Each site
-    # skips the call when sigma is the identity there.
+    # Stages 2-4 and the node write _rates_for out, its operations in its order. sigma
+    # rejects a negative argument; here that is a stage, midpoint or node Q below 0, a
+    # positivity failure of step n. Each site skips the call when sigma is the identity there.
     try:
         for n in range(n_steps):
-            s_mid, q_mid = mids.popleft()
+            (s_mid, q_mid), f_end = mids.popleft(), ends.popleft()
             f_mid = ka * (q_mid if 0.0 <= q_mid <= M else sigma(q_mid)) * s_mid
-            f_end = ends.popleft()
+            bf_mid, bf_end = b * f_mid, b * f_end
 
             s2, i2, q2 = s + hh * ds1, i + hh * di1, q + hh * dq1
-            ds2, di2, dq2 = rates(s2, i2, q2, q2 if 0.0 <= q2 <= M else sigma(q2), f_mid)
+            sq = q2 if 0.0 <= q2 <= M else sigma(q2)
+            adsorbed = (k1_sq := k1 * sq) * s2
+            ds2, di2, dq2 = ((alpha - k1_sq) * s2, adsorbed - mu * i2 - f_mid,
+                             d - m * q2 - adsorbed - k2 * sq * i2 + bf_mid)
             s3, i3, q3 = s + hh * ds2, i + hh * di2, q + hh * dq2
-            ds3, di3, dq3 = rates(s3, i3, q3, q3 if 0.0 <= q3 <= M else sigma(q3), f_mid)
+            sq = q3 if 0.0 <= q3 <= M else sigma(q3)
+            adsorbed = (k1_sq := k1 * sq) * s3
+            ds3, di3, dq3 = ((alpha - k1_sq) * s3, adsorbed - mu * i3 - f_mid,
+                             d - m * q3 - adsorbed - k2 * sq * i3 + bf_mid)
             s4, i4, q4 = s + h * ds3, i + h * di3, q + h * dq3
-            ds4, di4, dq4 = rates(s4, i4, q4, q4 if 0.0 <= q4 <= M else sigma(q4), f_end)
+            sq = q4 if 0.0 <= q4 <= M else sigma(q4)
+            adsorbed = (k1_sq := k1 * sq) * s4
+            ds4, di4, dq4 = ((alpha - k1_sq) * s4, adsorbed - mu * i4 - f_end,
+                             d - m * q4 - adsorbed - k2 * sq * i4 + bf_end)
             s1 = s + h6 * (ds1 + 2.0 * ds2 + 2.0 * ds3 + ds4)
             i1 = i + h6 * (di1 + 2.0 * di2 + 2.0 * di3 + di4)
             q1 = q + h6 * (dq1 + 2.0 * dq2 + 2.0 * dq3 + dq4)
@@ -211,7 +220,9 @@ def integrate(p, hist, T, K):
                 s1, i1, q1 = guard.apply(np.array([[s1], [i1], [q1]]), n * h + h)[:, 0].tolist()
 
             sq = q1 if 0.0 <= q1 <= M else sigma(q1)
-            fs, fi, fq = rates(s1, i1, q1, sq, f_end)
+            adsorbed = (k1_sq := k1 * sq) * s1
+            fs, fi, fq = ((alpha - k1_sq) * s1, adsorbed - mu * i1 - f_end,
+                          d - m * q1 - adsorbed - k2 * sq * i1 + bf_end)
             mids.append((0.5 * s + c_f0 * ds1 + 0.5 * s1 + c_f1 * fs,
                          0.5 * q + c_f0 * dq1 + 0.5 * q1 + c_f1 * fq))
             states.extend((s1, i1, q1))

@@ -156,7 +156,8 @@ def _influx(s_tau, sq_tau, p):
 
 
 def _rates_for(p):
-    """rates(s, i, q, sq, lysis_influx) -> (dS, dI, dQ), sq = sigma(Q), with p's constants bound."""
+    """rates(s, i, q, sq, lysis_influx) -> (dS, dI, dQ), sq = sigma(Q), with p's constants bound;
+    dde.integrate writes it out, bit for bit (tests/test_dde.py::TestDriftWrittenOut)."""
     alpha, k1, k2, d, m, b, mu = p.alpha, p.k1, p.k2, p.d, p.m, p.b, p.mu
 
     def rates(s, i, q, sq, lysis_influx):

@@ -14,9 +14,10 @@ from phagesim.dde import (
     monitor_region,
 )
 from phagesim.errors import DivergenceError, DomainError, PositivityError, WindowError
+from phagesim.scenario import parse_scenario
 
-from conftest import peak_bytes
-from model_reference import _drift_terms, scalar_eval
+from conftest import CONCENTRATION_SCENARIO, REFERENCE_SCENARIO, peak_bytes
+from model_reference import _drift_terms, integrate_through_rates, scalar_eval
 
 
 def _distances(traj, e0):
@@ -87,6 +88,18 @@ class TestAccuracy:
         order23 = math.log2(e2 / e3)
         assert order12 >= 3.0
         assert order23 >= 3.0
+
+    @pytest.mark.parametrize("T", [5.0, 20.0])
+    @pytest.mark.parametrize("history", ["constant", "table"])
+    def test_richardson_order_near_four(self, history, T):
+        # the pairs read 3.99-4.02 here, where criterion 6's gate at 3 would pass a
+        # defect that costs one order; coarser pairs sit further from the asymptote
+        sc = parse_scenario(REFERENCE_SCENARIO)
+        hist = sc.history if history == "constant" else _table_history(sc.parameters.tau)
+        finals = [integrate(sc.parameters, hist, T=T, K=K).eval(T) for K in (32, 64, 128, 256)]
+        errors = [np.linalg.norm(a - b) for a, b in zip(finals, finals[1:])]
+        orders = [math.log2(e1 / e2) for e1, e2 in zip(errors, errors[1:])]
+        assert min(orders) >= 3.8, orders
 
     def test_dense_output_matches_fine_grid(self, p_star, hist_standard):
         coarse = integrate(p_star, hist_standard, T=5.0, K=32)
@@ -530,6 +543,61 @@ class TestParentLoop:
             _parent_integrate(p, hist, 18 * h, 8)
         value = float(str(new.value.__cause__).rsplit("got ", 1)[1])
         assert repr(value) in str(old.value).rsplit("got ", 1)[1]
+
+
+def _written_out_case(case):
+    """(p, hist, T, K) of a TestDriftWrittenOut case, from a committed scenario."""
+    sc = parse_scenario(CONCENTRATION_SCENARIO if case == "concentration" else REFERENCE_SCENARIO)
+    p, hist = sc.parameters, sc.history
+    if case == "table":
+        hist = _table_history(p.tau)
+    elif case == "q-past-m":  # Q stays on sigma's plateau, past M + 1
+        p = dataclasses.replace(p, M=2.0, d=1.5)
+        hist = History.constant(p.tau, 0.5, 50.0, 1.0)
+    elif case == "bridge":  # Q climbs from 10 over the bridge (M, M + 1)
+        p = dataclasses.replace(p, M=12.0)
+    elif case == "k2-zero":  # the run compare-coinfection makes beside the scenario's
+        p = p.with_k2(0.0)
+    return p, hist, sc.run.T, sc.run.K
+
+
+# (parameters, history, T, K) of runs that fail: the guard's PositivityError, sigma's
+# DomainError at a stage, re-raised as PositivityError, and a DivergenceError
+_FAILING_CASES = {
+    "guard": (dict(_P, k1=1.0), (1e-3, 10.0, 0.0), 3.0, 16),
+    "negative-stage": (dict(_P, k1=10.0), (0.5, 10.0, 0.0), 3.0, 8),
+    "blowup": (dict(_P, alpha=40.0, k1=1e-30, k2=0.0), (0.5, 10.0, 1.0), 1.0, 64),
+}
+
+
+class TestDriftWrittenOut:
+    """`integrate` writes `model._rates_for` out; the loop that calls it gives the same bits."""
+
+    @pytest.mark.parametrize("case", ["reference", "concentration", "table", "q-past-m",
+                                      "bridge", "k2-zero"])
+    def test_bitwise_equal(self, case):
+        p, hist, T, K = _written_out_case(case)
+        traj, ref = integrate(p, hist, T, K), integrate_through_rates(p, hist, T, K)
+        assert np.array_equal(traj.states, ref.states)
+        assert np.array_equal(traj.derivs, ref.derivs)
+        assert (traj.clamp_count, traj.warn_count, traj.min_component) == (
+            ref.clamp_count, ref.warn_count, ref.min_component)
+        q = traj.states[:, 2]
+        if case == "q-past-m":
+            assert q.min() > p.M + 1.0
+        if case == "bridge":
+            assert ((p.M < q) & (q < p.M + 1.0)).any()
+
+    @pytest.mark.parametrize("case", sorted(_FAILING_CASES))
+    def test_same_failure(self, case):
+        params, (s0, q0, i0), T, K = _FAILING_CASES[case]
+        p = Parameters(**params)
+        hist = History.constant(p.tau, s0, q0, i0)
+        with pytest.raises((PositivityError, DivergenceError)) as new:
+            integrate(p, hist, T, K)
+        with pytest.raises(new.type) as old:
+            integrate_through_rates(p, hist, T, K)
+        assert (new.value.t, str(new.value)) == (old.value.t, str(old.value))
 
 
 def _column(*values):

@@ -4,6 +4,7 @@ import itertools
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import time
@@ -485,6 +486,49 @@ class TestCsvBytes:
         assert path.read_bytes() == _csv_writer_bytes(fields, values)
 
 
+def _cli_run(argv, capsys, outdir):
+    """Exit code, stdout and the bytes of every artifact of one in-process call into outdir."""
+    shutil.rmtree(outdir, ignore_errors=True)
+    code = cli.main([*argv, "--outdir", str(outdir)])
+    files = outdir.iterdir() if outdir.exists() else ()  # some commands write none
+    return code, capsys.readouterr().out, {f.name: f.read_bytes() for f in files}
+
+
+class TestReusedParser:
+    """`main` parses every call of a process with one parser, built by the first call."""
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_import_builds_no_parser(self):
+        child = "import phagesim.cli as cli; print(cli.build_parser.cache_info().currsize)"
+        src_dir = os.path.dirname(os.path.dirname(phagesim.__file__))
+        proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                              timeout=30, env={**os.environ, "PYTHONPATH": src_dir}, check=True)
+        assert proc.stdout == "0\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate"], ["simulate", "--dense", "0.3"], ["simulate-sde", "--paths", "1"],
+        ["compare-coinfection"], ["equilibria"],
+    ], ids=" ".join)
+    def test_same_call_twice(self, tmp_path, capsys, argv):
+        argv = [argv[0], REFERENCE_SCENARIO, *argv[1:]]
+        first = _cli_run(argv, capsys, tmp_path / "out")
+        assert first[0] == cli.EXIT_OK
+        assert _cli_run(argv, capsys, tmp_path / "out") == first
+
+    def test_valid_call_after_refusals(self, tmp_path, capsys):
+        argv = ["simulate", REFERENCE_SCENARIO]
+        first = _cli_run(argv, capsys, tmp_path / "out")
+        assert first[0] == cli.EXIT_OK and "trajectory.csv" in first[2]
+        for refused in (["simulate"], ["simulate-sde", REFERENCE_SCENARIO, "--paths", "x"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(refused)
+            assert exc.value.code == 2
+        capsys.readouterr()
+        assert _cli_run(argv, capsys, tmp_path / "out") == first
+
+
 class TestCli:
     def test_validate_reference_passes(self, capsys):
         assert cli.main(["validate", REFERENCE_SCENARIO]) == cli.EXIT_OK
@@ -591,8 +635,8 @@ class TestCli:
         assert time.perf_counter() - start < 1.0
         assert code == cli.EXIT_IO
         err = capsys.readouterr().err
-        assert err == ("error:parse: --dense 1e-09 over T = 50 gives 5e+10 rows; "
-                       f"the limit is {MAX_STEPS} rows\n")
+        assert err == ("error:parse: --dense 1e-09 to the trajectory's end t = 50 gives "
+                       f"5e+10 rows; the limit is {MAX_STEPS} rows\n")
         assert not (tmp_path / "trajectory.csv").exists()
 
     def test_simulate_dense_rows_counted_to_the_trajectory_end(self, tmp_path, capsys,
@@ -611,7 +655,7 @@ class TestCli:
         assert code == cli.EXIT_IO
         err = capsys.readouterr().err
         assert err.startswith("error:parse: --dense")
-        assert "over T = 50.0156 gives 1000292 rows" in err
+        assert "to the trajectory's end t = 50.0156 gives 1000292 rows" in err
         assert not (out / "trajectory.csv").exists()
 
     @pytest.mark.parametrize("dense, code", [(0.125, cli.EXIT_OK), (0.1249, cli.EXIT_IO)])
