@@ -6,7 +6,10 @@ or scenario parse error, or a run over its budget: more than dde.MAX_STEPS = 10*
 steps of tau/K to reach run.T or history samples (both refused when parsed) or
 rows of `simulate --dense`, or paths over sde.PATH_BYTES_BUDGET bytes (refused
 before any is built). A longer horizon that mc-concentration derives exits 3
-before any path.
+before any path. A model whose numbers leave no window exits 3 too (error:model):
+mc-concentration with rho at or above the decay prefactor c, with eta <= 0, or with
+a window [kappa1, kappa2] ln(c/rho)/eta that holds no node, and simulate with a
+run.window of fewer than two nodes.
 """
 
 import argparse
@@ -189,7 +192,8 @@ def cmd_compare_coinfection(args):
 
 @functools.cache
 def build_parser():
-    """The parser, built by the first call and reused: it keeps the cmd_* functions bound then."""
+    """The parser, built by the first call and reused. It names each command's cmd_* function,
+    which main looks up in this module when it runs the command."""
     parser = argparse.ArgumentParser(
         prog="phagesim",
         description="Simulation and analysis of the delayed phage-coinfection model.",
@@ -200,7 +204,7 @@ def build_parser():
         sp = sub.add_parser(name, **kwargs)
         sp.add_argument("scenario", help="scenario JSON file")
         sp.add_argument("--outdir", help="override the scenario's output directory")
-        sp.set_defaults(func=func)
+        sp.set_defaults(func=func.__name__)
         return sp
 
     sp = add("validate", cmd_validate, help="check all standing hypotheses")
@@ -220,7 +224,7 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[args.func](args)
     except ScenarioError as exc:
         print(f"error:parse: {exc}", file=sys.stderr)
         return EXIT_IO

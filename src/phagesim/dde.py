@@ -130,7 +130,7 @@ class _Guard:
         return "trajectory" if self.name is None else f"path {self.name(int(col))}"
 
     def apply(self, y, t):
-        low, high = y.min(), y.max()
+        low, high = np.minimum.reduce(y, None), np.maximum.reduce(y, None)
         # a NaN fails both comparisons
         if not (-BLOWUP_LIMIT <= low and high <= BLOWUP_LIMIT):
             col, k = np.argwhere(~np.isfinite(y.T) | (np.abs(y.T) > BLOWUP_LIMIT))[0]

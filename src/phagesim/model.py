@@ -137,14 +137,14 @@ class SigmaFn:
 
     def _values(self, x):
         m = self.m_threshold
-        if x.size and x.max() <= m:
+        if x.size and np.maximum.reduce(x, None) <= m:
             return x
         rise = self._rise(np.clip(x - m, 0.0, 1.0))
         return np.where(x <= m, x, np.where(x >= m + 1.0, m + 1.0, m + rise))
 
     def _slopes(self, x):
         m = self.m_threshold
-        if x.size and x.max() <= m:
+        if x.size and np.maximum.reduce(x, None) <= m:
             return np.ones_like(x)
         slope = self._rise_slope(np.clip(x - m, 0.0, 1.0))
         return np.where(x <= m, 1.0, np.where(x >= m + 1.0, 0.0, slope))
@@ -156,8 +156,12 @@ def _influx(s_tau, sq_tau, p):
 
 
 def _rates_for(p):
-    """rates(s, i, q, sq, lysis_influx) -> (dS, dI, dQ), sq = sigma(Q), with p's constants bound;
-    dde.integrate writes it out, bit for bit (tests/test_dde.py::TestDriftWrittenOut)."""
+    """rates(s, i, q, sq, lysis_influx) -> (dS, dI, dQ), sq = sigma(Q), with p's constants bound.
+
+    The drift of sde._float_path, of node 0 in dde.integrate, and of the tests. The RK4
+    loop of dde.integrate and the array stepper's sde._stage write it out, bit for bit
+    (tests/test_dde.py::TestDriftWrittenOut, tests/test_sde.py::TestStageWrittenOut).
+    """
     alpha, k1, k2, d, m, b, mu = p.alpha, p.k1, p.k2, p.d, p.m, p.b, p.mu
 
     def rates(s, i, q, sq, lysis_influx):

@@ -4,12 +4,14 @@ Paths are driven by per-path Philox streams keyed on (seed, path index), so
 any path is reproducible in isolation and ensembles are order-independent.
 `_step_paths` steps whatever increments it is given, so a convergence test
 can drive the production stepper with Brownian paths of its own.
-All paths of an ensemble advance together on (3, n) arrays, each stage writing into
-buffers made once. Their increments are drawn in blocks of S steps (the length
-_check_budget returns, at most DRAW_STEPS), each path into its own row, and each
-draw block is stepped in node blocks of at most NODE_BLOCK_BYTES, which the caller
-reduces while they are still in cache; a sample path steps on three floats in
-`_float_path`. Both lanes run the same elementwise formulas in the same order, so an
+All paths of an ensemble advance together on (3, n) arrays, every per-step array
+a buffer made once a run: `_stage` writes `model._rates_for`'s arithmetic out into
+them, and the first stage's drift goes into its node's row of the node block. Their
+increments are drawn in blocks of S steps (the length _check_budget returns, at most
+DRAW_STEPS), each path into its own row, and each draw block is stepped in node
+blocks of at most NODE_BLOCK_BYTES, which the caller reduces while they are still in
+cache; a sample path steps on three floats in `_float_path`, which calls
+`_rates_for`. Both lanes run the same elementwise formulas in the same order, so an
 ensemble's column is bitwise the sample path with the same index, whatever either
 block length.
 The noise amplitude is a per-column argument of the array lane, so
@@ -41,8 +43,9 @@ NODE_BLOCK_BYTES = 2**20
 # Bytes a run's paths may hold, a quarter of an 8 GB host. A path of E lockstep eps
 # rows (E = 1 but in mc-concentration) holds its Philox generator (about 1 KB traced),
 # K + 1 floats of delayed influx per row, blocks of increments (2 floats a step, shared
-# by the rows), nodes (3 a row) and deviations (1 a row), the stepper's six (3, E n)
-# per-step buffers (144 B a row) and the float lane's K history influxes, which pass
+# by the rows), nodes (3 a row) and deviations (1 a row), the stepper's per-step
+# buffers (six (3, E n) under Heun, 144 B a row, and four under Euler; a step's first
+# drift goes into the node block) and the float lane's K history influxes, which pass
 # through a list (32 B an entry). Nodes and deviations are counted at the draw block's
 # S steps, an upper bound: they are held NODE_BLOCK_BYTES at a time, or one step where
 # a step is more. At K = 64 that is 16.0 KB a path at E = 1 up to
@@ -105,16 +108,31 @@ def _increments(p, cfg, path_indices, block_steps):
         yield block.transpose(1, 2, 0)
 
 
-def _stage(y, delayed_influx, rates, sigma, eps, g):
-    """At a (3, n) state: the S and Q rows clipped at 0, their sigma, and the drift.
+def _stage(y, delayed_influx, c, sigma, eps, g, f, clipped, tmp):
+    """At a (3, N) state: the noise amplitudes into g, the drift into f.
 
-    The noise amplitudes go into g's S and Q rows. `rates` is `model._rates_for(p)`;
-    `eps` holds one amplitude per column.
+    The drift is `model._rates_for`'s arithmetic written out, its operations in its
+    order, on the state and the sigma of its clipped Q; `c` holds (alpha, k1, k2, d, m,
+    b, mu, 0.0). `eps` holds one amplitude per column, and g, clipped and sigma are (2, N),
+    S and Q, and tmp an (N,) scratch row. The S and Q rows clipped at 0 go into `clipped`;
+    returns their sigma, which is `clipped` itself where no entry is past M.
     """
-    clipped = np.maximum(y[::2], 0.0)
+    alpha, k1, k2, d, m, b, mu, zero = c
+    s, i, q, fs, fi, fq = y[0], y[1], y[2], f[0], f[1], f[2]
+    np.maximum(y[::2], zero, out=clipped)
     sig = sigma._values(clipped)
-    np.multiply(eps, sig, out=g[::2])
-    return clipped, sig, np.array(rates(y[0], y[1], y[2], sig[1], delayed_influx))
+    np.multiply(eps, sig, out=g)
+    sq = sig[1]
+    np.multiply(k1, sq, out=tmp)  # k1 sigma(Q)
+    np.multiply(np.subtract(alpha, tmp, out=fs), s, out=fs)
+    tmp *= s  # adsorbed
+    np.subtract(tmp, np.multiply(mu, i, out=fi), out=fi)
+    fi -= delayed_influx
+    np.subtract(d, np.multiply(m, q, out=fq), out=fq)
+    fq -= tmp
+    fq -= np.multiply(np.multiply(k2, sq, out=tmp), i, out=tmp)
+    fq += np.multiply(b, delayed_influx, out=tmp)
+    return sig
 
 
 def _history_influx(hist, p, sigma, K):
@@ -138,8 +156,12 @@ def _step_paths(p, hist, cfg, eps, increments, guard):
     n_paths = len(eps)
     if n_paths < 1:
         raise DomainError("need at least one path")
-    sigma, rates = SigmaFn(p.M), _rates_for(p)
-    K, h = cfg.K, p.tau / cfg.K
+    # The constants as 0-d arrays: a ufunc converts a Python float on every call,
+    # which costs about as much as the operation on a few dozen columns
+    sigma, h = SigmaFn(p.M), p.tau / cfg.K
+    c = tuple(np.array(v) for v in (p.alpha, p.k1, p.k2, p.d, p.m, p.b, p.mu, 0.0))
+    ka, step, hh, half = (np.array(v) for v in (p.k1 * p.attenuation, h, 0.5 * h, 0.5))
+    K, half_eps2 = cfg.K, 0.5 * eps * eps
 
     # Lysis influx of node j, in row j % (K + 1): written when node j is the
     # current state, read K - 1 and K steps later as the delayed term.
@@ -151,10 +173,19 @@ def _step_paths(p, hist, cfg, eps, increments, guard):
     y = np.repeat(np.array(y0)[:, None], n_paths, axis=1)
     nodes = y[None].copy()
     yield 0, nodes
-    # every per-step array; I's rows stay 0, as I carries no noise and no Ito correction
-    g_now, g_pred, inc, corr, pred, tmp = np.zeros((6, 3, n_paths))
-    ka, hh, half_eps2 = p.k1 * p.attenuation, 0.5 * h, 0.5 * eps * eps
+    # Every per-step array is a (3, N) buffer made here, Heun's six and Euler's four; a
+    # step's first drift goes into its node's row of the node block, which the node then
+    # overwrites. I's rows of g, inc and corr stay 0, as I carries no noise and no Ito
+    # correction; `work` holds the clipped S and Q rows and a scratch row.
     heun = cfg.scheme == SCHEME_HEUN
+    g_now, inc, work = np.zeros((3, 3, n_paths))
+    if heun:
+        g_pred, pred, f_pred = np.zeros((3, 3, n_paths))
+        g_pred_sq = g_pred[::2]
+    else:
+        corr = np.zeros((3, n_paths))
+        corr_sq = corr[::2]
+    g_now_sq, clipped, tmp = g_now[::2], work[:2], work[2]
     span, n = max(1, NODE_BLOCK_BYTES // (24 * n_paths)), 0  # steps a node block holds
     for dw in (block[a:a + span] for block in increments for a in range(0, len(block), span)):
         if len(nodes) < len(dw):
@@ -162,24 +193,28 @@ def _step_paths(p, hist, cfg, eps, increments, guard):
         # inc's S and Q rows as (2, E, n): each column group views the same draws
         noise = inc[::2].reshape(2, -1, dw.shape[2])
         for k in range(len(dw)):
-            clipped, sig, f_now = _stage(y, influx[(n - K) % ring], rates, sigma, eps, g_now)
-            np.multiply(ka * sig[1], y[0], out=influx[n % ring])  # model._influx's order
+            node = nodes[k]  # the first stage's drift f, then the node
+            sig = _stage(y, influx[(n - K) % ring], c, sigma, eps, g_now_sq, node, clipped, tmp)
+            row = influx[n % ring]
+            np.multiply(np.multiply(ka, sig[1], out=row), y[0], out=row)  # model._influx's order
             noise[...] = dw[k][:, None]
             if heun:
                 # Stratonovich-Heun: the same increment drives predictor and corrector;
-                # pred = y + h f + g inc, then y + hh (f + f_pred) + 0.5 (g + g_pred) inc
-                np.add(y, np.multiply(h, f_now, out=pred), out=pred)
-                pred += np.multiply(g_now, inc, out=tmp)
-                _, _, f_pred = _stage(pred, influx[(n + 1 - K) % ring], rates, sigma, eps, g_pred)
-                np.multiply(hh, np.add(f_now, f_pred, out=f_now), out=f_now)
-                np.multiply(0.5, np.add(g_now, g_pred, out=g_now), out=g_now)
+                # pred = y + h f + g inc, then y + hh (f + f_pred) + 0.5 (g + g_pred) inc;
+                # f_pred holds g inc until the corrector's stage writes its drift there
+                np.add(y, np.multiply(step, node, out=pred), out=pred)
+                pred += np.multiply(g_now, inc, out=f_pred)
+                _stage(pred, influx[(n + 1 - K) % ring], c, sigma, eps, g_pred_sq, f_pred,
+                       clipped, tmp)
+                np.multiply(hh, np.add(node, f_pred, out=node), out=node)
+                np.multiply(half, np.add(g_now, g_pred, out=g_now), out=g_now)
             else:
                 # Euler-Maruyama on the Ito form, y + h (f + corr) + g inc: corr is Stratonovich's
-                np.multiply(half_eps2, sig, out=corr[::2])
+                np.multiply(half_eps2, sig, out=corr_sq)
                 if sig is not clipped:  # sigma' is 1 where sigma is the identity
-                    corr[::2] *= sigma._slopes(clipped)
-                np.multiply(h, np.add(f_now, corr, out=f_now), out=f_now)
-            node = np.add(y, f_now, out=nodes[k])
+                    corr_sq *= sigma._slopes(clipped)
+                np.multiply(step, np.add(node, corr, out=node), out=node)
+            np.add(y, node, out=node)
             node += np.multiply(g_now, inc, out=g_now)
             y = guard.apply(node, n * h + h)
             if y is not node:  # clamped

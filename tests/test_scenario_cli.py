@@ -528,6 +528,14 @@ class TestReusedParser:
         capsys.readouterr()
         assert _cli_run(argv, capsys, tmp_path / "out") == first
 
+    def test_command_looked_up_when_run(self, capsys, monkeypatch):
+        # the parser names the cmd_* function, so one replaced after it was built runs
+        argv = ["equilibria", REFERENCE_SCENARIO]
+        assert cli.main(argv) == cli.EXIT_OK
+        calls = []
+        monkeypatch.setattr(cli, "cmd_equilibria", lambda args: calls.append(args.scenario) or 7)
+        assert cli.main(argv) == 7 and calls == [REFERENCE_SCENARIO]
+
 
 class TestCli:
     def test_validate_reference_passes(self, capsys):
@@ -577,6 +585,27 @@ class TestCli:
         out = capsys.readouterr().out
         assert "decay fit" in out
         assert "stays inside" in out
+
+    # (command, section, update, start and end of stderr): the refusals of a model whose
+    # numbers leave no window, each exit 3 as error:model:
+    @pytest.mark.parametrize("cmd, section, update, start, end", [
+        ("mc-concentration", "run", {"rho": 1e6}, "rho=1e+06 >= decay prefactor c=",
+         "; the window is empty"),
+        ("mc-concentration", "parameters", {"d": 1.0}, "E0 is not attracting (eta <= 0)",
+         "; no window exists"),
+        ("mc-concentration", "run", {"kappa2": 1.2000001}, "window [", "] contains no nodes"),
+        ("simulate", "run", {"window": [10.0, 10.001]}, "window contains fewer than two nodes",
+         ""),
+    ], ids=["rho-at-prefactor", "eta-not-positive", "window-without-nodes",
+            "window-of-one-node"])
+    def test_model_refusals(self, tmp_path, capsys, cmd, section, update, start, end):
+        doc = load_reference_doc()
+        doc[section].update(update)
+        code = cli.main([cmd, write_doc(tmp_path, doc), "--outdir", str(tmp_path / "out")])
+        assert code == cli.EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.startswith(f"error:model: {start}") and err.endswith(f"{end}\n")
+        assert err.count("\n") == 1
 
     def test_simulate_without_e0_writes_nothing(self, tmp_path, capsys):
         doc = load_reference_doc()

@@ -6,6 +6,7 @@ import pytest
 
 from phagesim import History, Parameters, SigmaFn, dde, equilibria, sde
 from phagesim.errors import ConfigurationError, DivergenceError, DomainError, PositivityError
+from phagesim.model import _rates_for
 from phagesim.scenario import parse_scenario
 from phagesim.sde import (
     SCHEME_EULER,
@@ -205,6 +206,46 @@ class TestFusedStepper:
                 d_s, d_q = states[n - cfg.K, 0], states[n - cfg.K, 2]
             expected = _drift_terms(y[0], y[1], y[2], d_s, d_q, p, clipped)
             assert np.array_equal(path.derivs[n], expected)
+
+
+# name: (overrides of p_star, low and high ends of the random S and Q rows)
+_STAGE_CASES = {
+    "q-below-m": ({}, (0.0, 2.0), (0.0, 90.0)),
+    "bridge": ({"M": 12.0}, (0.0, 2.0), (11.5, 13.5)),
+    "q-past-m": ({"M": 2.0}, (0.0, 2.0), (3.5, 60.0)),
+    "k2-zero": ({"k2": 0.0}, (0.0, 2.0), (0.0, 90.0)),
+    "clipped": ({"M": 12.0}, (-0.5, 2.0), (-4.0, 13.5)),
+}
+
+
+class TestStageWrittenOut:
+    """The array lane's stage writes `model._rates_for` out; calling it gives the same bits."""
+
+    @pytest.mark.parametrize("case", sorted(_STAGE_CASES))
+    def test_bitwise_equal(self, p_star, case):
+        overrides, s_range, q_range = _STAGE_CASES[case]
+        p, n = dataclasses.replace(p_star, **overrides), 64
+        sigma = SigmaFn(p.M)
+        rng = np.random.default_rng(sorted(_STAGE_CASES).index(case))
+        y = np.stack([rng.uniform(*s_range, n), rng.uniform(0.0, 2.0, n), rng.uniform(*q_range, n)])
+        influx, eps = rng.uniform(0.0, 3.0, n), rng.uniform(0.0, 0.1, n)
+        if case == "clipped":
+            y[::2, :4] = -0.0
+        c = tuple(np.array(v) for v in (p.alpha, p.k1, p.k2, p.d, p.m, p.b, p.mu, 0.0))
+        g, f, work = np.full((3, 3, n), np.nan)
+        clipped_rows = work[:2]
+        sig = sde._stage(y, influx, c, sigma, eps, g[::2], f, clipped_rows, work[2])
+        clipped = np.maximum(y[::2], 0.0)
+        expected = np.array(_rates_for(p)(*y, sigma(clipped[1]), influx))
+        assert f.tobytes() == expected.tobytes()  # the sign bits of zeros count
+        assert clipped_rows.tobytes() == clipped.tobytes() and np.array_equal(sig, sigma(clipped))
+        assert np.array_equal(g[::2], eps * sigma(clipped)) and np.isnan(g[1]).all()
+        past_m = clipped[1] > p.M
+        assert (sig is clipped_rows) == (not past_m.any())
+        if case == "bridge":
+            assert (past_m & (clipped[1] < p.M + 1.0)).any()
+        if case == "clipped":
+            assert (y[0] < 0.0).any() and (y[2] < 0.0).any()
 
 
 # name: (overrides of p_star, history, T, path index (Heun, Euler), what the run shows).
