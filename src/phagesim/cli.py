@@ -9,7 +9,7 @@ before any is built). A longer horizon that mc-concentration derives exits 3
 before any path. A model whose numbers leave no window exits 3 too (error:model):
 mc-concentration with rho at or above the decay prefactor c, with eta <= 0, or with
 a window [kappa1, kappa2] ln(c/rho)/eta that holds no node, and simulate with a
-run.window of fewer than two nodes.
+run.window of fewer than two nodes (before it integrates or writes anything).
 """
 
 import argparse
@@ -82,6 +82,8 @@ def cmd_simulate(args):
     e0 = equilibria.bacteria_free(p)
     st = equilibria.stability_at_e0(p)
     region = hypotheses.invariant_region(p)
+    if sc.run.window is not None:  # the fit's window is counted before anything is integrated
+        dde.fit_nodes(dde.node_times(sc.run.T, p.tau, sc.run.K), sc.run.window)
     traj = dde.integrate(p, hist, sc.run.T, sc.run.K)
     path = _outpath(sc, args, "trajectory.csv")
     csvio.write_trajectory(traj, path, dense_dt=args.dense)

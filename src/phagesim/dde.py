@@ -22,8 +22,8 @@ HARD_NEG = -1e-6  # beyond this the run is declared invalid
 REGION_ATOL = 1e-9  # how far a node may sit outside the invariant box
 AUTO_WINDOW = (0.25, 0.75)  # the fitting window, as fractions of the last resolved time
 DIST_FLOOR = 1e-12  # a distance to the equilibrium at or below this is rounding, not decay
-# Steps of tau/K a run may take to reach T; at about 4 us and 48 bytes a dde
-# step, `simulate` at the limit takes about 8 s and 115 MB (docs/scenario-schema.md)
+# Steps of tau/K a run may take to reach T; at about 3.2 us and 48 bytes a dde
+# step, `simulate` at the limit takes about 7 s and 115 MB (docs/scenario-schema.md)
 MAX_STEPS = 10**6
 
 
@@ -171,19 +171,22 @@ def integrate(p, hist, T, K):
     # influx at its end t_{n+1} - tau: the history's for the first K steps,
     # then midpoint n-K+1/2 and node n+1-K. The history part is one vectorised
     # lookup at t = 0, -tau and the delayed times of the first steps; it seeds
-    # two queues, and each step pops their fronts and appends its own midpoint
-    # and node influx at the backs. An end time that rounds above 0 reads the
-    # history at 0, node 0's value.
-    ts = np.arange(min(n_steps, K)) * h
+    # one queue of (S, Q, influx) triples, and each step pops its front and
+    # appends its own midpoint (S, Q) and node influx at the back. An end time
+    # that rounds above 0 reads the history at 0, node 0's value.
+    k = min(n_steps, K)
+    ts = np.arange(k) * h
     td = np.concatenate(([0.0, -tau], ts + 0.5 * h - tau, np.minimum(ts + h - tau, 0.0)))
     s_hist, q_hist = hist.s(td), hist.q(td)
     f_hist = _influx(s_hist, sigma(q_hist), p).tolist()
-    mids = deque(zip(s_hist[2:2 + len(ts)].tolist(), q_hist[2:2 + len(ts)].tolist()))
-    ends = deque(f_hist[2 + len(ts):])
+    delayed = deque(zip(s_hist[2:2 + k].tolist(), q_hist[2:2 + k].tolist(), f_hist[2 + k:]))
 
     s, i, q = float(s_hist[0]), hist.i0, float(q_hist[0])
     ds1, di1, dq1 = _rates_for(p)(s, i, q, sigma(q), f_hist[1])  # the drift at the current node
     states, derivs = array("d", (s, i, q)), array("d", (ds1, di1, dq1))
+    # bound once: a node goes in a component at a time, not as a tuple
+    pop, push, put_state, put_deriv = delayed.popleft, delayed.append, states.append, derivs.append
+    limit = BLOWUP_LIMIT
 
     # _hermite's coefficients at theta = 1/2
     hh, h6, c_f0, c_f1 = 0.5 * h, h / 6.0, 0.125 * h, -0.125 * h
@@ -192,7 +195,7 @@ def integrate(p, hist, T, K):
     # positivity failure of step n. Each site skips the call when sigma is the identity there.
     try:
         for n in range(n_steps):
-            (s_mid, q_mid), f_end = mids.popleft(), ends.popleft()
+            s_mid, q_mid, f_end = pop()
             f_mid = ka * (q_mid if 0.0 <= q_mid <= M else sigma(q_mid)) * s_mid
             bf_mid, bf_end = b * f_mid, b * f_end
 
@@ -215,19 +218,21 @@ def integrate(p, hist, T, K):
             i1 = i + h6 * (di1 + 2.0 * di2 + 2.0 * di3 + di4)
             q1 = q + h6 * (dq1 + 2.0 * dq2 + 2.0 * dq3 + dq4)
             # comparisons with NaN fail, so a NaN takes the full guard too
-            if not (0.0 <= s1 <= BLOWUP_LIMIT and 0.0 <= i1 <= BLOWUP_LIMIT
-                    and 0.0 <= q1 <= BLOWUP_LIMIT):
+            if not (0.0 <= s1 <= limit and 0.0 <= i1 <= limit and 0.0 <= q1 <= limit):
                 s1, i1, q1 = guard.apply(np.array([[s1], [i1], [q1]]), n * h + h)[:, 0].tolist()
 
             sq = q1 if 0.0 <= q1 <= M else sigma(q1)
             adsorbed = (k1_sq := k1 * sq) * s1
             fs, fi, fq = ((alpha - k1_sq) * s1, adsorbed - mu * i1 - f_end,
                           d - m * q1 - adsorbed - k2 * sq * i1 + bf_end)
-            mids.append((0.5 * s + c_f0 * ds1 + 0.5 * s1 + c_f1 * fs,
-                         0.5 * q + c_f0 * dq1 + 0.5 * q1 + c_f1 * fq))
-            states.extend((s1, i1, q1))
-            derivs.extend((fs, fi, fq))
-            ends.append(ka * sq * s1)
+            push((0.5 * s + c_f0 * ds1 + 0.5 * s1 + c_f1 * fs,
+                  0.5 * q + c_f0 * dq1 + 0.5 * q1 + c_f1 * fq, ka * sq * s1))
+            put_state(s1)
+            put_state(i1)
+            put_state(q1)
+            put_deriv(fs)
+            put_deriv(fi)
+            put_deriv(fq)
             s, i, q, ds1, di1, dq1 = s1, i1, q1, fs, fi, fq
     except DomainError as exc:
         t = n * h + h
@@ -274,10 +279,23 @@ class DecayFit:
     rate_ok: bool
 
 
+def node_times(T, tau, K):
+    """The node times of a run to T at tau/K, Trajectory.times, known before it is integrated."""
+    return (tau / K) * np.arange(step_count(T, tau, K) + 1)
+
+
 def _window_nodes(times, window):
     """Which of the node times lie in the window [t_a, t_b], each end widened by 1e-12."""
     t_a, t_b = window
     return (times >= t_a - 1e-12) & (times <= t_b + 1e-12)
+
+
+def fit_nodes(times, window):
+    """The nodes a decay fit takes from the window; WindowError for fewer than two."""
+    mask = _window_nodes(times, window)
+    if mask.sum() < 2:
+        raise WindowError("window contains fewer than two nodes")
+    return mask
 
 
 def fit_decay(traj, e0, eta, window=None):
@@ -304,9 +322,7 @@ def fit_decay(traj, e0, eta, window=None):
     t_a, t_b = window
     if t_a < -1e-12 or t_b / traj.h - 1e-9 > len(traj) - 1 or t_b <= t_a:
         raise WindowError(f"window [{t_a:g}, {t_b:g}] not inside the trajectory")
-    mask = _window_nodes(times, window)
-    if mask.sum() < 2:
-        raise WindowError("window contains fewer than two nodes")
+    mask = fit_nodes(times, window)
     if np.any(dist[mask] < 1e-14):
         raise WindowError(
             "distance to the equilibrium underflows inside the window; use an earlier window"

@@ -24,8 +24,8 @@ _HISTORY_KEYS = {
     "table": {"preset", "s", "q", "i0"},
 }
 _TOP_KEYS = {"parameters", "history", "run"}
-# n_grid intervals hold n_grid + 1 samples, at most dde.MAX_STEPS: a larger grid is
-# refused before its sample arrays exist
+# n_grid intervals hold n_grid + 1 samples, at most dde.MAX_STEPS, as a table's lists
+# do (_samples): a larger grid or table is refused before its sample arrays exist
 _GRID_RULE = (True, 0.0, False, dde.MAX_STEPS - 1)
 
 
@@ -106,6 +106,14 @@ def _number(value, name, rule):
     return number
 
 
+def _samples(value, name):
+    """A table's list of samples, refused past dde.MAX_STEPS before any array is built."""
+    if isinstance(value, list) and len(value) > dde.MAX_STEPS:
+        raise ScenarioError(f"{name} must hold at most {dde.MAX_STEPS} samples, "
+                            f"got {len(value)}")
+    return value
+
+
 def from_dict(doc):
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a JSON object")
@@ -132,7 +140,8 @@ def from_dict(doc):
         )
     _reject_unknown(hist, _HISTORY_KEYS[preset], "history")
     _require(hist, sorted(_HISTORY_KEYS[preset] - {"preset", "n_grid"}), "history")
-    checked = {key: value if key in ("preset", "s", "q") else
+    checked = {key: value if key == "preset" else
+               _samples(value, f"history.{key}") if key in ("s", "q") else
                _number(value, f"history.{key}",
                        _GRID_RULE if key == "n_grid" else (False, 0.0, False, None))
                for key, value in hist.items()}

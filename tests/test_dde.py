@@ -480,6 +480,10 @@ _PARENT_CASES = {
     "tau-third": ({"tau": 1.0 / 3.0}, "table", 2.0, 13),
     "tau-0.3": ({"tau": 0.3}, "table", 2.0, 13),
     "clamping": ({"k1": 1.0}, "tiny-s", 3.0, 16),
+    # the queue's boundary: T = tau pops exactly the K history entries that seed it,
+    # and T = tau + tau/K pops its first own entry, step 0's midpoint and end influx
+    "at-tau": ({}, "table", 1.0, 16),
+    "one-past-tau": ({}, "table", 1.0 + 1.0 / 16, 16),
 }
 
 

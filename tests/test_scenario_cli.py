@@ -239,6 +239,15 @@ class TestSchema:
                 assert default == getattr(RunSettings(), f.name), f.name
         assert {row["key"].strip("`"): _doc_rule(row["constraint"]) for row in rows} == code
 
+    def test_doc_states_the_sample_limit(self):
+        with open(SCHEMA_DOC) as fh:
+            section = fh.read().split("## history", 1)[1].split("\n## ", 1)[0]
+        # a grid's n_grid + 1 samples and a table's lists, each preset's limit
+        stated = re.findall(r"at most\s+(\d[\d ]*) samples", section)
+        assert [int(n.replace(" ", "")) for n in stated] == [MAX_STEPS, MAX_STEPS]
+        grid = re.search(r"`n_grid`\s.*?at most (\d[\d ]*),", section, re.S)[1]
+        assert int(grid.replace(" ", "")) == scenario._GRID_RULE[3]
+
     def test_first_bad_field_is_reported_for_any_hash_seed(self, tmp_path):
         doc = load_reference_doc()
         doc["parameters"].update(alpha=-1, mu="x", tau=0)
@@ -620,6 +629,22 @@ class TestCli:
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
+    def test_simulate_short_window_integrates_nothing(self, tmp_path, capsys, monkeypatch):
+        doc = load_reference_doc()
+        doc["run"]["window"] = [10.0, 10.001]  # the one node t = 10
+        path = write_doc(tmp_path, doc)
+
+        def no_run(*args):
+            raise AssertionError("the window is counted before anything is integrated")
+
+        monkeypatch.setattr(phagesim.dde, "integrate", no_run)
+        code = cli.main(["simulate", path, "--outdir", str(tmp_path / "out")])
+        assert code == cli.EXIT_NUMERIC
+        captured = capsys.readouterr()
+        assert captured.err == "error:model: window contains fewer than two nodes\n"
+        assert captured.out == ""
+        assert not (tmp_path / "out" / "trajectory.csv").exists()
+
     @pytest.mark.parametrize("params, run", [
         # d/m < M by one ulp while m*M rounds to d: E0 exists, and so does the region
         (dict(d=72.17629231756851, m=7.1148057792558435, M=10.144520392672986), dict(T=5.0)),
@@ -900,6 +925,28 @@ class TestCli:
         assert codes == [cli.EXIT_IO]
         assert capsys.readouterr().err == (
             f"error:parse: history.n_grid must be <= {MAX_STEPS - 1}, got {10**9}\n")
+
+    def test_huge_history_table_refused_at_parse(self, tmp_path, capsys):
+        # MAX_STEPS + 1 samples, one over the grids' limit, are refused before any
+        # array exists: parsing holds nothing beyond the document's own lists
+        doc = load_reference_doc()
+        doc["history"] = {"preset": "table", "s": [0.5] * (MAX_STEPS + 1),
+                          "q": [10.0] * (MAX_STEPS + 1), "i0": 1.0}
+        message = f"history.s must hold at most {MAX_STEPS} samples, got {MAX_STEPS + 1}"
+        errors = []
+
+        def parse():
+            try:
+                from_dict(doc)
+            except ScenarioError as exc:
+                errors.append(str(exc))
+
+        assert peak_bytes(parse) < 1e5
+        assert errors == [message]
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["validate", str(path)]) == cli.EXIT_IO
+        assert capsys.readouterr().err == f"error:parse: {message}\n"
 
     @pytest.mark.parametrize("params, run, T", [
         ({}, dict(kappa2=1e20), "T = 1.66674e+21"),  # t_hi

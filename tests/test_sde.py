@@ -258,6 +258,11 @@ _LANE_CASES = {
     "M0.5": ({"M": 0.5, "eps": 0.05}, "standard", 5.0, (3, 3), None),
     "table": ({"M": 12.0, "eps": 0.05}, "table", 5.0, (2, 2), None),
     "T<tau": ({"eps": 0.05}, "standard", 0.5, (2, 2), None),
+    # the delayed influx's boundary: at T = tau an Euler run reads only the K history
+    # entries (Heun's last predictor reads node 0's), and at T = tau + tau/K the last
+    # step of either scheme reads node 0's; a table history makes the two differ
+    "at-tau": ({"eps": 0.05}, "table", 1.0, (2, 2), None),
+    "one-past-tau": ({"eps": 0.05}, "table", 1.0 + 1.0 / 16, (2, 2), None),
     "zero-noise": ({}, "standard", 5.0, (0, 0), None),
     "clamp": ({"M": 0.5, "eps": 3.0}, "tiny-s", 2.0, (2, 0), "clamp_count"),
     "warn": ({"M": 0.5, "eps": 10.0}, "tiny-s", 2.0, (1, 4), "warn_count"),
