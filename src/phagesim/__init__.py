@@ -12,11 +12,10 @@ from .hypotheses import (
     validate,
 )
 from .model import Parameters, SigmaFn
-from .scenario import Scenario, parse_scenario
+from .scenario import RunSettings, Scenario, parse_scenario
 from .sde import (
     ConcentrationTable,
     EnsembleStats,
-    PathConfig,
     concentration_experiment,
     ensemble,
     sample_path,

@@ -111,31 +111,27 @@ def cmd_simulate_sde(args):
         raise ScenarioError(f"--paths must be at least 1, got {args.paths}")
     sc, p, hist = _load(args)
     n = sc.run.n if args.paths is None else args.paths
-    cfg = sde.PathConfig(seed=sc.run.seed, T=sc.run.T, K=sc.run.K, scheme=sc.run.scheme)
     if n == 1:
-        traj = sde.sample_path(p, hist, cfg)
+        traj = sde.sample_path(p, hist, sc.run)
         path = _outpath(sc, args, "sde_path.csv")
         csvio.write_trajectory(traj, path)
         print(f"sample path written to {path}")
         return EXIT_OK
-    window = tuple(sc.run.window) if sc.run.window else (0.0, sc.run.T)
-    stats = sde.ensemble(p, hist, cfg, n, window)
+    # the one place an absent run.window becomes [0, T]
+    run = dataclasses.replace(sc.run, n=n, window=sc.run.window or [0.0, sc.run.T])
+    stats = sde.ensemble(p, hist, run)
     path = _outpath(sc, args, "ensemble.csv")
     csvio.write_ensemble(stats, path)
     print(
         f"ensemble of {n} paths written to {path}; mean sup-deviation "
-        f"{stats.sup_devs.mean():.6g} on [{window[0]:g}, {window[1]:g}]"
+        f"{stats.sup_devs.mean():.6g} on [{run.window[0]:g}, {run.window[1]:g}]"
     )
     return EXIT_OK
 
 
 def cmd_mc_concentration(args):
     sc, p, hist = _load(args)
-    run = sc.run
-    table = sde.concentration_experiment(
-        p, hist, run.eps_list, run.rho, run.kappa1, run.kappa2, run.n,
-        run.seed, K=run.K, scheme=run.scheme,
-    )
+    table = sde.concentration_experiment(p, hist, sc.run)
     path = _outpath(sc, args, "concentration.csv")
     csvio.write_concentration(table, path)
     print(f"concentration table written to {path} (c={table.prefactor:.6g}, eta={table.eta:g})")

@@ -1,8 +1,9 @@
 """Scenario files: a strict JSON schema tying parameters, history and run settings.
 
-The dataclass fields are the schema: `from_dict` checks them in declaration
-order, each number by `_number` against its rule (integer, minimum, strict,
-maximum), which a run field carries beside its default.
+The dataclass fields are the schema. `from_dict` checks the parameters in
+declaration order, each number by `_number` against its rule (integer, minimum,
+strict, maximum); `RunSettings` checks its own fields the same way when it is
+made, each run number against the rule it carries beside its default.
 """
 
 import json
@@ -29,8 +30,16 @@ _TOP_KEYS = {"parameters", "history", "run"}
 _GRID_RULE = (True, 0.0, False, dde.MAX_STEPS - 1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunSettings:
+    """A run's settings, checked whenever they are made: by from_dict, a caller or replace.
+
+    Each field is checked in declaration order, then `kappa1 < kappa2` and `window`
+    inside [0, T]; a bad value raises ScenarioError naming its `run.` key. A number is
+    stored as its rule converts it, so K = 64.0 is the int 64. The step limit needs
+    the parameters' tau, so from_dict checks it.
+    """
+
     # a number's rule for `_number`: (integer, minimum, strict, maximum)
     T: float = field(default=50.0, metadata={"rule": (False, 0.0, True, None)})
     K: int = field(default=64, metadata={"rule": (True, 8, False, None)})
@@ -44,6 +53,35 @@ class RunSettings:
     scheme: str = SCHEME_HEUN
     outdir: str = "out"
     window: Optional[list] = None
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.metadata:
+                value = _number(value, f"run.{f.name}", f.metadata["rule"])
+            elif f.name == "eps_list":
+                if not isinstance(value, list) or not value:
+                    raise ScenarioError("run.eps_list must be a nonempty list of numbers")
+                value = [_number(e, "run.eps_list.e", (False, 0.0, False, None)) for e in value]
+            elif f.name == "scheme" and value not in SCHEMES:
+                raise ScenarioError(f"run.scheme must be one of {SCHEMES}")
+            elif f.name == "outdir" and not isinstance(value, str):
+                raise ScenarioError("run.outdir must be a string")
+            elif f.name == "window" and value is not None:
+                if not (isinstance(value, list) and len(value) == 2):
+                    raise ScenarioError("run.window must be [t_a, t_b] with t_a < t_b")
+                value = [_number(v, f"run.window[{j}]", (False, None, False, None))
+                         for j, v in enumerate(value)]
+                if not value[0] < value[1]:
+                    raise ScenarioError("run.window must be [t_a, t_b] with t_a < t_b")
+            object.__setattr__(self, f.name, value)  # frozen
+        if self.kappa2 <= self.kappa1:
+            raise ScenarioError("run.kappa2 must exceed run.kappa1")
+        if self.window is not None and (self.window[0] < 0.0 or self.window[1] > self.T):
+            t_a, t_b = self.window
+            raise ScenarioError(
+                f"run.window [{t_a:g}, {t_b:g}] must lie inside [0, T] = [0, {self.T:g}]"
+            )
 
 
 _RUN_KEYS = tuple(f.name for f in fields(RunSettings))
@@ -148,41 +186,11 @@ def from_dict(doc):
 
     run_doc = doc.get("run", {})
     _reject_unknown(run_doc, _RUN_KEYS, "run")
-    run = RunSettings()
-    for f in fields(RunSettings):
-        if f.name not in run_doc:
-            continue
-        value = run_doc[f.name]
-        if f.metadata:
-            value = _number(value, f"run.{f.name}", f.metadata["rule"])
-        elif f.name == "eps_list":
-            if not isinstance(value, list) or not value:
-                raise ScenarioError("run.eps_list must be a nonempty list of numbers")
-            value = [_number(e, "run.eps_list.e", (False, 0.0, False, None)) for e in value]
-        elif f.name == "scheme" and value not in SCHEMES:
-            raise ScenarioError(f"run.scheme must be one of {SCHEMES}")
-        elif f.name == "outdir" and not isinstance(value, str):
-            raise ScenarioError("run.outdir must be a string")
-        elif f.name == "window":
-            if not (isinstance(value, list) and len(value) == 2):
-                raise ScenarioError("run.window must be [t_a, t_b] with t_a < t_b")
-            value = [_number(v, f"run.window[{j}]", (False, None, False, None))
-                     for j, v in enumerate(value)]
-            if not value[0] < value[1]:
-                raise ScenarioError("run.window must be [t_a, t_b] with t_a < t_b")
-        setattr(run, f.name, value)
-
+    run = RunSettings(**run_doc)
     try:
         dde.step_count(run.T, parameters.tau, run.K)
     except ConfigurationError as exc:  # its message starts "T = ", the run field it names
         raise ScenarioError(f"run.{exc}") from exc
-    if run.kappa2 <= run.kappa1:
-        raise ScenarioError("run.kappa2 must exceed run.kappa1")
-    if run.window is not None and (run.window[0] < 0.0 or run.window[1] > run.T):
-        t_a, t_b = run.window
-        raise ScenarioError(
-            f"run.window [{t_a:g}, {t_b:g}] must lie inside [0, T] = [0, {run.T:g}]"
-        )
 
     return Scenario(parameters, run, _history(checked, parameters.tau))
 

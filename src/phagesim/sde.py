@@ -21,7 +21,7 @@ each path's increments are drawn once and drive its column in every row.
 
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain
 
 import numpy as np
@@ -54,22 +54,6 @@ NODE_BLOCK_BYTES = 2**20
 PATH_BYTES_BUDGET = 2**31
 
 
-@dataclass(frozen=True)
-class PathConfig:
-    seed: int
-    T: float
-    K: int = 64
-    scheme: str = SCHEME_HEUN
-
-    def __post_init__(self):
-        if self.K < 8:
-            raise DomainError("need at least 8 steps per delay interval")
-        if self.T <= 0.0:
-            raise DomainError("horizon T must be positive")
-        if self.scheme not in SCHEMES:
-            raise DomainError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
-
-
 def _check_budget(n, K, rows=1):
     """The draw block length, in steps, of n paths of `rows` eps rows at K steps a delay.
 
@@ -90,21 +74,21 @@ def _check_budget(n, K, rows=1):
     return max(1, min(steps, PATH_BYTES_BUDGET // 8 // row))
 
 
-def _increments(p, cfg, path_indices, block_steps):
+def _increments(p, run, path_indices, block_steps):
     """The paths' increments of W_S and W_Q at h = tau/K, as (m, 2, n) blocks of block_steps steps.
 
     A block is the transposed view of one (n, m, 2) buffer, each path's draw in its own
     contiguous row. A path's generator lives on between blocks, so its blocks stack to
     one (n_steps, 2) draw times sqrt(h), bit for bit. Each block overwrites the one before.
     """
-    n_steps, seed = dde.step_count(cfg.T, p.tau, cfg.K), cfg.seed & 0xFFFFFFFFFFFFFFFF
+    n_steps, seed = dde.step_count(run.T, p.tau, run.K), run.seed
     gens = [np.random.Generator(np.random.Philox(key=seed | int(j) << 64)) for j in path_indices]
     draws = np.empty((len(gens), min(block_steps, n_steps), 2))
     for start in range(0, n_steps, block_steps):
         block = draws[:, :n_steps - start]
         for j, gen in enumerate(gens):
             gen.standard_normal(out=block[j])
-        block *= math.sqrt(p.tau / cfg.K)
+        block *= math.sqrt(p.tau / run.K)
         yield block.transpose(1, 2, 0)
 
 
@@ -141,7 +125,7 @@ def _history_influx(hist, p, sigma, K):
     return _influx(hist.s(t), sigma(hist.q(t)), p)
 
 
-def _step_paths(p, hist, cfg, eps, increments, guard):
+def _step_paths(p, hist, run, eps, increments, guard):
     """Step columns on (m, 2, n) blocks of increments of W_S and W_Q at h = tau/K.
 
     `eps` holds the noise amplitudes of the N columns, E groups of n: column
@@ -154,14 +138,12 @@ def _step_paths(p, hist, cfg, eps, increments, guard):
     `p.eps` is not read.
     """
     n_paths = len(eps)
-    if n_paths < 1:
-        raise DomainError("need at least one path")
     # The constants as 0-d arrays: a ufunc converts a Python float on every call,
     # which costs about as much as the operation on a few dozen columns
-    sigma, h = SigmaFn(p.M), p.tau / cfg.K
+    sigma, h = SigmaFn(p.M), p.tau / run.K
     c = tuple(np.array(v) for v in (p.alpha, p.k1, p.k2, p.d, p.m, p.b, p.mu, 0.0))
     ka, step, hh, half = (np.array(v) for v in (p.k1 * p.attenuation, h, 0.5 * h, 0.5))
-    K, half_eps2 = cfg.K, 0.5 * eps * eps
+    K, half_eps2 = run.K, 0.5 * eps * eps
 
     # Lysis influx of node j, in row j % (K + 1): written when node j is the
     # current state, read K - 1 and K steps later as the delayed term.
@@ -177,7 +159,7 @@ def _step_paths(p, hist, cfg, eps, increments, guard):
     # step's first drift goes into its node's row of the node block, which the node then
     # overwrites. I's rows of g, inc and corr stay 0, as I carries no noise and no Ito
     # correction; `work` holds the clipped S and Q rows and a scratch row.
-    heun = cfg.scheme == SCHEME_HEUN
+    heun = run.scheme == SCHEME_HEUN
     g_now, inc, work = np.zeros((3, 3, n_paths))
     if heun:
         g_pred, pred, f_pred = np.zeros((3, 3, n_paths))
@@ -224,7 +206,7 @@ def _step_paths(p, hist, cfg, eps, increments, guard):
         yield n + 1 - len(dw), nodes[:len(dw)]
 
 
-def _float_path(p, hist, cfg, steps, guard):
+def _float_path(p, hist, run, steps, guard):
     """The (3, n) step above for one path, written out on floats; `steps` yields (dW_S, dW_Q).
 
     Returns its Trajectory on flat array('d') buffers of the nodes and of the drift the
@@ -238,9 +220,9 @@ def _float_path(p, hist, cfg, steps, guard):
     The `+ 0.0` on I is the arrays' noise term on I, 0.0 * 0.0.
     """
     sigma, rates = SigmaFn(p.M), _rates_for(p)
-    K, h, M = cfg.K, p.tau / cfg.K, sigma.m_threshold
+    K, h, M = run.K, p.tau / run.K, sigma.m_threshold
     eps, ka, hh, half_eps2 = p.eps, p.k1 * p.attenuation, 0.5 * h, 0.5 * p.eps * p.eps
-    heun = cfg.scheme == SCHEME_HEUN
+    heun = run.scheme == SCHEME_HEUN
     influx = array("d", _history_influx(hist, p, sigma, K).tolist())
     s, i, q = hist.s(0.0), hist.i0, hist.q(0.0)
     nodes, drifts = array("d", (s, i, q)), array("d")
@@ -279,14 +261,14 @@ def _float_path(p, hist, cfg, steps, guard):
     return dde.Trajectory.from_buffers(h, nodes, drifts, guard)
 
 
-def sample_path(p, hist, cfg, path_index=0):
-    """One sample path as a dense Trajectory (noise off reproduces the deterministic run).
+def sample_path(p, hist, run, path_index=0):
+    """One sample path to run.T as a dense Trajectory (noise off reproduces the deterministic run).
 
     Its Hermite slopes are the drifts the stepper evaluated at the nodes.
     """
-    blocks = _increments(p, cfg, [path_index], _check_budget(1, cfg.K))
+    blocks = _increments(p, run, [path_index], _check_budget(1, run.K))
     steps = chain.from_iterable(dw[:, :, 0].tolist() for dw in blocks)
-    return _float_path(p, hist, cfg, steps, dde._Guard(lambda c: path_index))
+    return _float_path(p, hist, run, steps, dde._Guard(lambda c: path_index))
 
 
 @dataclass
@@ -322,23 +304,25 @@ def _reduce_block(j, block, ref, window, sup):
     return dev
 
 
-def ensemble(p, hist, cfg, n, window):
-    """Run n paths and aggregate their deviations from the deterministic run.
+def ensemble(p, hist, run):
+    """Run run.n paths and aggregate their deviations from the deterministic run.
 
-    The reference is `dde.integrate(p, hist, cfg.T, cfg.K)`, on the paths' own nodes; it is
+    The reference is `dde.integrate(p, hist, run.T, run.K)`, on the paths' own nodes; it is
     integrated once the budget and the window are checked, so a refused run integrates nothing.
-    The per-path statistic is the sup over window nodes of the largest componentwise deviation.
+    The per-path statistic is the sup over run.window's nodes of the largest componentwise
+    deviation; run.window must be set (the CLI sets an absent one to [0, T]).
     Each node block is reduced as it is stepped, to its mean, its deviation percentiles and the
     running sups, so a run holds O(n) memory.
     """
-    block_steps = _check_budget(n, cfg.K)
-    mask = _window_mask(cfg.T, p.tau, cfg.K, window)
-    det = dde.integrate(p, hist, cfg.T, cfg.K)
+    n = run.n
+    block_steps = _check_budget(n, run.K)
+    mask = _window_mask(run.T, p.tau, run.K, run.window)
+    det = dde.integrate(p, hist, run.T, run.K)
     paths = range(n)
     guard = dde._Guard(paths.__getitem__)
     mean, pct, sup_devs = np.empty((len(det), 3)), np.empty((2, len(det))), np.zeros(n)
-    increments = _increments(p, cfg, paths, block_steps)
-    for j, block in _step_paths(p, hist, cfg, np.full(n, p.eps), increments, guard):
+    increments = _increments(p, run, paths, block_steps)
+    for j, block in _step_paths(p, hist, run, np.full(n, p.eps), increments, guard):
         rows = slice(j, j + len(block))
         mean[rows] = block.mean(axis=2)
         dev = _reduce_block(j, block, det.states, mask, sup_devs)
@@ -406,27 +390,22 @@ class ConcentrationTable:
         return float(slope)
 
 
-def concentration_experiment(
-    p, hist, eps_list, rho, kappa1, kappa2, n, seed,
-    K=64, scheme=SCHEME_HEUN,
-):
+def concentration_experiment(p, hist, run):
     """Empirical exceedance probabilities around E0 on the predicted time window.
 
     The window [k1 ln(c/rho)/eta, k2 ln(c/rho)/eta] uses the deterministic
-    decay prefactor as c and the spectral eta; seeds are coupled across the
-    eps values so the exceedance counts are comparable. One pass over the
-    paths serves every eps row: the E rows step in lockstep on (3, E n)
-    columns, eps-major, on one draw of each path's increments, drawn in blocks
-    of the length _check_budget(n, K, E) returns; a node block with no window
-    node is not reduced. A path that fails stops the run at the earliest time
-    any row fails, and the error names it as (eps, path).
+    decay prefactor as c and the spectral eta, with rho, kappa1 and kappa2 from
+    `run`; the paths run to the window's end, whatever run.T and run.window say.
+    Seeds are coupled across the eps values so the exceedance counts are
+    comparable. One pass over the paths serves every eps row: the E rows step
+    in lockstep on (3, E n) columns, eps-major, on one draw of each path's
+    increments, drawn in blocks of the length _check_budget(n, K, E) returns; a
+    node block with no window node is not reduced. A path that fails stops the
+    run at the earliest time any row fails, and the error names it as (eps, path).
+    RunSettings has checked the settings; the refusals here are the model's:
+    eta <= 0, rho >= c, a window with no node and a horizon over dde.MAX_STEPS.
     """
-    if not (1.0 < kappa1 < kappa2):
-        raise ConfigurationError("need 1 < kappa1 < kappa2")
-    if rho <= 0.0:
-        raise ConfigurationError("need rho > 0")
-    if len(eps_list) == 0:
-        raise ConfigurationError("need at least one eps value")
+    eps_list, rho, n, K = run.eps_list, run.rho, run.n, run.K
     block_steps = _check_budget(n, K, len(eps_list))
 
     st = equilibria.stability_at_e0(p)
@@ -442,20 +421,21 @@ def concentration_experiment(
             f"rho={rho:g} >= decay prefactor c={c:g}; the window is empty"
         )
     log_ratio = math.log(c / rho)
-    t_lo = kappa1 * log_ratio / st.eta
-    t_hi = kappa2 * log_ratio / st.eta
+    t_lo = run.kappa1 * log_ratio / st.eta
+    t_hi = run.kappa2 * log_ratio / st.eta
 
     table = ConcentrationTable(prefactor=c, eta=st.eta)
-    cfg = PathConfig(seed=seed, T=t_hi, K=K, scheme=scheme)
+    # counted first: a horizon past dde.MAX_STEPS is the model's refusal, not the run's
     window = _window_mask(t_hi, p.tau, K, (t_lo, t_hi))
+    run = replace(run, T=t_hi, window=[t_lo, t_hi])
     ref = np.broadcast_to(e0, (len(window), 3))
     paths = range(n)
     # column r n + j is path j of row r; Parameters checks each amplitude
     amplitudes = np.repeat([p.with_eps(eps).eps for eps in eps_list], n)
     sup = np.zeros(len(amplitudes))  # each column's sup over the window, block by block
-    increments = _increments(p, cfg, paths, block_steps)
+    increments = _increments(p, run, paths, block_steps)
     guard = dde._Guard(lambda c: (eps_list[c // n], c % n))
-    for j, block in _step_paths(p, hist, cfg, amplitudes, increments, guard):
+    for j, block in _step_paths(p, hist, run, amplitudes, increments, guard):
         if window[j:j + len(block)].any():
             _reduce_block(j, block, ref, window, sup)
     for r, eps in enumerate(eps_list):
@@ -463,7 +443,7 @@ def concentration_experiment(
         lo, hi = wilson_interval(exceed, n)
         table.rows.append(
             ConcentrationRow(
-                eps=float(eps), rho=float(rho), t_lo=t_lo, t_hi=t_hi, n=n,
+                eps=eps, rho=rho, t_lo=t_lo, t_hi=t_hi, n=n,
                 exceed=exceed, p_hat=exceed / n, ci_lo=lo, ci_hi=hi,
             )
         )

@@ -48,20 +48,20 @@ def hist_conc(p_conc):
     return History.constant(p_conc.tau, 0.05, 1.0, 0.05)
 
 
-def step_all(p, hist, cfg, dw, path_indices):
+def step_all(p, hist, run, dw, path_indices):
     """All nodes of `sde._step_paths` driven by full (n_steps, 2, n) increments as one block."""
     eps, guard = np.full(len(path_indices), p.eps), dde._Guard(path_indices.__getitem__)
-    blocks = sde._step_paths(p, hist, cfg, eps, [dw], guard)
+    blocks = sde._step_paths(p, hist, run, eps, [dw], guard)
     return np.concatenate([block.copy() for _, block in blocks])
 
 
-def simulate_paths(p, hist, cfg, path_indices):
+def simulate_paths(p, hist, run, path_indices):
     """Every node of the paths, stepped together on arrays: (times, nodes, guard)."""
     guard = dde._Guard(path_indices.__getitem__)
-    increments = sde._increments(p, cfg, path_indices, sde.DRAW_STEPS)
-    blocks = sde._step_paths(p, hist, cfg, np.full(len(path_indices), p.eps), increments, guard)
+    increments = sde._increments(p, run, path_indices, sde.DRAW_STEPS)
+    blocks = sde._step_paths(p, hist, run, np.full(len(path_indices), p.eps), increments, guard)
     nodes = np.concatenate([block.copy() for _, block in blocks])
-    return (p.tau / cfg.K) * np.arange(len(nodes)), nodes, guard
+    return (p.tau / run.K) * np.arange(len(nodes)), nodes, guard
 
 
 def peak_bytes(fn):

@@ -12,6 +12,7 @@ import numpy as np
 from phagesim import (
     History,
     Parameters,
+    RunSettings,
     SigmaFn,
     dde,
     equilibria,
@@ -20,7 +21,6 @@ from phagesim import (
 from phagesim.sde import (
     SCHEME_EULER,
     SCHEME_HEUN,
-    PathConfig,
     concentration_experiment,
     ensemble,
     sample_path,
@@ -204,7 +204,7 @@ def test_criterion_7_stochastic_scheme_validity():
     # transient; the first-order Euler kernel on a small-amplitude start near
     # the equilibrium, where its O(h) bias fits under the 1e-6 bar
     path = sample_path(
-        P_STAR, HIST_STANDARD, PathConfig(seed=0, T=5.0, K=2048, scheme=SCHEME_HEUN)
+        P_STAR, HIST_STANDARD, RunSettings(seed=0, T=5.0, K=2048, scheme=SCHEME_HEUN)
     )
     det = dde.integrate(P_STAR, HIST_STANDARD, T=5.0, K=2048)
     err_heun = float(np.max(np.abs(path.states - det.states)))
@@ -212,7 +212,7 @@ def test_criterion_7_stochastic_scheme_validity():
 
     hist_near = History.constant(P_STAR.tau, 1e-4, 19.9999, 1e-3)
     path = sample_path(
-        P_STAR, hist_near, PathConfig(seed=0, T=5.0, K=1024, scheme=SCHEME_EULER)
+        P_STAR, hist_near, RunSettings(seed=0, T=5.0, K=1024, scheme=SCHEME_EULER)
     )
     det = dde.integrate(P_STAR, hist_near, T=5.0, K=1024)
     err_euler = float(np.max(np.abs(path.states - det.states)))
@@ -233,14 +233,14 @@ def test_criterion_7_stochastic_scheme_validity():
     for n_steps in levels:
         dw = np.zeros((n_steps, 2, 400))  # Q is driven by no noise
         dw[:, 0] = dw_fine.reshape(400, n_steps, fine // n_steps).sum(axis=2).T
-        cfg = PathConfig(seed=0, T=T, K=n_steps)
+        cfg = RunSettings(seed=0, T=T, K=n_steps)
         nodes = step_all(p_geo, hist_geo, cfg, dw, range(400))
         errs.append(math.sqrt(float(np.mean((nodes[-1, 0] - exact) ** 2))))
     slope, _ = np.polyfit(np.log([T / n for n in levels]), np.log(errs), 1)
     checks.append(("geometric-noise strong order >= 0.9", slope >= 0.9))
 
     p_noisy = P_STAR.with_eps(0.02)
-    cfg = PathConfig(seed=11, T=5.0, K=64)
+    cfg = RunSettings(seed=11, T=5.0, K=64)
     run_a = sample_path(p_noisy, HIST_STANDARD, cfg, path_index=7)
     run_b = sample_path(p_noisy, HIST_STANDARD, cfg, path_index=7)
     checks.append(("bitwise seed reproducibility",
@@ -251,7 +251,7 @@ def test_criterion_7_stochastic_scheme_validity():
     p_cross = P_STAR.with_eps(0.05)
     final = {}
     for scheme in (SCHEME_HEUN, SCHEME_EULER):
-        cfg = PathConfig(seed=21, T=2.0, K=256, scheme=scheme)
+        cfg = RunSettings(seed=21, T=2.0, K=256, scheme=scheme)
         _, nodes, _ = simulate_paths(p_cross, HIST_STANDARD, cfg, list(range(400)))
         final[scheme] = nodes[-1]
     agree = True
@@ -270,8 +270,8 @@ def test_criterion_8_concentration_structure():
     # eps = 0.05 saturates (400/400) and eps = 0.01 sees no exceedance, so
     # eps = 0.03 gives the slope its second row with tail information
     table = concentration_experiment(
-        P_CONC, HIST_CONC, [0.05, 0.03, 0.02, 0.01], rho=0.05, kappa1=1.2, kappa2=2.0,
-        n=400, seed=2024,
+        P_CONC, HIST_CONC, RunSettings(eps_list=[0.05, 0.03, 0.02, 0.01], rho=0.05, kappa1=1.2,
+                                       kappa2=2.0, n=400, seed=2024),
     )
     p_hats = [r.p_hat for r in table.rows]
     non_increasing = all(p_hats[i] >= p_hats[i + 1] for i in range(len(p_hats) - 1))
@@ -303,8 +303,8 @@ def test_criterion_9_positivity():
     checks.append(("deterministic validated scenarios >= -1e-6",
                    worst_random >= -1e-6))
 
-    cfg = PathConfig(seed=13, T=50.0, K=64)
-    stats = ensemble(P_STAR.with_eps(0.01), HIST_STANDARD, cfg, 200, (0.0, 50.0))
+    cfg = RunSettings(seed=13, T=50.0, K=64, n=200, window=[0.0, 50.0])
+    stats = ensemble(P_STAR.with_eps(0.01), HIST_STANDARD, cfg)
     checks.append(("stochastic (eps=0.01, 200 paths) >= -1e-6",
                    stats.min_component >= -1e-6))
 

@@ -19,6 +19,7 @@ from phagesim import Parameters, cli, csvio, scenario
 from phagesim.dde import MAX_STEPS, integrate
 from phagesim.errors import DomainError, ScenarioError
 from phagesim.scenario import _PARAM_RULES, RunSettings, from_dict, parse_scenario
+from phagesim.sde import SCHEMES
 
 from artifacts import read_csv
 from conftest import CONCENTRATION_SCENARIO, REFERENCE_SCENARIO, peak_bytes
@@ -194,6 +195,41 @@ class TestScenarioParsing:
         path.write_bytes(content)
         with pytest.raises(ScenarioError, match=rf"bad\.json: unreadable JSON: {message}"):
             parse_scenario(str(path))
+
+
+class TestRunRules:
+    """RunSettings checks the run rules itself, so a library caller meets the CLI's rules."""
+
+    @pytest.mark.parametrize("bad, message", [
+        ({"T": 0.0}, "run.T must be > 0.0, got 0.0"),
+        ({"K": 4}, "run.K must be >= 8, got 4"),
+        ({"n": 0}, "run.n must be >= 1, got 0"),
+        ({"seed": -1}, "run.seed must be >= 0, got -1"),
+        ({"rho": -1.0}, "run.rho must be > 0.0, got -1.0"),
+        ({"kappa1": 1.0}, "run.kappa1 must be > 1.0, got 1.0"),
+        ({"kappa2": 0.5}, "run.kappa2 must be > 1.0, got 0.5"),
+        ({"eps_list": []}, "run.eps_list must be a nonempty list of numbers"),
+        ({"scheme": "milstein"}, f"run.scheme must be one of {SCHEMES}"),
+        ({"outdir": 3}, "run.outdir must be a string"),
+        ({"window": [30.0, 10.0]}, "run.window must be [t_a, t_b] with t_a < t_b"),
+        ({"kappa1": 3.0, "kappa2": 2.0}, "run.kappa2 must exceed run.kappa1"),
+        ({"window": [10.0, 80.0]}, "run.window [10, 80] must lie inside [0, T] = [0, 50]"),
+    ], ids=["T", "K", "n", "seed", "rho", "kappa1", "kappa2", "eps_list", "scheme", "outdir",
+            "window", "kappa-order", "window-inside-horizon"])
+    def test_library_and_cli_refuse_alike(self, bad, message):
+        doc = load_reference_doc()  # T = 50
+        doc["run"].update(bad)
+        with pytest.raises(ScenarioError) as library:
+            RunSettings(**doc["run"])
+        with pytest.raises(ScenarioError) as parsed:
+            from_dict(doc)
+        assert str(library.value) == str(parsed.value) == message
+
+    def test_numbers_are_stored_as_their_rules_convert_them(self):
+        run = RunSettings(T=5, K=64.0, eps_list=[0, 0.5], window=[0, 5])
+        assert (run.T, run.K, run.eps_list, run.window) == (5.0, 64, [0.0, 0.5], [0.0, 5.0])
+        assert [type(v) for v in (run.T, run.K, *run.eps_list, *run.window)] == [
+            float, int, float, float, float, float]
 
 
 SCHEMA_DOC = os.path.join(os.path.dirname(__file__), os.pardir, "docs", "scenario-schema.md")

@@ -5,16 +5,17 @@ import numpy as np
 import pytest
 
 from phagesim import History, Parameters, SigmaFn, dde, equilibria, sde
-from phagesim.errors import ConfigurationError, DivergenceError, DomainError, PositivityError
+from phagesim.errors import (
+    ConfigurationError, DivergenceError, DomainError, PositivityError, ScenarioError,
+)
 from phagesim.model import _rates_for
-from phagesim.scenario import parse_scenario
+from phagesim.scenario import RunSettings, parse_scenario
 from phagesim.sde import (
     SCHEME_EULER,
     SCHEME_HEUN,
     SCHEMES,
     ConcentrationRow,
     ConcentrationTable,
-    PathConfig,
     concentration_experiment,
     ensemble,
     sample_path,
@@ -51,19 +52,11 @@ class TestNoiseStreams:
         assert abs(z.mean()) < 0.05
         assert abs(z.std() - 1.0) < 0.05
 
-    def test_config_validation(self):
-        with pytest.raises(DomainError):
-            PathConfig(seed=0, T=1.0, K=4)
-        with pytest.raises(DomainError):
-            PathConfig(seed=0, T=-1.0)
-        with pytest.raises(DomainError):
-            PathConfig(seed=0, T=1.0, scheme="milstein")
-
 
 class TestZeroNoiseDegeneracy:
     @pytest.mark.parametrize("scheme", [SCHEME_HEUN, SCHEME_EULER])
     def test_matches_deterministic_run(self, p_star, hist_standard, scheme):
-        cfg = PathConfig(seed=3, T=5.0, K=128, scheme=scheme)
+        cfg = RunSettings(seed=3, T=5.0, K=128, scheme=scheme)
         path = sample_path(p_star.with_eps(0.0), hist_standard, cfg)
         det = dde.integrate(p_star, hist_standard, T=5.0, K=128)
         err = float(np.max(np.abs(path.states - det.states)))
@@ -73,7 +66,7 @@ class TestZeroNoiseDegeneracy:
     def test_heun_error_shrinks_quadratically(self, p_star, hist_standard):
         errs = []
         for K in (64, 128):
-            cfg = PathConfig(seed=3, T=5.0, K=K, scheme=SCHEME_HEUN)
+            cfg = RunSettings(seed=3, T=5.0, K=K, scheme=SCHEME_HEUN)
             path = sample_path(p_star.with_eps(0.0), hist_standard, cfg)
             det = dde.integrate(p_star, hist_standard, T=5.0, K=512)
             errs.append(float(np.max(np.abs(path.eval(5.0) - det.eval(5.0)))))
@@ -87,7 +80,7 @@ class TestZeroNoiseDegeneracy:
         p = Parameters(alpha=0.4512, k1=8.051, k2=0.6335, d=0.3439, m=0.012, b=1417.26,
                        mu=16.757, tau=1.1036, M=286.49)
         hist = History.constant(p.tau, 0.5, 10.0, 1.0)
-        path = sample_path(p, hist, PathConfig(seed=12345, T=50.0, K=64))
+        path = sample_path(p, hist, RunSettings(seed=12345, T=50.0, K=64))
         det = dde.integrate(p, hist, T=50.0, K=64)
         assert path.t_end >= 50.0 and len(path) == len(det)
         for run in (path, det):
@@ -96,23 +89,23 @@ class TestZeroNoiseDegeneracy:
 
 class TestReproducibility:
     def test_bitwise_identical_reruns(self, p_star, hist_standard):
-        cfg = PathConfig(seed=11, T=5.0, K=32)
+        cfg = RunSettings(seed=11, T=5.0, K=32)
         a = sample_path(p_star.with_eps(0.02), hist_standard, cfg, path_index=4)
         b = sample_path(p_star.with_eps(0.02), hist_standard, cfg, path_index=4)
         assert np.array_equal(a.states, b.states)
 
     def test_ensemble_slice_equals_standalone_path(self, p_star, hist_standard):
         p = p_star.with_eps(0.02)
-        cfg = PathConfig(seed=11, T=5.0, K=32)
+        cfg = RunSettings(seed=11, T=5.0, K=32)
         _, nodes, _ = simulate_paths(p, hist_standard, cfg, list(range(5)))
         solo = sample_path(p, hist_standard, cfg, path_index=3)
         assert np.array_equal(nodes[:, :, 3], solo.states)
 
     def test_scheme_changes_the_path(self, p_star, hist_standard):
         p = p_star.with_eps(0.02)
-        a = sample_path(p, hist_standard, PathConfig(seed=1, T=2.0, K=128))
+        a = sample_path(p, hist_standard, RunSettings(seed=1, T=2.0, K=128))
         b = sample_path(
-            p, hist_standard, PathConfig(seed=1, T=2.0, K=128, scheme=SCHEME_EULER)
+            p, hist_standard, RunSettings(seed=1, T=2.0, K=128, scheme=SCHEME_EULER)
         )
         assert not np.array_equal(a.states, b.states)
         # ... but they share the driving noise, so stay pathwise close
@@ -175,7 +168,7 @@ class TestFusedStepper:
     @pytest.mark.parametrize("M", [100.0, 12.0])
     def test_nodes_equal_per_path_loop(self, p_star, hist_standard, scheme, M):
         p = dataclasses.replace(p_star, M=M, eps=0.05)
-        cfg = PathConfig(seed=17, T=5.0, K=16, scheme=scheme)
+        cfg = RunSettings(seed=17, T=5.0, K=16, scheme=scheme)
         paths = [0, 3, 7]
         _, nodes, _ = simulate_paths(p, hist_standard, cfg, paths)
         q = nodes[:, 2]
@@ -189,7 +182,7 @@ class TestFusedStepper:
     def test_sample_path_slopes_are_node_drifts(self, p_star, hist_standard, T, scheme, M, table):
         p = dataclasses.replace(p_star, M=M, eps=0.05)
         hist = _table_history(p.tau) if table else hist_standard
-        cfg = PathConfig(seed=11, T=T, K=16, scheme=scheme)
+        cfg = RunSettings(seed=11, T=T, K=16, scheme=scheme)
         path = sample_path(p, hist, cfg, path_index=2)
         if M == 12.0 and T > p.tau:  # Q runs through the bridge onto the plateau
             q = path.states[:, 2]
@@ -291,7 +284,7 @@ class TestFloatLane:
             "ones": History.constant(p.tau, 1.0, 1.0, 1.0),
         }[kind]
         idx = indices[SCHEMES.index(scheme)]
-        cfg = PathConfig(seed=7, T=T, K=16, scheme=scheme)
+        cfg = RunSettings(seed=7, T=T, K=16, scheme=scheme)
         if isinstance(shows, type):
             with pytest.raises(shows) as floats:
                 sample_path(p, hist, cfg, path_index=idx)
@@ -324,7 +317,7 @@ class TestFloatLane:
 
         monkeypatch.setattr(sde, "_increments", with_nan)
         p = p_star.with_eps(0.05)
-        cfg = PathConfig(seed=7, T=1.0, K=16, scheme=scheme)
+        cfg = RunSettings(seed=7, T=1.0, K=16, scheme=scheme)
         with pytest.raises(DivergenceError) as floats:
             sample_path(p, hist_standard, cfg, path_index=2)
         with pytest.raises(DivergenceError) as arrays:
@@ -350,7 +343,7 @@ class TestFloatLane:
         det = dde.integrate(p, hist, 100.0, 64)
         assert det.states[:, 2].min() > p.M + 1.0 and calls == ["_values"]
         calls.clear()
-        path = sample_path(p, hist, PathConfig(seed=7, T=100.0, K=64, scheme=scheme))
+        path = sample_path(p, hist, RunSettings(seed=7, T=100.0, K=64, scheme=scheme))
         assert path.states[:, 2].min() > p.M + 1.0 and calls == ["_values"]
 
 
@@ -368,7 +361,7 @@ class TestLockstepRows:
             hist = History.constant(p.tau, 1e-13, 10.0, 1.0)
         else:
             p, eps_list, hist = p_star, [0.05, 0.02, 0.01], hist_standard
-        n, cfg = 4, PathConfig(seed=7, T=2.0, K=16, scheme=scheme)
+        n, cfg = 4, RunSettings(seed=7, T=2.0, K=16, scheme=scheme)
         guard = dde._Guard(lambda c: (eps_list[c // n], c % n))
         # blocks of 5 of the 32 steps; each block is spoilt once read, as callers may
         increments = sde._increments(p, cfg, range(n), 5)
@@ -410,7 +403,7 @@ class TestGeometricNoiseOracle:
         for n_steps in levels:
             dw = np.zeros((n_steps, 2, n_paths))  # Q is driven by no noise
             dw[:, 0] = dw_fine.reshape(n_paths, n_steps, fine // n_steps).sum(axis=2).T
-            cfg = PathConfig(seed=0, T=self.T, K=n_steps, scheme=scheme)
+            cfg = RunSettings(seed=0, T=self.T, K=n_steps, scheme=scheme)
             nodes = step_all(self.P, hist, cfg, dw, range(n_paths))
             assert np.all(self.P.alpha - self.P.k1 * nodes[:, 2] == self.P.alpha)
             assert nodes[:, 0].max() <= self.P.M
@@ -456,14 +449,14 @@ class TestDelayedStrongOrder:
         n_fine = dde.step_count(self.T, p.tau, self.FINE)
         dw_fine = np.stack([path_normals(0, j, n_fine) for j in range(self.N)], axis=2)
         dw_fine *= math.sqrt(p.tau / self.FINE)
-        cfg = PathConfig(seed=0, T=self.T, K=self.FINE, scheme=scheme)
+        cfg = RunSettings(seed=0, T=self.T, K=self.FINE, scheme=scheme)
         fine = step_all(p, hist_standard, cfg, dw_fine, range(self.N))
         errs = []
         for K in self.LEVELS:
             r = self.FINE // K
             dw = dw_fine.reshape(-1, r, 2, self.N).sum(axis=1)
             assert len(dw) == dde.step_count(self.T, p.tau, K)
-            cfg = PathConfig(seed=0, T=self.T, K=K, scheme=scheme)
+            cfg = RunSettings(seed=0, T=self.T, K=K, scheme=scheme)
             nodes = step_all(p, hist_standard, cfg, dw, range(self.N))
             sup = np.sqrt(np.sum((nodes - fine[::r]) ** 2, axis=1)).max(axis=0)
             errs.append(math.sqrt(float(np.mean(sup ** 2))))
@@ -475,8 +468,8 @@ class TestEnsemble:
     def test_deviation_scales_with_eps(self, p_star, hist_standard):
         means = {}
         for eps in (0.01, 0.05):
-            cfg = PathConfig(seed=5, T=10.0, K=32)
-            stats = ensemble(p_star.with_eps(eps), hist_standard, cfg, 100, (0.0, 10.0))
+            cfg = RunSettings(seed=5, T=10.0, K=32, n=100, window=[0.0, 10.0])
+            stats = ensemble(p_star.with_eps(eps), hist_standard, cfg)
             means[eps] = float(stats.sup_devs.mean())
         assert means[0.05] > means[0.01]  # coupled seeds: strictly larger spread
         assert means[0.01] < 60 * 0.01
@@ -484,8 +477,8 @@ class TestEnsemble:
 
     def test_mean_tracks_deterministic_solution(self, p_star, hist_standard):
         det = dde.integrate(p_star, hist_standard, T=10.0, K=32)
-        cfg = PathConfig(seed=5, T=10.0, K=32)
-        stats = ensemble(p_star.with_eps(0.01), hist_standard, cfg, 100, (0.0, 10.0))
+        cfg = RunSettings(seed=5, T=10.0, K=32, n=100, window=[0.0, 10.0])
+        stats = ensemble(p_star.with_eps(0.01), hist_standard, cfg)
         gap = np.abs(stats.mean - det.states).max()
         assert gap < 0.05
         assert len(stats.sup_devs) == 100 and np.array_equal(stats.times, det.times)
@@ -497,7 +490,7 @@ class TestEnsemble:
         p = p_star.with_eps(0.05)
         final = {}
         for scheme in (SCHEME_HEUN, SCHEME_EULER):
-            cfg = PathConfig(seed=21, T=2.0, K=256, scheme=scheme)
+            cfg = RunSettings(seed=21, T=2.0, K=256, scheme=scheme)
             _, nodes, _ = simulate_paths(p, hist_standard, cfg, list(range(100)))
             final[scheme] = nodes[-1]  # (3, n)
         for k in range(3):
@@ -511,9 +504,9 @@ class TestEnsemble:
         p = Parameters(alpha=0.5, k1=0.1, k2=0.05, d=20.0, m=1.0, b=10.0,
                        mu=0.2, tau=1.0, M=0.5, eps=3.0)
         hist = History.constant(p.tau, 1e-13, 10.0, 1.0)
-        cfg = PathConfig(seed=5, T=2.0, K=16, scheme=SCHEME_EULER)
+        cfg = RunSettings(seed=5, T=2.0, K=16, scheme=SCHEME_EULER, n=20, window=[0.0, 2.0])
         _, _, guard = simulate_paths(p, hist, cfg, list(range(20)))
-        stats = ensemble(p, hist, cfg, 20, (0.0, 2.0))
+        stats = ensemble(p, hist, cfg)
         assert guard.clamp_count > 0 and guard.warn_count > 0
         assert stats.clamp_count == guard.clamp_count
         assert stats.warn_count == guard.warn_count
@@ -529,14 +522,14 @@ class TestEnsemble:
         for tau, K in ((1.0, 32), (0.3, 13), (0.1, 13)):
             p = dataclasses.replace(p_star, tau=tau, eps=0.05)
             hist = History.constant(tau, 0.5, 10.0, 1.0)
-            cfg = PathConfig(seed=9, T=5.0, K=K, scheme=scheme)
+            cfg = RunSettings(seed=9, T=5.0, K=K, scheme=scheme, n=n, window=[1.0, 4.0])
             det = dde.integrate(p, hist, T=5.0, K=K)
             times, nodes, _ = simulate_paths(p, hist, cfg, list(range(n)))
             ref = np.array([det.eval(t) for t in times])
             dev = np.abs(nodes - ref[:, :, None]).max(axis=1)
             mask = (times >= 1.0 - 1e-12) & (times <= 4.0 + 1e-12)
             sup_devs = dev[mask].max(axis=0)
-            stats = ensemble(p, hist, cfg, n, (1.0, 4.0))
+            stats = ensemble(p, hist, cfg)
             assert np.array_equal(stats.mean, nodes.mean(axis=2))
             assert np.array_equal(stats.sup_devs, sup_devs)
             assert np.array_equal(stats.dev_p50, np.percentile(dev, 50.0, axis=1))
@@ -546,7 +539,7 @@ class TestEnsemble:
 
     def test_empty_window_rejected_before_any_path(self, p_star, hist_standard, monkeypatch):
         # h = 1/64: the nodes next to the window are 10 and 10.015625
-        cfg = PathConfig(seed=5, T=50.0, K=64)
+        cfg = RunSettings(seed=5, T=50.0, K=64, window=[10.001, 10.002])
 
         def no_run(*args):
             raise AssertionError("the window is checked before anything is integrated or drawn")
@@ -555,17 +548,18 @@ class TestEnsemble:
         monkeypatch.setattr(dde, "integrate", no_run)
         with pytest.raises(ConfigurationError,
                            match=r"window \[10.001, 10.002\] contains no nodes"):
-            ensemble(p_star.with_eps(0.01), hist_standard, cfg, 400, (10.001, 10.002))
+            ensemble(p_star.with_eps(0.01), hist_standard, cfg)
 
-    def test_empty_window_rejected(self, p_star, hist_standard):
-        cfg = PathConfig(seed=5, T=5.0, K=32)
-        with pytest.raises(ConfigurationError):
-            ensemble(p_star.with_eps(0.01), hist_standard, cfg, 2, (100.0, 200.0))
+    def test_empty_window_rejected(self):
+        # a window past T holds no node: RunSettings refuses it before any engine runs
+        with pytest.raises(ScenarioError, match=r"must lie inside \[0, T\]"):
+            RunSettings(seed=5, T=5.0, K=32, n=2, window=[100.0, 200.0])
 
-    def test_needs_at_least_one_path(self, p_star, hist_standard):
-        cfg = PathConfig(seed=5, T=5.0, K=32)
-        with pytest.raises(DomainError):
-            ensemble(p_star.with_eps(0.01), hist_standard, cfg, 0, (0.0, 5.0))
+    def test_needs_at_least_one_path(self):
+        # RunSettings refuses n = 0, so no engine meets a run without paths
+        cfg = RunSettings(seed=5, T=5.0, K=32)
+        with pytest.raises(ScenarioError, match=r"^run.n must be >= 1, got 0$"):
+            dataclasses.replace(cfg, n=0)
 
 
 class TestWilsonInterval:
@@ -590,32 +584,17 @@ class TestWilsonInterval:
 
 class TestConcentrationExperiment:
     def test_parameter_validation(self, p_conc, hist_conc):
-        with pytest.raises(ConfigurationError):
+        # the run's own rules are RunSettings' (test_scenario_cli.TestRunRules); a radius
+        # larger than the decay prefactor is the model's, and leaves no window
+        with pytest.raises(ConfigurationError, match="the window is empty"):
             concentration_experiment(
-                p_conc, hist_conc, [0.05], rho=0.05, kappa1=2.0, kappa2=1.2,
-                n=10, seed=0,
-            )
-        with pytest.raises(ConfigurationError):
-            concentration_experiment(
-                p_conc, hist_conc, [0.05], rho=-1.0, kappa1=1.2, kappa2=2.0,
-                n=10, seed=0,
-            )
-        with pytest.raises(ConfigurationError):
-            # a radius larger than the decay prefactor leaves no window
-            concentration_experiment(
-                p_conc, hist_conc, [0.05], rho=1e6, kappa1=1.2, kappa2=2.0,
-                n=10, seed=0,
-            )
-        with pytest.raises(DomainError, match="need at least one path"):
-            concentration_experiment(
-                p_conc, hist_conc, [0.05], rho=0.05, kappa1=1.2, kappa2=2.0,
-                n=0, seed=0,
+                p_conc, hist_conc, RunSettings(eps_list=[0.05], rho=1e6, n=10, seed=0)
             )
 
     def test_small_run_structure(self, p_conc, hist_conc):
         table = concentration_experiment(
-            p_conc, hist_conc, [0.05, 0.01], rho=0.05, kappa1=1.2, kappa2=2.0,
-            n=60, seed=2024,
+            p_conc, hist_conc,
+            RunSettings(eps_list=[0.05, 0.01], rho=0.05, kappa1=1.2, kappa2=2.0, n=60, seed=2024),
         )
         assert len(table.rows) == 2
         p_hats = [r.p_hat for r in table.rows]
@@ -631,12 +610,12 @@ class TestConcentrationExperiment:
         # fresh arrays from the same paths
         n, rho, K, seed = 40, 0.05, 32, 7
         table = concentration_experiment(
-            p_conc, hist_conc, [0.025, 0.02], rho=rho, kappa1=1.2, kappa2=2.0,
-            n=n, seed=seed, K=K, scheme=scheme,
+            p_conc, hist_conc, RunSettings(eps_list=[0.025, 0.02], rho=rho, kappa1=1.2,
+                                           kappa2=2.0, n=n, seed=seed, K=K, scheme=scheme),
         )
         e0 = equilibria.bacteria_free(p_conc)
         for r in table.rows:
-            cfg = PathConfig(seed=seed, T=r.t_hi, K=K, scheme=scheme)
+            cfg = RunSettings(seed=seed, T=r.t_hi, K=K, scheme=scheme)
             times, nodes, guard = simulate_paths(
                 p_conc.with_eps(r.eps), hist_conc, cfg, list(range(n))
             )
@@ -652,8 +631,8 @@ class TestConcentrationExperiment:
         # step in lockstep, so the second row's failure stops the run, named (eps, path)
         def run(eps_list):
             with pytest.raises(PositivityError) as exc:
-                concentration_experiment(p_conc, hist_conc, eps_list, rho=0.05, kappa1=1.2,
-                                         kappa2=2.0, n=20, seed=7, K=32)
+                concentration_experiment(p_conc, hist_conc, RunSettings(
+                    eps_list=eps_list, rho=0.05, kappa1=1.2, kappa2=2.0, n=20, seed=7, K=32))
             return exc.value.t, str(exc.value)
 
         first, second = run([1.0]), run([2.0])
@@ -661,19 +640,20 @@ class TestConcentrationExperiment:
         assert run([1.0, 2.0]) == second
         assert second[1].startswith("path (2.0, 15) component")
 
-    def test_needs_an_eps_row(self, p_conc, hist_conc, monkeypatch):
-        def no_paths(*args):
-            raise AssertionError("the rows are checked before any path is drawn")
-
-        monkeypatch.setattr(sde, "_increments", no_paths)
-        with pytest.raises(ConfigurationError, match="need at least one eps value"):
-            concentration_experiment(p_conc, hist_conc, [], rho=0.05, kappa1=1.2,
-                                     kappa2=2.0, n=20, seed=7)
+    def test_run_window_past_the_derived_horizon(self):
+        # the paths run on the derived window [t_lo, t_hi], whatever run.window says: with
+        # run.window = [0, 50] the table is bitwise the run without one, though t_hi = 33.3
+        sc = parse_scenario(CONCENTRATION_SCENARIO)
+        run = dataclasses.replace(sc.run, n=20)
+        windowed = concentration_experiment(
+            sc.parameters, sc.history, dataclasses.replace(run, window=[0.0, 50.0]))
+        assert windowed.rows[0].t_hi < 50.0
+        assert _bits(windowed) == _bits(concentration_experiment(sc.parameters, sc.history, run))
 
     def test_slope_requires_two_nonzero_rows(self, p_conc, hist_conc):
         table = concentration_experiment(
-            p_conc, hist_conc, [0.01], rho=0.05, kappa1=1.2, kappa2=2.0,
-            n=20, seed=2024,
+            p_conc, hist_conc,
+            RunSettings(eps_list=[0.01], rho=0.05, kappa1=1.2, kappa2=2.0, n=20, seed=2024),
         )
         assert table.log_prob_slope() is None
 
@@ -690,7 +670,7 @@ class TestTimeBlocks:
 
     def test_increments_equal_one_draw_per_path(self, p_star):
         # 600 steps, a multiple of neither block length; a seed above 2**63
-        cfg = PathConfig(seed=2**64 - 5, T=600 * p_star.tau / 64, K=64)
+        cfg = RunSettings(seed=2**64 - 5, T=600 * p_star.tau / 64, K=64)
         paths, h = [0, 5, 2**40], p_star.tau / cfg.K
         expected = np.stack([path_normals(cfg.seed, j, 600) * math.sqrt(h) for j in paths], axis=2)
         for steps in (sde.DRAW_STEPS, 7):
@@ -706,11 +686,11 @@ class TestTimeBlocks:
                               mu=0.2, tau=1.0, M=0.5, eps=3.0)
         runs = [  # 320 steps, then 32
             (p_star.with_eps(0.05), hist_standard,
-             PathConfig(seed=3, T=5.0, K=64, scheme=scheme), (1.0, 4.0)),
+             RunSettings(seed=3, T=5.0, K=64, scheme=scheme, n=n, window=[1.0, 4.0])),
             (clamping, History.constant(1.0, 1e-13, 10.0, 1.0),
-             PathConfig(seed=5, T=2.0, K=16, scheme=SCHEME_EULER), (0.5, 2.0)),
+             RunSettings(seed=5, T=2.0, K=16, scheme=SCHEME_EULER, n=n, window=[0.5, 2.0])),
         ]
-        stats = [ensemble(p, hist, cfg, n, w) for p, hist, cfg, w in runs]
+        stats = [ensemble(*run) for run in runs]
         assert n == 1 or (stats[1].clamp_count > 0 and stats[1].warn_count > 0)
         baseline = [_bits(s) for s in stats]
         # node blocks of 1 step, of 7 steps of n columns (24 n bytes a step), and of a draw block
@@ -719,8 +699,8 @@ class TestTimeBlocks:
         for steps, node_bytes in blocks:
             monkeypatch.setattr(sde, "DRAW_STEPS", steps)
             monkeypatch.setattr(sde, "NODE_BLOCK_BYTES", node_bytes)
-            for (p, hist, cfg, w), base in zip(runs, baseline):
-                assert _bits(ensemble(p, hist, cfg, n, w)) == base
+            for run, base in zip(runs, baseline):
+                assert _bits(ensemble(*run)) == base
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_concentration_table(self, p_conc, hist_conc, scheme, monkeypatch):
@@ -734,10 +714,10 @@ class TestTimeBlocks:
         monkeypatch.setattr(sde, "_increments", recorded)
 
         def table():
-            return concentration_experiment(
-                p_conc, hist_conc, [0.025, 0.02, 0.015], rho=0.05, kappa1=1.2, kappa2=2.0,
-                n=20, seed=7, K=32, scheme=scheme,
-            )
+            return concentration_experiment(p_conc, hist_conc, RunSettings(
+                eps_list=[0.025, 0.02, 0.015], rho=0.05, kappa1=1.2, kappa2=2.0, n=20, seed=7,
+                K=32, scheme=scheme,
+            ))
 
         baseline = table()
         assert any(0 < r.exceed < r.n for r in baseline.rows)
@@ -767,10 +747,9 @@ class TestTimeBlocks:
 
         monkeypatch.setattr(sde, "_step_paths", recorded)
         monkeypatch.setattr(sde, "NODE_BLOCK_BYTES", node_bytes)
-        table = concentration_experiment(
-            p_conc, hist_conc, [0.025, 0.02, 0.015], rho=0.05, kappa1=1.2, kappa2=2.0,
-            n=20, seed=7, K=32,
-        )
+        table = concentration_experiment(p_conc, hist_conc, RunSettings(
+            eps_list=[0.025, 0.02, 0.015], rho=0.05, kappa1=1.2, kappa2=2.0, n=20, seed=7, K=32,
+        ))
         assert sum(lengths) == dde.step_count(table.rows[0].t_hi, p_conc.tau, 32) + 1
         assert max(lengths) == min(max(1, node_bytes // (24 * 60)), 256 // 3)
 
@@ -786,10 +765,10 @@ class TestTimeBlocks:
         monkeypatch.setattr(sde, "_increments", recorded)
 
         def table():
-            return concentration_experiment(
-                p_conc, hist_conc, [0.025, 0.02, 0.015], rho=0.05, kappa1=1.2, kappa2=2.0,
-                n=20, seed=7, K=32,
-            )
+            return concentration_experiment(p_conc, hist_conc, RunSettings(
+                eps_list=[0.025, 0.02, 0.015], rho=0.05, kappa1=1.2, kappa2=2.0, n=20, seed=7,
+                K=32,
+            ))
 
         baseline = table()
         monkeypatch.setattr(sde, "PATH_BYTES_BUDGET", 2_240 * 8 * 9)
@@ -805,8 +784,7 @@ class TestMemory:
         sc = parse_scenario(CONCENTRATION_SCENARIO)
         r = sc.run
         peak = peak_bytes(lambda: concentration_experiment(
-            sc.parameters, sc.history, r.eps_list[:1], r.rho, r.kappa1, r.kappa2, 400,
-            r.seed, K=r.K, scheme=r.scheme,
+            sc.parameters, sc.history, dataclasses.replace(r, eps_list=r.eps_list[:1], n=400),
         ))
         assert peak < 8e6
 
@@ -817,8 +795,7 @@ class TestMemory:
         r = sc.run
         assert len(r.eps_list) == 3
         peak = peak_bytes(lambda: concentration_experiment(
-            sc.parameters, sc.history, r.eps_list, r.rho, r.kappa1, r.kappa2, 400,
-            r.seed, K=r.K, scheme=r.scheme,
+            sc.parameters, sc.history, dataclasses.replace(r, n=400),
         ))
         assert peak < 8e6
 
@@ -831,8 +808,7 @@ class TestMemory:
         r = sc.run
         assert len(r.eps_list) == 3
         peak = peak_bytes(lambda: concentration_experiment(
-            sc.parameters, sc.history, r.eps_list, r.rho, r.kappa1, r.kappa2, 2000,
-            r.seed, K=r.K, scheme=r.scheme,
+            sc.parameters, sc.history, dataclasses.replace(r, n=2000),
         ))
         assert peak < 14e6
 
@@ -841,8 +817,7 @@ class TestMemory:
         # (n_nodes, n) deviations of all nodes would be 3 201 x 400 x 8 B, 10 MB
         sc = parse_scenario(REFERENCE_SCENARIO)
         p, r = sc.parameters, sc.run
-        args = (p, sc.history, PathConfig(seed=r.seed, T=r.T, K=r.K, scheme=r.scheme), 400,
-                (0.0, r.T))
+        args = (p, sc.history, dataclasses.replace(r, n=400, window=[0.0, r.T]))
         ensemble(*args)  # pays the one-time costs: its np.percentile imports numpy.ma, 1.8 MB
         assert peak_bytes(lambda: ensemble(*args)) < 8e6
 
@@ -897,7 +872,7 @@ class TestMemory:
             if lane == "integrate":
                 return dde.integrate(p_star, hist_standard, T, 8)
             return sample_path(p_star.with_eps(0.01), hist_standard,
-                               PathConfig(seed=5, T=T, K=8, scheme=lane))
+                               RunSettings(seed=5, T=T, K=8, scheme=lane))
 
         assert len(run(n_steps / 8)) == n_steps + 1  # also pays the one-time costs
         per_step = 48 if lane == "integrate" else 56
