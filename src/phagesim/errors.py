@@ -9,15 +9,11 @@ class DomainError(PhagesimError, ValueError):
     """An argument is outside the mathematical domain of an operation."""
 
 
-class PreconditionError(PhagesimError, ValueError):
-    """A parameter combination violates a structural precondition."""
-
-
-class HypothesisError(PreconditionError):
+class HypothesisError(PhagesimError, ValueError):
     """A standing hypothesis fails so that a quantity derived from it does not exist."""
 
 
-class EquilibriumExistenceError(PreconditionError):
+class EquilibriumExistenceError(PhagesimError, ValueError):
     """The requested equilibrium point does not exist for these parameters."""
 
 

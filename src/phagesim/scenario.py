@@ -2,11 +2,13 @@
 
 The dataclass fields are the schema. `from_dict` checks the parameters in
 declaration order, each number by `_number` against its rule (integer, minimum,
-strict, maximum); `RunSettings` checks its own fields the same way when it is
-made, each run number against the rule it carries beside its default.
+strict, maximum), and a float must be finite too; `RunSettings` checks its own
+fields the same way when it is made, each run number against the rule it carries
+beside its default.
 """
 
 import json
+import math
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional
 
@@ -141,6 +143,9 @@ def _number(value, name, rule):
         raise ScenarioError(f"{name} must be {cmp} {minimum}, got {value!r}")
     if maximum is not None and not number <= maximum:
         raise ScenarioError(f"{name} must be <= {maximum}, got {value!r}")
+    # after the bounds, so a NaN fails its minimum's message where there is one
+    if not integer and not math.isfinite(number):
+        raise ScenarioError(f"{name} must be a finite number, got {value!r}")
     return number
 
 

@@ -92,21 +92,29 @@ def _increments(p, run, path_indices, block_steps):
         yield block.transpose(1, 2, 0)
 
 
-def _stage(y, delayed_influx, c, sigma, eps, g, f, clipped, tmp):
+def _rows(x):
+    """A (3, N) buffer's row views as `_stage` reads them: S, I, Q and the S and Q rows."""
+    return x[0], x[1], x[2], x[::2]
+
+
+def _stage(y, delayed_influx, c, values, eps, g, f, work):
     """At a (3, N) state: the noise amplitudes into g, the drift into f.
 
     The drift is `model._rates_for`'s arithmetic written out, its operations in its
     order, on the state and the sigma of its clipped Q; `c` holds (alpha, k1, k2, d, m,
-    b, mu, 0.0). `eps` holds one amplitude per column, and g, clipped and sigma are (2, N),
-    S and Q, and tmp an (N,) scratch row. The S and Q rows clipped at 0 go into `clipped`;
-    returns their sigma, which is `clipped` itself where no entry is past M.
+    b, mu, 0.0). `y` and `f` are the state's and the drift's `_rows`, `eps` holds one
+    amplitude per column and g is (2, N), S and Q. `work` holds a (2, N) buffer, its Q
+    row and an (N,) scratch row: the S and Q rows clipped at 0 go into the buffer, and
+    their sigma is `values(buffer)` (SigmaFn._values), the buffer itself where no entry
+    is past M. A caller that knows no entry of y is past M passes `values` None, which
+    takes sigma as the identity without its scan. Returns the sigma.
     """
     alpha, k1, k2, d, m, b, mu, zero = c
-    s, i, q, fs, fi, fq = y[0], y[1], y[2], f[0], f[1], f[2]
-    np.maximum(y[::2], zero, out=clipped)
-    sig = sigma._values(clipped)
+    (s, i, q, s_q), (fs, fi, fq, _), (clipped, clipped_q, tmp) = y, f, work
+    np.maximum(s_q, zero, out=clipped)
+    sig = clipped if values is None else values(clipped)
     np.multiply(eps, sig, out=g)
-    sq = sig[1]
+    sq = clipped_q if sig is clipped else sig[1]
     np.multiply(k1, sq, out=tmp)  # k1 sigma(Q)
     np.multiply(np.subtract(alpha, tmp, out=fs), s, out=fs)
     tmp *= s  # adsorbed
@@ -136,6 +144,13 @@ def _step_paths(p, hist, run, eps, increments, guard):
     max(1, NODE_BLOCK_BYTES // (24 N)) steps, so a node block stays in cache;
     the stepper never reads it back, so a caller may reduce a block in place.
     `p.eps` is not read.
+    Each node is tested inline, as the float lane tests its floats: one minimum and
+    one maximum over the node, and the guard's method only for a component below 0,
+    past BLOWUP_LIMIT or NaN. A node whose maximum is at most M has no S or Q past M
+    once clipped, so the next step's first stage takes sigma as the identity without
+    its scan. The row views the loop reads are made once a run, or once a block. A
+    step costs about 29 us under Heun and 16.5 us under Euler at 24 columns, where
+    per-call overhead bounds it, and 0.20 and 0.11 ms at 6 000 (2 cores, Python 3.11).
     """
     n_paths = len(eps)
     # The constants as 0-d arrays: a ufunc converts a Python float on every call,
@@ -143,13 +158,14 @@ def _step_paths(p, hist, run, eps, increments, guard):
     sigma, h = SigmaFn(p.M), p.tau / run.K
     c = tuple(np.array(v) for v in (p.alpha, p.k1, p.k2, p.d, p.m, p.b, p.mu, 0.0))
     ka, step, hh, half = (np.array(v) for v in (p.k1 * p.attenuation, h, 0.5 * h, 0.5))
-    K, half_eps2 = run.K, 0.5 * eps * eps
+    K, M, limit, half_eps2 = run.K, sigma.m_threshold, BLOWUP_LIMIT, 0.5 * eps * eps
 
     # Lysis influx of node j, in row j % (K + 1): written when node j is the
     # current state, read K - 1 and K steps later as the delayed term.
     ring = K + 1
     influx = np.empty((ring, n_paths))
     influx[1:] = _history_influx(hist, p, sigma, K)[:, None]
+    influx_rows = list(influx)
 
     y0 = (hist.s(0.0), hist.i0, hist.q(0.0))
     y = np.repeat(np.array(y0)[:, None], n_paths, axis=1)
@@ -158,36 +174,43 @@ def _step_paths(p, hist, run, eps, increments, guard):
     # Every per-step array is a (3, N) buffer made here, Heun's six and Euler's four; a
     # step's first drift goes into its node's row of the node block, which the node then
     # overwrites. I's rows of g, inc and corr stay 0, as I carries no noise and no Ito
-    # correction; `work` holds the clipped S and Q rows and a scratch row.
+    # correction; `work` holds the clipped S and Q rows, their Q row and a scratch row.
     heun = run.scheme == SCHEME_HEUN
-    g_now, inc, work = np.zeros((3, 3, n_paths))
+    g_now, inc, scratch = np.zeros((3, 3, n_paths))
     if heun:
         g_pred, pred, f_pred = np.zeros((3, 3, n_paths))
-        g_pred_sq = g_pred[::2]
+        g_pred_sq, pred_rows, f_pred_rows = g_pred[::2], _rows(pred), _rows(f_pred)
     else:
         corr = np.zeros((3, n_paths))
         corr_sq = corr[::2]
-    g_now_sq, clipped, tmp = g_now[::2], work[:2], work[2]
+    g_now_sq, clipped, clipped_q = g_now[::2], scratch[:2], scratch[1]
+    work = (clipped, clipped_q, scratch[2])
+    scan = sigma._values
+    y_rows, values = _rows(y), scan  # node 0 takes the scan
+    block_rows = [(x, _rows(x)) for x in nodes]
     span, n = max(1, NODE_BLOCK_BYTES // (24 * n_paths)), 0  # steps a node block holds
     for dw in (block[a:a + span] for block in increments for a in range(0, len(block), span)):
         if len(nodes) < len(dw):
             nodes = np.empty((len(dw), 3, n_paths))
+            block_rows = [(x, _rows(x)) for x in nodes]
         # inc's S and Q rows as (2, E, n): each column group views the same draws
         noise = inc[::2].reshape(2, -1, dw.shape[2])
-        for k in range(len(dw)):
-            node = nodes[k]  # the first stage's drift f, then the node
-            sig = _stage(y, influx[(n - K) % ring], c, sigma, eps, g_now_sq, node, clipped, tmp)
-            row = influx[n % ring]
-            np.multiply(np.multiply(ka, sig[1], out=row), y[0], out=row)  # model._influx's order
-            noise[...] = dw[k][:, None]
+        # a node's rows f take its step's first drift, then the node overwrites them
+        for (node, f), w in zip(block_rows, dw[:, :, None]):
+            sig = _stage(y_rows, influx_rows[(n - K) % ring], c, values, eps, g_now_sq, f,
+                         work)
+            row = influx_rows[n % ring]
+            sq = clipped_q if sig is clipped else sig[1]
+            np.multiply(np.multiply(ka, sq, out=row), y_rows[0], out=row)  # model._influx's order
+            noise[...] = w
             if heun:
                 # Stratonovich-Heun: the same increment drives predictor and corrector;
                 # pred = y + h f + g inc, then y + hh (f + f_pred) + 0.5 (g + g_pred) inc;
                 # f_pred holds g inc until the corrector's stage writes its drift there
                 np.add(y, np.multiply(step, node, out=pred), out=pred)
                 pred += np.multiply(g_now, inc, out=f_pred)
-                _stage(pred, influx[(n + 1 - K) % ring], c, sigma, eps, g_pred_sq, f_pred,
-                       clipped, tmp)
+                _stage(pred_rows, influx_rows[(n + 1 - K) % ring], c, scan, eps, g_pred_sq,
+                       f_pred_rows, work)
                 np.multiply(hh, np.add(node, f_pred, out=node), out=node)
                 np.multiply(half, np.add(g_now, g_pred, out=g_now), out=g_now)
             else:
@@ -198,11 +221,16 @@ def _step_paths(p, hist, run, eps, increments, guard):
                 np.multiply(step, np.add(node, corr, out=node), out=node)
             np.add(y, node, out=node)
             node += np.multiply(g_now, inc, out=g_now)
-            y = guard.apply(node, n * h + h)
-            if y is not node:  # clamped
-                node[...] = y
+            low, high = np.minimum.reduce(node, None), np.maximum.reduce(node, None)
+            # comparisons with NaN fail, so a NaN takes the full guard too
+            if not (0.0 <= low and high <= limit):
+                node[...] = guard.apply(node, n * h + h)
+            # clamped dust becomes 0, so `high` bounds the clipped node as well
+            values = None if high <= M else scan
+            y, y_rows = node, f
             n += 1
         y = y.copy()  # callers may change the block
+        y_rows = _rows(y)
         yield n + 1 - len(dw), nodes[:len(dw)]
 
 
@@ -430,8 +458,7 @@ def concentration_experiment(p, hist, run):
     run = replace(run, T=t_hi, window=[t_lo, t_hi])
     ref = np.broadcast_to(e0, (len(window), 3))
     paths = range(n)
-    # column r n + j is path j of row r; Parameters checks each amplitude
-    amplitudes = np.repeat([p.with_eps(eps).eps for eps in eps_list], n)
+    amplitudes = np.repeat(eps_list, n)  # column r n + j is path j of row r
     sup = np.zeros(len(amplitudes))  # each column's sup over the window, block by block
     increments = _increments(p, run, paths, block_steps)
     guard = dde._Guard(lambda c: (eps_list[c // n], c % n))

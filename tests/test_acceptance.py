@@ -277,12 +277,9 @@ def test_criterion_8_concentration_structure():
     non_increasing = all(p_hats[i] >= p_hats[i + 1] for i in range(len(p_hats) - 1))
     checks = [("exceedance non-increasing in eps", non_increasing)]
     usable_rows = sum(1 for r in table.rows if 0 < r.exceed < r.n)
-    if usable_rows >= 2:
-        slope = table.log_prob_slope()
-        checks.append(("ln(p_hat) vs 1/eps^2 slope < 0",
-                       slope is not None and slope < 0.0))
-    else:
-        checks.append(("slope check skipped (<2 rows with 0 < exceed < n)", True))
+    checks.append(("at least 2 rows with 0 < exceed < n", usable_rows >= 2))
+    slope = table.log_prob_slope()
+    checks.append(("ln(p_hat) vs 1/eps^2 slope < 0", slope is not None and slope < 0.0))
     _verdict(8, "concentration structure", checks, time.perf_counter() - start, 300.0)
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from phagesim import History, Parameters, SigmaFn, compute_nu, invariant_region, minimal_dose
 from phagesim import equilibria, hypotheses
-from phagesim.errors import EquilibriumExistenceError, PreconditionError
+from phagesim.errors import EquilibriumExistenceError
 
 from artifacts import failing_ids
 
@@ -33,7 +33,7 @@ def test_nu_vanishing_dose(p_star):
 
 def test_nu_precondition(p_star):
     p = dataclasses.replace(p_star, d=200.0)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(EquilibriumExistenceError):
         compute_nu(p)
 
 
@@ -117,7 +117,7 @@ class TestInvariantRegion:
         assert region.i_max < 1e-4
 
     def test_precondition(self, p_star):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(EquilibriumExistenceError):
             invariant_region(dataclasses.replace(p_star, d=100.0))
 
 

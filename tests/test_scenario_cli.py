@@ -582,6 +582,13 @@ class TestReusedParser:
         assert cli.main(argv) == 7 and calls == [REFERENCE_SCENARIO]
 
 
+_EVERY_COMMAND = [
+    ["validate"], ["equilibria"], ["simulate"], ["simulate-sde", "--paths", "1"],
+    ["simulate-sde", "--paths", "3"], ["mc-concentration"], ["min-dose"],
+    ["compare-coinfection"],
+]
+
+
 class TestCli:
     def test_validate_reference_passes(self, capsys):
         assert cli.main(["validate", REFERENCE_SCENARIO]) == cli.EXIT_OK
@@ -935,7 +942,9 @@ class TestCli:
             err = capsys.readouterr().err
             assert (err == "") if code == 0 else err.startswith("error:numeric: ")
 
-    @pytest.mark.parametrize("run", [dict(T=1e300), dict(T=float("inf")), dict(T=5.0, K=10**400)])
+    # T = inf is refused as a non-finite number (test_non_finite_run_numbers_refused_at_parse)
+    @pytest.mark.parametrize("run", [dict(T=1e300), dict(T=sys.float_info.max),
+                                     dict(T=5.0, K=10**400)])
     def test_huge_horizon_refused_at_once(self, tmp_path, capsys, run):
         doc = load_reference_doc()
         doc["run"].update(run)
@@ -986,7 +995,7 @@ class TestCli:
 
     @pytest.mark.parametrize("params, run, T", [
         ({}, dict(kappa2=1e20), "T = 1.66674e+21"),  # t_hi
-        ({}, dict(kappa2=float("inf")), "T = inf"),  # t_hi
+        ({}, dict(kappa2=1e308), "T = inf"),  # t_hi, which overflows
         (dict(m=1e-9, d=2e-8), {}, "T = 1e+10"),  # t_det = 10/eta
     ])
     def test_derived_horizon_refused_before_any_path(self, tmp_path, capsys, monkeypatch,
@@ -1009,11 +1018,31 @@ class TestCli:
         assert err.startswith(f"error:model: {T}")
         assert f"steps; the limit is {MAX_STEPS} steps\n" in err
 
-    @pytest.mark.parametrize("argv", [
-        ["validate"], ["equilibria"], ["simulate"], ["simulate-sde", "--paths", "1"],
-        ["simulate-sde", "--paths", "3"], ["mc-concentration"], ["min-dose"],
-        ["compare-coinfection"],
+    @pytest.mark.parametrize("key, run", [
+        ("T", dict(T=float("inf"))),
+        ("rho", dict(rho=float("inf"))),
+        ("kappa1", dict(kappa1=float("inf"))),
+        ("kappa2", dict(kappa2=float("inf"))),
+        ("eps_list.e", dict(eps_list=[0.01, float("inf")])),
+        ("window[1]", dict(window=[0.0, float("inf")])),
     ])
+    def test_non_finite_run_numbers_refused_at_parse(self, tmp_path, capsys, key, run):
+        # json reads Infinity; every command refuses it at parse, naming the key, before
+        # anything runs: an infinite rho, kappa or eps is no model error (exit 3)
+        with open(CONCENTRATION_SCENARIO) as fh:
+            doc = json.load(fh)
+        doc["run"].update(n=4, **run)
+        path = write_doc(tmp_path, doc)
+        message = f"run.{key} must be a finite number, got inf"
+        with pytest.raises(ScenarioError) as library:
+            RunSettings(**doc["run"])
+        assert str(library.value) == message
+        for argv in _EVERY_COMMAND:
+            code = cli.main([argv[0], path, "--outdir", str(tmp_path / "out"), *argv[1:]])
+            assert (code, capsys.readouterr().err) == (cli.EXIT_IO, f"error:parse: {message}\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", _EVERY_COMMAND)
     def test_each_command_builds_one_history(self, tmp_path, capsys, monkeypatch, argv):
         doc = load_reference_doc()
         doc["run"].update(T=5.0, n=3)

@@ -227,7 +227,8 @@ class TestStageWrittenOut:
         c = tuple(np.array(v) for v in (p.alpha, p.k1, p.k2, p.d, p.m, p.b, p.mu, 0.0))
         g, f, work = np.full((3, 3, n), np.nan)
         clipped_rows = work[:2]
-        sig = sde._stage(y, influx, c, sigma, eps, g[::2], f, clipped_rows, work[2])
+        sig = sde._stage(sde._rows(y), influx, c, sigma._values, eps, g[::2], sde._rows(f),
+                         (clipped_rows, clipped_rows[1], work[2]))
         clipped = np.maximum(y[::2], 0.0)
         expected = np.array(_rates_for(p)(*y, sigma(clipped[1]), influx))
         assert f.tobytes() == expected.tobytes()  # the sign bits of zeros count
@@ -249,6 +250,8 @@ _LANE_CASES = {
     "M19.5": ({"M": 19.5, "eps": 0.05}, "standard", 5.0, (3, 3), None),
     "M13": ({"M": 13.0, "eps": 0.05}, "standard", 5.0, (3, 3), None),
     "M0.5": ({"M": 0.5, "eps": 0.05}, "standard", 5.0, (3, 3), None),
+    # Q runs about M, so nodes cross it both ways (TestCleanNodes)
+    "M20.5": ({"M": 20.5, "eps": 0.05}, "standard", 5.0, (3, 3), None),
     "table": ({"M": 12.0, "eps": 0.05}, "table", 5.0, (2, 2), None),
     "T<tau": ({"eps": 0.05}, "standard", 0.5, (2, 2), None),
     # the delayed influx's boundary: at T = tau an Euler run reads only the K history
@@ -347,6 +350,50 @@ class TestFloatLane:
         assert path.states[:, 2].min() > p.M + 1.0 and calls == ["_values"]
 
 
+class TestCleanNodes:
+    """The array lane tests each node inline and calls the guard only for a bad one.
+
+    After a node whose maximum is at most M its next first stage takes sigma as
+    the identity; node 0's stage, a stage after a node past M and Heun's predictor
+    stages scan for M.
+    """
+
+    def _run(self, p_star, hist_standard, scheme):
+        overrides, _, T, indices, _ = _LANE_CASES["M20.5"]
+        p = dataclasses.replace(p_star, **overrides)
+        cfg = RunSettings(seed=7, T=T, K=16, scheme=scheme)
+        return p, simulate_paths(p, hist_standard, cfg, [indices[SCHEMES.index(scheme)]])[1]
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_lane_case_crosses_m_both_ways(self, p_star, hist_standard, scheme):
+        p, nodes = self._run(p_star, hist_standard, scheme)
+        turns = np.diff((nodes[:-1].max(axis=(1, 2)) <= p.M).astype(int))
+        assert (turns == 1).any() and (turns == -1).any()
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_scans_and_guard_calls(self, p_star, hist_standard, scheme, monkeypatch):
+        scans, applied = [], []
+        values, apply = SigmaFn._values, dde._Guard.apply
+
+        def counted_values(self, x):
+            scans.append(x.shape)
+            return values(self, x)
+
+        def counted_apply(self, y, t):
+            applied.append(t)
+            return apply(self, y, t)
+
+        monkeypatch.setattr(SigmaFn, "_values", counted_values)
+        monkeypatch.setattr(dde._Guard, "apply", counted_apply)
+        p, nodes = self._run(p_star, hist_standard, scheme)
+        n_steps = len(nodes) - 1
+        past_m = int(np.count_nonzero(nodes[1:-1].max(axis=(1, 2)) > p.M))
+        assert 0 < past_m < n_steps - 1
+        # (2, 1): a stage's clipped S and Q; the history influx's are (K,)
+        assert scans.count((2, 1)) == 1 + past_m + (n_steps if scheme == SCHEME_HEUN else 0)
+        assert applied == []
+
+
 class TestLockstepRows:
     """mc-concentration's E eps rows step as E n columns, one amplitude each.
 
@@ -382,45 +429,67 @@ class TestLockstepRows:
 
 
 class TestGeometricNoiseOracle:
-    """Strong convergence of the S row against S0*exp(a*t + eps*W(t)) with shared Brownian paths.
+    """Strong convergence of the S and Q rows against geometric Brownian motions on shared paths.
 
-    At k1 = 1e-300, alpha - k1*sigma(Q) rounds to alpha, and below M sigma(S)
-    is S, so the production stepper runs dS = a S dt + eps S o dW on S.
+    S: at k1 = 1e-300, alpha - k1*sigma(Q) rounds to alpha, and below M sigma(S)
+    is S, so the production stepper runs dS = a S dt + eps S o dW_S on S, whose
+    solution is S0*exp(a*t + eps*W_S(t)).
+    Q: from S0 = I0 = 0, S and I stay exactly 0, so nothing is adsorbed and nothing
+    lyses; at d = 1e-300, d - m*Q rounds to -m*Q, so the stepper runs
+    dQ = -m Q dt + eps Q o dW_Q on Q, whose solution is Q0*exp(-m*t + eps*W_Q(t)).
     """
 
     A, EPS, X0, T = 0.5, 0.3, 1.0, 1.0
     P = Parameters(alpha=A, k1=1e-300, k2=0.0, d=1.0, m=1.0, b=1.0, mu=1.0, tau=T, M=1e3,
                    eps=EPS)
+    P_Q = Parameters(alpha=A, k1=0.1, k2=0.05, d=1e-300, m=A, b=10.0, mu=1.0, tau=T, M=1e3,
+                     eps=EPS)
 
-    def _strong_errors(self, scheme, levels=(32, 64, 128, 256), n_paths=400):
+    def _strong_errors(self, scheme, levels=(32, 64, 128, 256), n_paths=400, row=0):
         rng = np.random.default_rng(99)
         fine = max(levels)
         dw_fine = rng.standard_normal((n_paths, fine)) * math.sqrt(self.T / fine)
         w_T = dw_fine.sum(axis=1)
-        exact = self.X0 * np.exp(self.A * self.T + self.EPS * w_T)
-        hist = History.constant(self.T, self.X0, 1.0, 1.0)
+        if row == 0:
+            p, hist, rate = self.P, History.constant(self.T, self.X0, 1.0, 1.0), self.A
+        else:
+            p, hist, rate = self.P_Q, History.constant(self.T, 0.0, self.X0, 0.0), -self.P_Q.m
+        exact = self.X0 * np.exp(rate * self.T + self.EPS * w_T)
         errs = []
         for n_steps in levels:
-            dw = np.zeros((n_steps, 2, n_paths))  # Q is driven by no noise
-            dw[:, 0] = dw_fine.reshape(n_paths, n_steps, fine // n_steps).sum(axis=2).T
+            dw = np.zeros((n_steps, 2, n_paths))  # the other row is driven by no noise
+            dw[:, row // 2] = dw_fine.reshape(n_paths, n_steps, fine // n_steps).sum(axis=2).T
             cfg = RunSettings(seed=0, T=self.T, K=n_steps, scheme=scheme)
-            nodes = step_all(self.P, hist, cfg, dw, range(n_paths))
-            assert np.all(self.P.alpha - self.P.k1 * nodes[:, 2] == self.P.alpha)
-            assert nodes[:, 0].max() <= self.P.M
-            errs.append(math.sqrt(float(np.mean((nodes[-1, 0] - exact) ** 2))))
+            nodes = step_all(p, hist, cfg, dw, range(n_paths))
+            if row == 0:
+                assert np.all(p.alpha - p.k1 * nodes[:, 2] == p.alpha)
+            else:
+                assert not nodes[:, :2].any()
+                assert np.all(p.d - p.m * nodes[:, 2] == -p.m * nodes[:, 2])
+            assert nodes[:, row].max() <= p.M
+            errs.append(math.sqrt(float(np.mean((nodes[-1, row] - exact) ** 2))))
         return levels, errs
 
+    def _order(self, scheme, row):
+        """The errors of the four levels and the slope of their log against log h."""
+        levels, errs = self._strong_errors(scheme, row=row)
+        slope, _ = np.polyfit(np.log([self.T / n for n in levels]), np.log(errs), 1)
+        return errs, slope
+
     def test_heun_strong_order(self):
-        levels, errs = self._strong_errors(SCHEME_HEUN)
-        hs = [self.T / n for n in levels]
-        slope, _ = np.polyfit(np.log(hs), np.log(errs), 1)
-        assert slope >= 0.9
+        assert self._order(SCHEME_HEUN, 0)[1] >= 0.9
 
     def test_euler_converges(self):
-        levels, errs = self._strong_errors(SCHEME_EULER)
+        errs, slope = self._order(SCHEME_EULER, 0)
         assert errs[-1] < errs[0]
-        hs = [self.T / n for n in levels]
-        slope, _ = np.polyfit(np.log(hs), np.log(errs), 1)
+        assert slope >= 0.4
+
+    def test_q_heun_strong_order(self):
+        assert self._order(SCHEME_HEUN, 2)[1] >= 0.9
+
+    def test_q_euler_converges(self):
+        errs, slope = self._order(SCHEME_EULER, 2)
+        assert errs[-1] < errs[0]
         assert slope >= 0.4
 
     def test_both_schemes_consistent_in_the_mean(self):
