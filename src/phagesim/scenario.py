@@ -150,11 +150,16 @@ def _number(value, name, rule):
 
 
 def _samples(value, name):
-    """A table's list of samples, refused past dde.MAX_STEPS before any array is built."""
-    if isinstance(value, list) and len(value) > dde.MAX_STEPS:
+    """A table's list of samples, refused past dde.MAX_STEPS before any is checked or built.
+
+    Each sample then follows the number rules as name[j], a finite float >= 0.
+    """
+    if not isinstance(value, list):
+        return value
+    if len(value) > dde.MAX_STEPS:
         raise ScenarioError(f"{name} must hold at most {dde.MAX_STEPS} samples, "
                             f"got {len(value)}")
-    return value
+    return [_number(v, f"{name}[{j}]", (False, 0.0, False, None)) for j, v in enumerate(value)]
 
 
 def from_dict(doc):

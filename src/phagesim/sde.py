@@ -1,19 +1,19 @@
 """Stochastic integration of the Stratonovich-perturbed system and Monte Carlo tooling.
 
-Paths are driven by per-path Philox streams keyed on (seed, path index), so
-any path is reproducible in isolation and ensembles are order-independent.
-`_step_paths` steps whatever increments it is given, so a convergence test
-can drive the production stepper with Brownian paths of its own.
-All paths of an ensemble advance together on (3, n) arrays, every per-step array
-a buffer made once a run: `_stage` writes `model._rates_for`'s arithmetic out into
-them, and the first stage's drift goes into its node's row of the node block. Their
-increments are drawn in blocks of S steps (the length _check_budget returns, at most
-DRAW_STEPS), each path into its own row, and each draw block is stepped in node
-blocks of at most NODE_BLOCK_BYTES, which the caller reduces while they are still in
-cache; a sample path steps on three floats in `_float_path`, which calls
-`_rates_for`. Both lanes run the same elementwise formulas in the same order, so an
-ensemble's column is bitwise the sample path with the same index, whatever either
-block length.
+Every stochastic run is set up by `_sweep` before anything runs: the path budget, the
+run's one guard and its paths' draws, per-path Philox streams keyed on (seed, path index),
+so any path is reproducible in isolation and ensembles are order-independent.
+`_step_paths` steps whatever increments it is given, so a convergence test can drive
+the production stepper with Brownian paths of its own. All paths of an ensemble
+advance together on (3, n) arrays, every per-step array a buffer made once a run:
+`_stage` writes `model._rates_for`'s arithmetic out into them, and the first stage's
+drift goes into its node's row of the node block. Their increments are drawn in
+blocks of S steps (the budget's block length, at most DRAW_STEPS), each path into its
+own row, and each draw block is stepped in node blocks of at most NODE_BLOCK_BYTES,
+which the caller reduces while they are still in cache; a sample path steps on three
+floats in `_float_path`, which calls `_rates_for`. Both lanes run the same elementwise
+formulas in the same order, so an ensemble's column is bitwise the sample path with
+the same index, whatever either block length.
 The noise amplitude is a per-column argument of the array lane, so
 `concentration_experiment` steps every eps row in one pass over the paths:
 each path's increments are drawn once and drive its column in every row.
@@ -58,9 +58,9 @@ def _check_budget(n, K, rows=1):
     """The draw block length, in steps, of n paths of `rows` eps rows at K steps a delay.
 
     A block step is r = n (16 + 32 rows) bytes, and a block S = max(1, DRAW_STEPS // rows)
-    steps, fewer where it would pass budget / 8 bytes, but one at least. Refuses paths over
-    the budget with MemoryError, before any exists: the need counts the blocks as
-    min(r S, max(r, budget / 8)) bytes, at least the block's and rising with n. That counts
+    steps, fewer where it would pass budget / 8 bytes, but one at least. `_sweep` calls it to
+    refuse paths over the budget with MemoryError, before any exists: the need counts the blocks
+    as min(r S, max(r, budget / 8)) bytes, at least the block's and rising with n. That counts
     nodes and deviations at S steps too, an upper bound, as _step_paths holds them in node
     blocks of at most max(NODE_BLOCK_BYTES, 24 n rows) bytes. dde.MAX_STEPS bounds a float
     lane's nodes, drifts and influx (56 B a step, not counted) to about 60 MB.
@@ -90,6 +90,18 @@ def _increments(p, run, path_indices, block_steps):
             gen.standard_normal(out=block[j])
         block *= math.sqrt(p.tau / run.K)
         yield block.transpose(1, 2, 0)
+
+
+def _sweep(p, run, paths, eps_list=None):
+    """A stochastic run's budget check and guard, and its draws, to call once its window holds.
+
+    The budget counts eps_list's rows (one without it); the guard names column r n + j as
+    paths[j], or given eps_list as (eps_list[r], paths[j]); draws(run) is _increments to run.T.
+    """
+    n = len(paths)
+    block_steps = _check_budget(n, run.K, 1 if eps_list is None else len(eps_list))
+    guard = dde._Guard(lambda c: paths[c] if eps_list is None else (eps_list[c // n], paths[c % n]))
+    return guard, lambda run: _increments(p, run, paths, block_steps)
 
 
 def _rows(x):
@@ -294,9 +306,9 @@ def sample_path(p, hist, run, path_index=0):
 
     Its Hermite slopes are the drifts the stepper evaluated at the nodes.
     """
-    blocks = _increments(p, run, [path_index], _check_budget(1, run.K))
-    steps = chain.from_iterable(dw[:, :, 0].tolist() for dw in blocks)
-    return _float_path(p, hist, run, steps, dde._Guard(lambda c: path_index))
+    guard, draws = _sweep(p, run, [path_index])
+    steps = chain.from_iterable(dw[:, :, 0].tolist() for dw in draws(run))
+    return _float_path(p, hist, run, steps, guard)
 
 
 @dataclass
@@ -343,14 +355,11 @@ def ensemble(p, hist, run):
     running sups, so a run holds O(n) memory.
     """
     n = run.n
-    block_steps = _check_budget(n, run.K)
+    guard, draws = _sweep(p, run, range(n))
     mask = _window_mask(run.T, p.tau, run.K, run.window)
     det = dde.integrate(p, hist, run.T, run.K)
-    paths = range(n)
-    guard = dde._Guard(paths.__getitem__)
     mean, pct, sup_devs = np.empty((len(det), 3)), np.empty((2, len(det))), np.zeros(n)
-    increments = _increments(p, run, paths, block_steps)
-    for j, block in _step_paths(p, hist, run, np.full(n, p.eps), increments, guard):
+    for j, block in _step_paths(p, hist, run, np.full(n, p.eps), draws(run), guard):
         rows = slice(j, j + len(block))
         mean[rows] = block.mean(axis=2)
         dev = _reduce_block(j, block, det.states, mask, sup_devs)
@@ -399,6 +408,9 @@ class ConcentrationTable:
     rows: list = field(default_factory=list)
     prefactor: float = float("nan")
     eta: float = float("nan")
+    min_component: float = 0.0  # the guard's totals over every row, as on EnsembleStats
+    clamp_count: int = 0
+    warn_count: int = 0
 
     def log_prob_slope(self):
         """Slope of ln(p_hat) against 1/eps^2 over rows with 0 < exceed < n.
@@ -421,20 +433,19 @@ class ConcentrationTable:
 def concentration_experiment(p, hist, run):
     """Empirical exceedance probabilities around E0 on the predicted time window.
 
-    The window [k1 ln(c/rho)/eta, k2 ln(c/rho)/eta] uses the deterministic
-    decay prefactor as c and the spectral eta, with rho, kappa1 and kappa2 from
-    `run`; the paths run to the window's end, whatever run.T and run.window say.
-    Seeds are coupled across the eps values so the exceedance counts are
-    comparable. One pass over the paths serves every eps row: the E rows step
-    in lockstep on (3, E n) columns, eps-major, on one draw of each path's
-    increments, drawn in blocks of the length _check_budget(n, K, E) returns; a
-    node block with no window node is not reduced. A path that fails stops the
-    run at the earliest time any row fails, and the error names it as (eps, path).
-    RunSettings has checked the settings; the refusals here are the model's:
-    eta <= 0, rho >= c, a window with no node and a horizon over dde.MAX_STEPS.
+    The window [k1 ln(c/rho)/eta, k2 ln(c/rho)/eta] uses the deterministic decay prefactor
+    as c and the spectral eta, with rho, kappa1 and kappa2 from `run`; the paths run to the
+    window's end, whatever run.T and run.window say. Seeds are coupled across the eps values
+    so the exceedance counts are comparable. One pass over the paths serves every eps row:
+    the E rows step in lockstep on (3, E n) columns, eps-major, on one draw of each path's
+    increments; `_sweep` sets up the budget of E rows, the guard and the draws before the
+    fit. A node block with no window node is not reduced. A path that fails stops the run at
+    the earliest time any row fails, and the error names it as (eps, path); the table
+    carries the guard's totals. RunSettings has checked the settings; the refusals here are
+    the model's: eta <= 0, rho >= c, a window with no node and a horizon over dde.MAX_STEPS.
     """
     eps_list, rho, n, K = run.eps_list, run.rho, run.n, run.K
-    block_steps = _check_budget(n, K, len(eps_list))
+    guard, draws = _sweep(p, run, range(n), eps_list)
 
     st = equilibria.stability_at_e0(p)
     if st.eta <= 0.0:
@@ -452,19 +463,17 @@ def concentration_experiment(p, hist, run):
     t_lo = run.kappa1 * log_ratio / st.eta
     t_hi = run.kappa2 * log_ratio / st.eta
 
-    table = ConcentrationTable(prefactor=c, eta=st.eta)
     # counted first: a horizon past dde.MAX_STEPS is the model's refusal, not the run's
     window = _window_mask(t_hi, p.tau, K, (t_lo, t_hi))
     run = replace(run, T=t_hi, window=[t_lo, t_hi])
     ref = np.broadcast_to(e0, (len(window), 3))
-    paths = range(n)
     amplitudes = np.repeat(eps_list, n)  # column r n + j is path j of row r
     sup = np.zeros(len(amplitudes))  # each column's sup over the window, block by block
-    increments = _increments(p, run, paths, block_steps)
-    guard = dde._Guard(lambda c: (eps_list[c // n], c % n))
-    for j, block in _step_paths(p, hist, run, amplitudes, increments, guard):
+    for j, block in _step_paths(p, hist, run, amplitudes, draws(run), guard):
         if window[j:j + len(block)].any():
             _reduce_block(j, block, ref, window, sup)
+    table = ConcentrationTable(prefactor=c, eta=st.eta, min_component=guard.min_component,
+                               clamp_count=guard.clamp_count, warn_count=guard.warn_count)
     for r, eps in enumerate(eps_list):
         exceed = int(np.count_nonzero(sup[r * n:(r + 1) * n] >= 2.0 * rho))
         lo, hi = wilson_interval(exceed, n)

@@ -57,9 +57,8 @@ def step_all(p, hist, run, dw, path_indices):
 
 def simulate_paths(p, hist, run, path_indices):
     """Every node of the paths, stepped together on arrays: (times, nodes, guard)."""
-    guard = dde._Guard(path_indices.__getitem__)
-    increments = sde._increments(p, run, path_indices, sde.DRAW_STEPS)
-    blocks = sde._step_paths(p, hist, run, np.full(len(path_indices), p.eps), increments, guard)
+    guard, draws = sde._sweep(p, run, path_indices)
+    blocks = sde._step_paths(p, hist, run, np.full(len(path_indices), p.eps), draws(run), guard)
     nodes = np.concatenate([block.copy() for _, block in blocks])
     return (p.tau / run.K) * np.arange(len(nodes)), nodes, guard
 

@@ -993,6 +993,30 @@ class TestCli:
         assert cli.main(["validate", str(path)]) == cli.EXIT_IO
         assert capsys.readouterr().err == f"error:parse: {message}\n"
 
+    @pytest.mark.parametrize("key", ["s", "q"])
+    @pytest.mark.parametrize("sample, message", [
+        (True, "must be a number, got True"),
+        ("x", "must be a number, got 'x'"),
+        (float("inf"), "must be a finite number, got inf"),
+        (-1.0, "must be >= 0.0, got -1.0"),
+    ], ids=["bool", "string", "inf", "negative"])
+    def test_table_samples_follow_the_number_rules(self, tmp_path, capsys, key, sample,
+                                                   message):
+        # each sample of a table is a number of its own, named by its index: json's true
+        # is no 1.0, and every command refuses the document at parse, before anything runs
+        doc = load_reference_doc()
+        doc["history"] = {"preset": "table", "s": [0.5] * 4, "q": [10.0] * 4, "i0": 1.0}
+        doc["history"][key][2] = sample
+        message = f"history.{key}[2] {message}"
+        with pytest.raises(ScenarioError) as library:
+            from_dict(doc)
+        assert str(library.value) == message
+        path = write_doc(tmp_path, doc)
+        for argv in _EVERY_COMMAND:
+            code = cli.main([argv[0], path, "--outdir", str(tmp_path / "out"), *argv[1:]])
+            assert (code, capsys.readouterr().err) == (cli.EXIT_IO, f"error:parse: {message}\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("params, run, T", [
         ({}, dict(kappa2=1e20), "T = 1.66674e+21"),  # t_hi
         ({}, dict(kappa2=1e308), "T = inf"),  # t_hi, which overflows

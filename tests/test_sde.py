@@ -709,6 +709,26 @@ class TestConcentrationExperiment:
         assert run([1.0, 2.0]) == second
         assert second[1].startswith("path (2.0, 15) component")
 
+    def test_guard_counters_reach_table(self, p_conc, hist_conc):
+        # TestLockstepRows's clamp case (M = 0.5, S0 = 1e-13) at d = 0.3 and k1 = 5, so E0
+        # exists and attracts (eta = 0.2): strong noise on the Euler scheme clamps float dust
+        # to 0. The table's counts are those of its columns stepped row by row on the same
+        # seed and horizon; the guard's totals cover every row
+        p = Parameters(alpha=0.5, k1=5.0, k2=0.05, d=0.3, m=1.0, b=10.0, mu=0.2, tau=1.0, M=0.5)
+        hist = History.constant(p.tau, 1e-13, 10.0, 1.0)
+        cfg = RunSettings(eps_list=[1.0, 0.5], rho=0.2, n=8, seed=7, K=16, scheme=SCHEME_EULER)
+        table = concentration_experiment(p, hist, cfg)
+        horizon = dataclasses.replace(cfg, T=table.rows[0].t_hi)
+        guards = [simulate_paths(p.with_eps(eps), hist, horizon, list(range(cfg.n)))[2]
+                  for eps in cfg.eps_list]
+        counts = (table.clamp_count, table.warn_count, table.min_component)
+        assert counts == (sum(g.clamp_count for g in guards), sum(g.warn_count for g in guards),
+                          min(g.min_component for g in guards))
+        assert [type(c) for c in counts] == [int, int, float] and table.clamp_count > 0
+        clean = concentration_experiment(p_conc, hist_conc, RunSettings(
+            eps_list=[0.02, 0.01], rho=0.05, kappa1=1.2, kappa2=2.0, n=8, seed=7, K=32))
+        assert (clean.clamp_count, clean.warn_count, clean.min_component) == (0, 0, 0.0)
+
     def test_run_window_past_the_derived_horizon(self):
         # the paths run on the derived window [t_lo, t_hi], whatever run.window says: with
         # run.window = [0, 50] the table is bitwise the run without one, though t_hi = 33.3
@@ -725,6 +745,31 @@ class TestConcentrationExperiment:
             RunSettings(eps_list=[0.01], rho=0.05, kappa1=1.2, kappa2=2.0, n=20, seed=2024),
         )
         assert table.log_prob_slope() is None
+
+
+class TestFailureNames:
+    """Each entry point's guard names the path that failed: by index, or as (eps, path)."""
+
+    @pytest.mark.parametrize("entry, name, t", [
+        ("sample_path", "path 7", 2.40625),
+        ("ensemble", "path 15", 1.78125),
+        # one eps row still names its eps
+        ("concentration_experiment", "path (2.0, 15)", 1.78125),
+    ])
+    def test_failure_names_its_path(self, p_conc, hist_conc, entry, name, t):
+        # eps = 2 on seed 7 at K = 32: path 7 fails alone at t = 2.40625, and of paths
+        # 0-19 path 15 fails first, at t = 1.78125
+        p = p_conc.with_eps(2.0)
+        cfg = RunSettings(seed=7, T=10.0, K=32, n=20, eps_list=[2.0], window=[0.0, 10.0])
+        run = {
+            "sample_path": lambda: sample_path(p, hist_conc, cfg, path_index=7),
+            "ensemble": lambda: ensemble(p, hist_conc, cfg),
+            "concentration_experiment": lambda: concentration_experiment(p_conc, hist_conc, cfg),
+        }[entry]
+        with pytest.raises(PositivityError) as exc:
+            run()
+        assert exc.value.t == t
+        assert str(exc.value).startswith(f"{name} component 1 reached ")
 
 
 def _bits(obj):
