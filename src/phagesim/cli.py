@@ -8,8 +8,10 @@ rows of `simulate --dense`, or paths over sde.PATH_BYTES_BUDGET bytes (refused
 before any is built). A longer horizon that mc-concentration derives exits 3
 before any path. A model whose numbers leave no window exits 3 too (error:model):
 mc-concentration with rho at or above the decay prefactor c, with eta <= 0, or with
-a window [kappa1, kappa2] ln(c/rho)/eta that holds no node, and simulate with a
-run.window of fewer than two nodes (before it integrates or writes anything).
+a window [kappa1, kappa2] ln(c/rho)/eta that holds no node, simulate with a
+run.window of fewer than two nodes, and simulate without one or compare-coinfection
+on a run of fewer than dde.AUTO_FIT_NODES = 4 nodes, which the automatic decay fit
+window cannot fit (each before it integrates or writes anything).
 """
 
 import argparse
@@ -82,8 +84,8 @@ def cmd_simulate(args):
     e0 = equilibria.bacteria_free(p)
     st = equilibria.stability_at_e0(p)
     region = hypotheses.invariant_region(p)
-    if sc.run.window is not None:  # the fit's window is counted before anything is integrated
-        dde.fit_nodes(dde.node_times(sc.run.T, p.tau, sc.run.K), sc.run.window)
+    # the fit's nodes, or its window's, are counted before anything is integrated
+    dde.fit_nodes(dde.node_times(sc.run.T, p.tau, sc.run.K), sc.run.window)
     traj = dde.integrate(p, hist, sc.run.T, sc.run.K)
     path = _outpath(sc, args, "trajectory.csv")
     csvio.write_trajectory(traj, path, dense_dt=args.dense)
@@ -164,6 +166,7 @@ def cmd_compare_coinfection(args):
     e0 = equilibria.bacteria_free(p)
     T, K = sc.run.T, sc.run.K
 
+    dde.fit_nodes(dde.node_times(T, p.tau, K))  # both fits' nodes, before either run
     traj = dde.integrate(p, hist, T, K)
     fit = dde.fit_decay(traj, e0, st.eta)
 

@@ -21,6 +21,7 @@ CLAMP_TOL = 1e-12  # undershoot treated as floating-point dust
 HARD_NEG = -1e-6  # beyond this the run is declared invalid
 REGION_ATOL = 1e-9  # how far a node may sit outside the invariant box
 AUTO_WINDOW = (0.25, 0.75)  # the fitting window, as fractions of the last resolved time
+AUTO_FIT_NODES = 4  # nodes above DIST_FLOOR that AUTO_WINDOW needs, for two inside it
 DIST_FLOOR = 1e-12  # a distance to the equilibrium at or below this is rounding, not decay
 # Steps of tau/K a run may take to reach T; at about 3.2 us and 48 bytes a dde
 # step, `simulate` at the limit takes about 7 s and 115 MB (docs/scenario-schema.md)
@@ -290,8 +291,17 @@ def _window_nodes(times, window):
     return (times >= t_a - 1e-12) & (times <= t_b + 1e-12)
 
 
-def fit_nodes(times, window):
-    """The nodes a decay fit takes from the window; WindowError for fewer than two."""
+def fit_nodes(times, window=None):
+    """The nodes a decay fit takes from the window; WindowError for fewer than two.
+
+    Without a window the fit picks AUTO_WINDOW of its nodes above DIST_FLOOR, of which it
+    needs AUTO_FIT_NODES: fewer node times are refused, naming their count, and all are taken.
+    """
+    if window is None:
+        if len(times) < AUTO_FIT_NODES:
+            raise WindowError(f"a run of {len(times)} nodes is too short for the decay fit, "
+                              f"whose automatic window needs at least {AUTO_FIT_NODES}")
+        return np.ones(len(times), dtype=bool)
     mask = _window_nodes(times, window)
     if mask.sum() < 2:
         raise WindowError("window contains fewer than two nodes")
@@ -315,7 +325,7 @@ def fit_decay(traj, e0, eta, window=None):
     times = traj.times
     alive = np.nonzero(dist > DIST_FLOOR)[0]
     if window is None:
-        if len(alive) < 4:
+        if len(alive) < AUTO_FIT_NODES:
             raise WindowError("trajectory sits on the equilibrium; no decay to fit")
         t_last = times[alive[-1]]
         window = (AUTO_WINDOW[0] * t_last, AUTO_WINDOW[1] * t_last)

@@ -45,7 +45,9 @@ class RunSettings:
     # a number's rule for `_number`: (integer, minimum, strict, maximum)
     T: float = field(default=50.0, metadata={"rule": (False, 0.0, True, None)})
     K: int = field(default=64, metadata={"rule": (True, 8, False, None)})
-    n: int = field(default=400, metadata={"rule": (True, 1, False, None)})
+    # at most what a range of path indices counts (a C ssize_t), so that sde's path budget,
+    # which refuses far fewer paths, can count every n this rule admits
+    n: int = field(default=400, metadata={"rule": (True, 1, False, 2**63 - 1)})
     # sde._increments keys the noise streams on 64 bits of the seed
     seed: int = field(default=0, metadata={"rule": (True, 0, False, 2**64 - 1)})
     eps_list: list = field(default_factory=lambda: [0.05, 0.02, 0.01])
@@ -125,27 +127,36 @@ def _require(mapping, keys, where):
         raise ScenarioError(f"missing key(s) in {where}: {', '.join(missing)}")
 
 
+def _shown(value):
+    """`value` as a refusal quotes it: an integer of over 30 characters by its first nine and
+    its digit count, as json reads integers of up to 4 300 digits."""
+    text = repr(value)
+    if isinstance(value, int) and len(text) > 30:
+        return f"{text[:9]}... (an integer of {len(text.lstrip('-'))} digits)"
+    return text
+
+
 def _number(value, name, rule):
     """`value` as an int or float, checked against rule = (integer, minimum, strict, maximum)."""
     integer, minimum, strict, maximum = rule
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{name} must be a number, got {value!r}")
+        raise ScenarioError(f"{name} must be a number, got {_shown(value)}")
     # inf and NaN are no integers
     if integer and isinstance(value, float) and not value.is_integer():
-        raise ScenarioError(f"{name} must be an integer, got {value!r}")
+        raise ScenarioError(f"{name} must be an integer, got {_shown(value)}")
     try:
         number = int(value) if integer else float(value)
     except OverflowError:  # an int past the float range
-        raise ScenarioError(f"{name} must be a finite number, got {value!r}") from None
+        raise ScenarioError(f"{name} must be a finite number, got {_shown(value)}") from None
     # written so that NaN fails too
     if minimum is not None and not (number > minimum if strict else number >= minimum):
         cmp = ">" if strict else ">="
-        raise ScenarioError(f"{name} must be {cmp} {minimum}, got {value!r}")
+        raise ScenarioError(f"{name} must be {cmp} {minimum}, got {_shown(value)}")
     if maximum is not None and not number <= maximum:
-        raise ScenarioError(f"{name} must be <= {maximum}, got {value!r}")
+        raise ScenarioError(f"{name} must be <= {maximum}, got {_shown(value)}")
     # after the bounds, so a NaN fails its minimum's message where there is one
     if not integer and not math.isfinite(number):
-        raise ScenarioError(f"{name} must be a finite number, got {value!r}")
+        raise ScenarioError(f"{name} must be a finite number, got {_shown(value)}")
     return number
 
 

@@ -1,8 +1,9 @@
 """Stochastic integration of the Stratonovich-perturbed system and Monte Carlo tooling.
 
-Every stochastic run is set up by `_sweep` before anything runs: the path budget, the
-run's one guard and its paths' draws, per-path Philox streams keyed on (seed, path index),
-so any path is reproducible in isolation and ensembles are order-independent.
+Every stochastic run is set up by `_sweep`: its path budget and guard before anything runs, its
+draws, per-path Philox streams keyed on (seed, path index), so any path is reproducible in
+isolation and ensembles are order-independent, and its steps, which count the window's nodes,
+lay out the columns and step them: `_sweep` is the one place where any of that is done.
 `_step_paths` steps whatever increments it is given, so a convergence test can drive
 the production stepper with Brownian paths of its own. All paths of an ensemble
 advance together on (3, n) arrays, every per-step array a buffer made once a run:
@@ -92,16 +93,30 @@ def _increments(p, run, path_indices, block_steps):
         yield block.transpose(1, 2, 0)
 
 
-def _sweep(p, run, paths, eps_list=None):
-    """A stochastic run's budget check and guard, and its draws, to call once its window holds.
+def _sweep(p, hist, run, paths, eps_list=None):
+    """A stochastic run's budget check and guard, made at once, then its draws and its steps.
 
     The budget counts eps_list's rows (one without it); the guard names column r n + j as
     paths[j], or given eps_list as (eps_list[r], paths[j]); draws(run) is _increments to run.T.
+    steps(T, window) counts the window's nodes to T, refusing an empty window before any
+    generator exists, then returns them as a mask with _step_paths' node blocks to T, column
+    r n + j being paths[j] at eps_list[r] (at p.eps without eps_list).
     """
-    n = len(paths)
-    block_steps = _check_budget(n, run.K, 1 if eps_list is None else len(eps_list))
+    n, amplitudes = len(paths), [p.eps] if eps_list is None else eps_list
+    block_steps = _check_budget(n, run.K, len(amplitudes))
     guard = dde._Guard(lambda c: paths[c] if eps_list is None else (eps_list[c // n], paths[c % n]))
-    return guard, lambda run: _increments(p, run, paths, block_steps)
+    draws = lambda run: _increments(p, run, paths, block_steps)
+
+    def steps(T, window):
+        # counted first: a horizon past dde.MAX_STEPS is the model's refusal, not the run's
+        mask = dde._window_nodes(dde.node_times(T, p.tau, run.K), window)
+        if not np.any(mask):
+            raise ConfigurationError(f"window [{window[0]:g}, {window[1]:g}] contains no nodes")
+        stepped = replace(run, T=T, window=list(window))
+        return mask, _step_paths(p, hist, stepped, np.repeat(amplitudes, n), draws(stepped),
+                                 guard)
+
+    return guard, draws, steps
 
 
 def _rows(x):
@@ -148,8 +163,8 @@ def _history_influx(hist, p, sigma, K):
 def _step_paths(p, hist, run, eps, increments, guard):
     """Step columns on (m, 2, n) blocks of increments of W_S and W_Q at h = tau/K.
 
-    `eps` holds the noise amplitudes of the N columns, E groups of n: column
-    r n + j takes path j's increments at amplitude eps[r n + j], so E rows
+    `eps` holds the amplitudes of the N columns as `_sweep`'s steps lay them
+    out: column r n + j takes path j's increments at eps[r n + j], so E rows
     share one draw of n paths. Yields (j, nodes): the guarded nodes j, j + 1,
     ... as an (m, 3, N) block, node 0 first. Columns step together on (3, N)
     arrays into one buffer, an increment block at a time in views of at most
@@ -306,7 +321,7 @@ def sample_path(p, hist, run, path_index=0):
 
     Its Hermite slopes are the drifts the stepper evaluated at the nodes.
     """
-    guard, draws = _sweep(p, run, [path_index])
+    guard, draws, _ = _sweep(p, hist, run, [path_index])
     steps = chain.from_iterable(dw[:, :, 0].tolist() for dw in draws(run))
     return _float_path(p, hist, run, steps, guard)
 
@@ -321,14 +336,6 @@ class EnsembleStats:
     min_component: float = 0.0
     clamp_count: int = 0  # components clamped from float dust to 0
     warn_count: int = 0  # components left negative within the tolerance
-
-
-def _window_mask(T, tau, K, window):
-    """The window's nodes, known from the node count before any path is drawn."""
-    mask = dde._window_nodes(dde.node_times(T, tau, K), window)
-    if not np.any(mask):
-        raise ConfigurationError(f"window [{window[0]:g}, {window[1]:g}] contains no nodes")
-    return mask
 
 
 def _reduce_block(j, block, ref, window, sup):
@@ -354,12 +361,11 @@ def ensemble(p, hist, run):
     Each node block is reduced as it is stepped, to its mean, its deviation percentiles and the
     running sups, so a run holds O(n) memory.
     """
-    n = run.n
-    guard, draws = _sweep(p, run, range(n))
-    mask = _window_mask(run.T, p.tau, run.K, run.window)
+    guard, _, steps = _sweep(p, hist, run, range(run.n))
+    mask, blocks = steps(run.T, run.window)
     det = dde.integrate(p, hist, run.T, run.K)
-    mean, pct, sup_devs = np.empty((len(det), 3)), np.empty((2, len(det))), np.zeros(n)
-    for j, block in _step_paths(p, hist, run, np.full(n, p.eps), draws(run), guard):
+    mean, pct, sup_devs = np.empty((len(det), 3)), np.empty((2, len(det))), np.zeros(run.n)
+    for j, block in blocks:
         rows = slice(j, j + len(block))
         mean[rows] = block.mean(axis=2)
         dev = _reduce_block(j, block, det.states, mask, sup_devs)
@@ -438,21 +444,23 @@ def concentration_experiment(p, hist, run):
     window's end, whatever run.T and run.window say. Seeds are coupled across the eps values
     so the exceedance counts are comparable. One pass over the paths serves every eps row:
     the E rows step in lockstep on (3, E n) columns, eps-major, on one draw of each path's
-    increments; `_sweep` sets up the budget of E rows, the guard and the draws before the
-    fit. A node block with no window node is not reduced. A path that fails stops the run at
-    the earliest time any row fails, and the error names it as (eps, path); the table
-    carries the guard's totals. RunSettings has checked the settings; the refusals here are
-    the model's: eta <= 0, rho >= c, a window with no node and a horizon over dde.MAX_STEPS.
+    increments; `_sweep` checks the budget of E rows and builds the guard before the fit, its
+    steps count the window and lay out the columns after it, and row r's sups are sup[r] of
+    one (E, n) array. A node block with no window node is not reduced. A path that fails
+    stops the run at the earliest time any row fails, and the error names it as (eps, path);
+    the table carries the guard's totals. RunSettings has checked the settings; the refusals
+    here are the model's: eta <= 0, rho >= c, a window with no node and a horizon over
+    dde.MAX_STEPS.
     """
-    eps_list, rho, n, K = run.eps_list, run.rho, run.n, run.K
-    guard, draws = _sweep(p, run, range(n), eps_list)
+    eps_list, rho, n = run.eps_list, run.rho, run.n
+    guard, _, steps = _sweep(p, hist, run, range(n), eps_list)
 
     st = equilibria.stability_at_e0(p)
     if st.eta <= 0.0:
         raise ConfigurationError("E0 is not attracting (eta <= 0); no window exists")
     e0 = equilibria.bacteria_free(p)
     t_det = max(50.0, 10.0 / st.eta)
-    det = dde.integrate(p, hist, t_det, K)
+    det = dde.integrate(p, hist, t_det, run.K)
     fit = dde.fit_decay(det, e0, st.eta)
     c = fit.prefactor
     if rho >= c:
@@ -463,19 +471,16 @@ def concentration_experiment(p, hist, run):
     t_lo = run.kappa1 * log_ratio / st.eta
     t_hi = run.kappa2 * log_ratio / st.eta
 
-    # counted first: a horizon past dde.MAX_STEPS is the model's refusal, not the run's
-    window = _window_mask(t_hi, p.tau, K, (t_lo, t_hi))
-    run = replace(run, T=t_hi, window=[t_lo, t_hi])
+    window, blocks = steps(t_hi, (t_lo, t_hi))
     ref = np.broadcast_to(e0, (len(window), 3))
-    amplitudes = np.repeat(eps_list, n)  # column r n + j is path j of row r
-    sup = np.zeros(len(amplitudes))  # each column's sup over the window, block by block
-    for j, block in _step_paths(p, hist, run, amplitudes, draws(run), guard):
+    sup = np.zeros((len(eps_list), n))  # row r: each path's sup at eps_list[r], block by block
+    for j, block in blocks:
         if window[j:j + len(block)].any():
-            _reduce_block(j, block, ref, window, sup)
+            _reduce_block(j, block, ref, window, sup.reshape(-1))
     table = ConcentrationTable(prefactor=c, eta=st.eta, min_component=guard.min_component,
                                clamp_count=guard.clamp_count, warn_count=guard.warn_count)
     for r, eps in enumerate(eps_list):
-        exceed = int(np.count_nonzero(sup[r * n:(r + 1) * n] >= 2.0 * rho))
+        exceed = int(np.count_nonzero(sup[r] >= 2.0 * rho))
         lo, hi = wilson_interval(exceed, n)
         table.rows.append(
             ConcentrationRow(

@@ -57,8 +57,8 @@ def step_all(p, hist, run, dw, path_indices):
 
 def simulate_paths(p, hist, run, path_indices):
     """Every node of the paths, stepped together on arrays: (times, nodes, guard)."""
-    guard, draws = sde._sweep(p, run, path_indices)
-    blocks = sde._step_paths(p, hist, run, np.full(len(path_indices), p.eps), draws(run), guard)
+    guard, _, steps = sde._sweep(p, hist, run, path_indices)
+    _, blocks = steps(run.T, (0.0, run.T))
     nodes = np.concatenate([block.copy() for _, block in blocks])
     return (p.tau / run.K) * np.arange(len(nodes)), nodes, guard
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import phagesim
-from phagesim import Parameters, cli, csvio, scenario
+from phagesim import Parameters, cli, csvio, dde, scenario
 from phagesim.dde import MAX_STEPS, integrate
 from phagesim.errors import DomainError, ScenarioError
 from phagesim.scenario import _PARAM_RULES, RunSettings, from_dict, parse_scenario
@@ -350,6 +350,19 @@ class TestSchema:
         doc[section][key] = value
         with pytest.raises(ScenarioError, match=re.escape(message)):
             from_dict(doc)
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("run", "seed", 10**400), ("run", "K", -10**400), ("parameters", "alpha", 10**400),
+    ])
+    def test_long_integers_are_counted_not_echoed(self, tmp_path, capsys, section, key, value):
+        # json reads integers of up to 4 300 digits; a refusal names the key and the digits
+        doc = load_reference_doc()
+        doc[section][key] = value
+        assert cli.main(["validate", write_doc(tmp_path, doc)]) == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and len(err) < 200
+        assert err.startswith(f"error:parse: {section}.{key} must be ")
+        assert err.endswith(" (an integer of 401 digits)\n")
 
     def test_integral_float_grid(self):
         doc = load_reference_doc()
@@ -687,6 +700,34 @@ class TestCli:
         assert captured.err == "error:model: window contains fewer than two nodes\n"
         assert captured.out == ""
         assert not (tmp_path / "out" / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize("cmd", ["simulate", "compare-coinfection"])
+    def test_run_too_short_to_fit_integrates_nothing(self, tmp_path, capsys, monkeypatch, cmd):
+        # T = 0.03 at h = 1/64 is 2 steps, 3 nodes; the automatic fit window needs 4
+        doc = load_reference_doc()
+        doc["run"]["T"] = 0.03
+        path = write_doc(tmp_path, doc)
+
+        def no_run(*args):
+            raise AssertionError("the nodes are counted before anything is integrated")
+
+        monkeypatch.setattr(phagesim.dde, "integrate", no_run)
+        code = cli.main([cmd, path, "--outdir", str(tmp_path / "out")])
+        assert code == cli.EXIT_NUMERIC
+        captured = capsys.readouterr()
+        assert captured.err == (f"error:model: a run of 3 nodes is too short for the decay fit, "
+                                f"whose automatic window needs at least {dde.AUTO_FIT_NODES}\n")
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_run_of_enough_nodes_fits(self, tmp_path, capsys):
+        # T = 0.04 is 3 steps: 4 nodes, which the automatic window fits on nodes 1 and 2
+        doc = load_reference_doc()
+        doc["run"]["T"] = 0.04
+        path = write_doc(tmp_path, doc)
+        for cmd in ("simulate", "compare-coinfection"):
+            assert cli.main([cmd, path, "--outdir", str(tmp_path / "out")]) == cli.EXIT_OK
+        assert len(read_csv(tmp_path / "out" / "trajectory.csv")[1]) == dde.AUTO_FIT_NODES
 
     @pytest.mark.parametrize("params, run", [
         # d/m < M by one ulp while m*M rounds to d: E0 exists, and so does the region
@@ -1133,6 +1174,20 @@ class TestCli:
             "underflows in the thresholds that divide by it\n"
         )
         assert not (tmp_path / "trajectory.csv").exists()
+
+    def test_path_count_past_a_range_refused_at_parse(self, tmp_path, capsys):
+        # len(range(n)) overflows past 2**63 - 1 paths, so run.n and --paths stop there
+        message = f"error:parse: run.n must be <= {2**63 - 1}, got {10**20}\n"
+        doc = load_reference_doc()
+        doc["run"]["n"] = 10**20
+        path = write_doc(tmp_path, doc)
+        for argv in _EVERY_COMMAND:
+            code = cli.main([argv[0], path, "--outdir", str(tmp_path / "out"), *argv[1:]])
+            assert (code, capsys.readouterr().err) == (cli.EXIT_IO, message)
+        code = cli.main(["simulate-sde", REFERENCE_SCENARIO, "--outdir", str(tmp_path / "out"),
+                         "--paths", str(10**20)])
+        assert (code, capsys.readouterr().err) == (cli.EXIT_IO, message)
+        assert not (tmp_path / "out").exists()
 
     def test_huge_path_count_exits_on_resources(self, tmp_path):
         # 10**12 paths need 45.5 PiB of increments. The child runs under a
